@@ -1,10 +1,13 @@
 """Command-line front end: subcommand dispatch, JSON run specs, CSV/JSON
 artifacts, and golden-data regeneration.
 
-Every flag mirrors a run-spec field one to one, so
-`invsq fixed-points --alpha -0.1875` and
+One table, COMMANDS, gives each command's handler and flags; both the
+argument parser and the run-spec loader are built from it.  Every flag
+mirrors a run-spec field one to one (the field is the flag's name with
+'_' for '-'), so `invsq fixed-points --alpha -0.1875` and
 `invsq --spec spec.json` (with {"command": "fixed-points", "params":
-{"alpha": -0.1875}}) are interchangeable.  Numeric CSV output keeps 17
+{"alpha": -0.1875}}) are interchangeable; a spec may also carry a
+"regulator" object in the core JSON format.  Numeric CSV output keeps 17
 significant digits so downstream tolerance checks are meaningful.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
@@ -19,23 +22,19 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import classical, propagator, rgflow, scattering, spectrum
-from .core import (ModelParams, Regulator, derived_constants, fixed_points,
-                   linear_well, generic_well, params_from_json, regulator_from_json,
+from .core import (KIND_GENERIC, KIND_LINEAR, KIND_SQUARE, ModelParams, Regulator,
+                   derived_constants, fixed_points, params_from_json, regulator_from_json,
                    square_well)
 from .numerics import NumericalError
 
 OUTDIR_ENV = "INVSQ_OUTDIR"
-
-COMMANDS = (
-    "fixed-points", "flow", "contours", "bound-state", "exponent",
-    "propagator", "scaling-check", "collapse", "phase-shift", "phase-curve",
-    "feynman-kac", "chain", "limit-cycle", "regen-golden",
-)
+SCHEMES = {"square": KIND_SQUARE, "linear": KIND_LINEAR, "generic": KIND_GENERIC}
 
 
 def _fmt(v) -> str:
@@ -55,26 +54,36 @@ def write_csv(path: Path, header_lines, columns, rows) -> None:
 
 
 def _outdir(ns) -> Path:
-    if getattr(ns, "out", None):
-        return Path(ns.out)
-    return Path(os.environ.get(OUTDIR_ENV, "."))
+    return Path(ns.out or os.environ.get(OUTDIR_ENV, "."))
 
 
 def _params(ns) -> ModelParams:
-    return derived_constants(ns.alpha, getattr(ns, "x0", 1.0))
+    return derived_constants(ns.alpha, ns.x0)
 
 
 def _regulator(ns) -> Regulator:
-    scheme = getattr(ns, "scheme", "square")
-    g = ns.g
-    if scheme == "square":
-        return square_well(g, getattr(ns, "b", 1.0))
-    if scheme == "linear":
-        return linear_well(g)
-    if scheme == "generic":
-        prof = json.loads(Path(ns.profile).read_text())
-        return generic_well(g, prof["x"], prof["f"])
-    raise ValueError(f"unknown scheme {scheme!r}")
+    """The run spec's regulator object, else the one the regulator flags give."""
+    if ns.regulator is not None:
+        return ns.regulator
+    if ns.g is None:
+        raise ValueError("this run needs --g")
+    reg = {"kind": SCHEMES[ns.scheme], "g": ns.g, "b": ns.b}
+    if ns.scheme == "generic":
+        if ns.profile is None:
+            raise ValueError("the generic scheme needs --profile")
+        reg["profile"] = json.loads(Path(ns.profile).read_text())
+    return _from_json(regulator_from_json, reg)
+
+
+def _from_json(parse, obj):
+    """parse(obj) for a JSON object; another JSON value, or a field of the
+    wrong JSON type inside it, is reported as a validation error."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    try:
+        return parse(obj)
+    except TypeError as exc:
+        raise ValueError(f"malformed JSON value: {exc}") from exc
 
 
 def _provenance(ns, **extra) -> list[str]:
@@ -130,21 +139,19 @@ def cmd_bound_state(ns):
     if ns.g is None and not ns.g_list:
         raise ValueError("bound-state needs --g or --g-list")
     if ns.g_list:
-        if ns.g is None:
-            ns.g = 0.0
-        reg0 = _regulator(ns)
+        if ns.scheme != "square":
+            raise ValueError("--g-list sweeps the square well only")
         rows = []
         for g in (float(v) for v in ns.g_list.split(",")):
-            reg = square_well(g, reg0.b) if reg0.kind == "SquareWell" else \
-                Regulator(reg0.kind, g, reg0.b, reg0.profile_x, reg0.profile_f)
-            st = spectrum.bound_state(p, reg) if reg.kind == "SquareWell" else None
+            reg = square_well(g, ns.b)
+            st = spectrum.bound_state(p, reg)
             if st is None:
                 rows.append((p.alpha, reg.kind, reg.b, g, math.nan, math.nan, math.nan))
             else:
                 rows.append((p.alpha, reg.kind, reg.b, g, st.energy, st.xi,
                              spectrum.mean_position(p, reg)))
         out = _outdir(ns) / "bound_state_sweep.csv"
-        write_csv(out, _provenance(ns, scheme=reg0.kind),
+        write_csv(out, _provenance(ns, scheme=KIND_SQUARE),
                   ["alpha (dimensionless)", "scheme", "b (dimensionless)",
                    "g (dimensionless)", "E (1/length^2)", "xi (dimensionless)",
                    "mean_x (length)"], rows)
@@ -159,7 +166,7 @@ def cmd_bound_state(ns):
 def cmd_exponent(ns):
     p = _params(ns)
     reg = _regulator(ns)
-    if reg.kind == "SquareWell" and reg.b == 1.0:
+    if reg.kind == KIND_SQUARE and reg.b == 1.0:
         # exact matching route for the square well
         _, g_minus = fixed_points(p)
         du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
@@ -320,209 +327,200 @@ def cmd_limit_cycle(ns):
 def cmd_regen_golden(ns):
     outdir = _outdir(ns)
     results = {}
-    jobs = [
-        ("contours", ["contours", "--alpha", "-0.1875", "--ratios", "1,2,4",
-                      "--xi-min", "1e-4", "--xi-max", "0.5", "--n-xi", "40"]),
-        ("collapse", ["collapse", "--alpha", "-0.1875"]),
-        ("exponent-square", ["exponent", "--alpha", "-0.1875", "--scheme", "square",
-                             "--g", "1.0"]),
-        ("exponent-linear", ["exponent", "--alpha", "-0.1875", "--scheme", "linear",
-                             "--g", "1.0"]),
-    ]
-    for name, argv in jobs:
-        sub = _build_parser().parse_args(argv + ["--out", str(outdir)])
-        summary, payload = sub.handler(sub)
-        results[name] = payload
+    for handler, suffix, fields in GOLDEN_JOBS:
+        name = next(n for n, (h, _) in COMMANDS.items() if h is handler)
+        sub = _spec_namespace({"command": name, "params": {"alpha": -0.1875},
+                               "out": str(outdir), **fields})
+        results[name + suffix] = sub.handler(sub)[1]
     return f"golden data regenerated in {outdir}", results
 
 
+# the runs behind golden/: (handler, suffix of the result key, run-spec fields)
+GOLDEN_JOBS = (
+    (cmd_contours, "", {"ratios": "1,2,4", "xi_min": 1e-4, "xi_max": 0.5, "n_xi": 40}),
+    (cmd_collapse, "", {}),
+    (cmd_exponent, "-square", {"scheme": "square", "g": 1.0}),
+    (cmd_exponent, "-linear", {"scheme": "linear", "g": 1.0}),
+)
+
+
 # ---------------------------------------------------------------------------
-# argument plumbing
+# the command table, and the parser and run-spec loader built from it
 # ---------------------------------------------------------------------------
 
-def _add_model(sp, alpha_required=True):
-    sp.add_argument("--alpha", type=float, required=alpha_required,
-                    help="dimensionless coupling of alpha/x^2")
-    sp.add_argument("--x0", type=float, default=1.0, help="fixed length scale")
+class Flag(NamedTuple):
+    """One flag: --name (with '-' for '_') on the command line, name in a run spec."""
+    name: str
+    type: Callable = float
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    help: str | None = None
 
 
-def _add_regulator(sp, g_required=True):
-    sp.add_argument("--scheme", choices=["square", "linear", "generic"], default="square")
-    sp.add_argument("--g", type=float, required=g_required, help="well depth")
-    sp.add_argument("--b", type=float, default=1.0, help="width factor (square well)")
-    sp.add_argument("--profile", help="JSON file with {x: [...], f: [...]} (generic)")
+MODEL = (Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2"),
+         Flag("x0", default=1.0, help="fixed length scale"))
 
 
-def _add_common(sp):
-    sp.add_argument("--out", help=f"output directory (default ${OUTDIR_ENV} or .)")
-    sp.add_argument("--threads", type=int, default=1)
+def _regulator_flags(g_required: bool) -> tuple:
+    return (Flag("scheme", str, "square", choices=tuple(SCHEMES)),
+            Flag("g", required=g_required, help="well depth"),
+            Flag("b", default=1.0, help="width factor (square well)"),
+            Flag("profile", str, help="JSON file with {x: [...], f: [...]} (generic)"))
+
+
+OUT = Flag("out", str, help=f"output directory (default ${OUTDIR_ENV} or .)")
+THREADS = Flag("threads", int, 1)
+
+COMMANDS = {
+    "fixed-points": (cmd_fixed_points, MODEL),
+    "flow": (cmd_flow, MODEL + (
+        Flag("gamma0", required=True),
+        Flag("b0", default=1.0),
+        Flag("b1", required=True),
+        Flag("steps", int, 1),
+        OUT)),
+    "contours": (cmd_contours, MODEL + (
+        Flag("ratios", str, "1"),
+        Flag("xi_min", default=1e-4),
+        Flag("xi_max", default=0.5),
+        Flag("n_xi", int, 40),
+        OUT)),
+    "bound-state": (cmd_bound_state, MODEL + _regulator_flags(g_required=False) + (
+        Flag("g_list", str, help="comma-separated depths: write the sweep CSV instead"),
+        OUT)),
+    "exponent": (cmd_exponent, MODEL + _regulator_flags(g_required=True) + (
+        Flag("window_lo", default=1e-4),
+        Flag("window_hi", default=1e-2),
+        Flag("n_points", int, 20),
+        OUT)),
+    "propagator": (cmd_propagator, MODEL + _regulator_flags(g_required=True) + (
+        Flag("x", required=True),
+        Flag("y", required=True),
+        Flag("t", required=True),
+        Flag("rtol", default=1e-9),
+        OUT)),
+    "scaling-check": (cmd_scaling_check, MODEL + _regulator_flags(g_required=False) + (
+        Flag("law", str, required=True,
+             choices=("exact", "asymptotic", "scaling", "callan-symanzik")),
+        Flag("u", default=1e-3),
+        Flag("sign", int, 1, choices=(1, -1)),
+        Flag("lam", default=2.0),
+        Flag("x", default=1.0),
+        Flag("y", default=1.0),
+        Flag("t", default=1.0))),
+    "collapse": (cmd_collapse, MODEL + (
+        Flag("sign", int, 1, choices=(1, -1)),
+        Flag("b0", default=1.0),
+        Flag("u0", default=2e-3),
+        Flag("n_b", int, 5),
+        Flag("n_u", int, 5),
+        Flag("x", default=2.0),
+        Flag("t", default=1e5),
+        OUT)),
+    "phase-shift": (cmd_phase_shift, MODEL + _regulator_flags(g_required=True) + (
+        Flag("k_min", default=1e-4),
+        Flag("k_max", default=1.0),
+        Flag("n_k", int, 50),
+        OUT)),
+    "phase-curve": (cmd_phase_curve, MODEL + (
+        Flag("mu0", required=True),
+        Flag("g0", required=True),
+        Flag("mu1", required=True),
+        OUT)),
+    "feynman-kac": (cmd_feynman_kac, MODEL + _regulator_flags(g_required=True) + (
+        Flag("x", required=True),
+        Flag("y", required=True),
+        Flag("t", required=True),
+        Flag("n_steps", int, 2048),
+        Flag("n_samples", int, 100000),
+        Flag("seed", int, 20260808),
+        Flag("mode", str, "regulated", choices=("regulated", "barrier", "free")),
+        OUT,
+        THREADS)),
+    "chain": (cmd_chain, MODEL + _regulator_flags(g_required=True) + (
+        Flag("eps_list", str, "0.1,0.05,0.025"),
+        OUT,
+        THREADS)),
+    "limit-cycle": (cmd_limit_cycle, MODEL + (
+        Flag("b", default=1.0),
+        Flag("eps", required=True),
+        Flag("n_periods", int, 1),
+        OUT)),
+    "regen-golden": (cmd_regen_golden, (OUT,)),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed argv is reported like a malformed run spec: one JSON line, exit 2
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="invsq",
-                                 description="numerical laboratory for the regulated "
-                                             "inverse-square potential")
+    ap = _Parser(prog="invsq",
+                 description="numerical laboratory for the regulated inverse-square potential")
     ap.add_argument("--spec", help="JSON run-spec file instead of a subcommand")
     sub = ap.add_subparsers(dest="command")
-
-    def add(name, handler, configure):
+    for name, (handler, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
-        configure(sp)
-        _add_common(sp)
-        sp.set_defaults(handler=handler)
-        return sp
-
-    add("fixed-points", cmd_fixed_points, lambda sp: _add_model(sp))
-
-    def conf_flow(sp):
-        _add_model(sp)
-        sp.add_argument("--gamma0", type=float, required=True)
-        sp.add_argument("--b0", type=float, default=1.0)
-        sp.add_argument("--b1", type=float, required=True)
-        sp.add_argument("--steps", type=int, default=1)
-    add("flow", cmd_flow, conf_flow)
-
-    def conf_contours(sp):
-        _add_model(sp)
-        sp.add_argument("--ratios", default="1")
-        sp.add_argument("--xi-min", dest="xi_min", type=float, default=1e-4)
-        sp.add_argument("--xi-max", dest="xi_max", type=float, default=0.5)
-        sp.add_argument("--n-xi", dest="n_xi", type=int, default=40)
-    add("contours", cmd_contours, conf_contours)
-
-    def conf_bound(sp):
-        _add_model(sp)
-        _add_regulator(sp, g_required=False)
-        sp.add_argument("--g-list", dest="g_list",
-                        help="comma-separated depths: write the sweep CSV instead")
-    add("bound-state", cmd_bound_state, conf_bound)
-
-    def conf_exponent(sp):
-        _add_model(sp)
-        _add_regulator(sp)
-        sp.add_argument("--window-lo", dest="window_lo", type=float, default=1e-4)
-        sp.add_argument("--window-hi", dest="window_hi", type=float, default=1e-2)
-        sp.add_argument("--n-points", dest="n_points", type=int, default=20)
-    add("exponent", cmd_exponent, conf_exponent)
-
-    def conf_prop(sp):
-        _add_model(sp)
-        _add_regulator(sp)
-        sp.add_argument("--x", type=float, required=True)
-        sp.add_argument("--y", type=float, required=True)
-        sp.add_argument("--t", type=float, required=True)
-        sp.add_argument("--rtol", type=float, default=1e-9)
-    add("propagator", cmd_propagator, conf_prop)
-
-    def conf_scaling(sp):
-        _add_model(sp)
-        _add_regulator(sp, g_required=False)
-        sp.add_argument("--law", choices=["exact", "asymptotic", "scaling",
-                                          "callan-symanzik"], required=True)
-        sp.add_argument("--u", type=float, default=1e-3)
-        sp.add_argument("--sign", type=int, choices=[1, -1], default=1)
-        sp.add_argument("--lam", type=float, default=2.0)
-        sp.add_argument("--x", type=float, default=1.0)
-        sp.add_argument("--y", type=float, default=1.0)
-        sp.add_argument("--t", type=float, default=1.0)
-    add("scaling-check", cmd_scaling_check, conf_scaling)
-
-    def conf_collapse(sp):
-        _add_model(sp)
-        sp.add_argument("--sign", type=int, choices=[1, -1], default=1)
-        sp.add_argument("--b0", type=float, default=1.0)
-        sp.add_argument("--u0", type=float, default=2e-3)
-        sp.add_argument("--n-b", dest="n_b", type=int, default=5)
-        sp.add_argument("--n-u", dest="n_u", type=int, default=5)
-        sp.add_argument("--x", type=float, default=2.0)
-        sp.add_argument("--t", type=float, default=1e5)
-    add("collapse", cmd_collapse, conf_collapse)
-
-    def conf_phase(sp):
-        _add_model(sp)
-        _add_regulator(sp)
-        sp.add_argument("--k-min", dest="k_min", type=float, default=1e-4)
-        sp.add_argument("--k-max", dest="k_max", type=float, default=1.0)
-        sp.add_argument("--n-k", dest="n_k", type=int, default=50)
-    add("phase-shift", cmd_phase_shift, conf_phase)
-
-    def conf_curve(sp):
-        _add_model(sp)
-        sp.add_argument("--mu0", type=float, required=True)
-        sp.add_argument("--g0", type=float, required=True)
-        sp.add_argument("--mu1", type=float, required=True)
-    add("phase-curve", cmd_phase_curve, conf_curve)
-
-    def conf_fk(sp):
-        _add_model(sp)
-        _add_regulator(sp)
-        sp.add_argument("--x", type=float, required=True)
-        sp.add_argument("--y", type=float, required=True)
-        sp.add_argument("--t", type=float, required=True)
-        sp.add_argument("--n-steps", dest="n_steps", type=int, default=2048)
-        sp.add_argument("--n-samples", dest="n_samples", type=int, default=100000)
-        sp.add_argument("--seed", type=int, default=20260808)
-        sp.add_argument("--mode", choices=["regulated", "barrier", "free"],
-                        default="regulated")
-    add("feynman-kac", cmd_feynman_kac, conf_fk)
-
-    def conf_chain(sp):
-        _add_model(sp)
-        _add_regulator(sp)
-        sp.add_argument("--eps-list", dest="eps_list", default="0.1,0.05,0.025")
-    add("chain", cmd_chain, conf_chain)
-
-    def conf_cycle(sp):
-        _add_model(sp)
-        sp.add_argument("--b", type=float, default=1.0)
-        sp.add_argument("--eps", type=float, required=True)
-        sp.add_argument("--n-periods", dest="n_periods", type=int, default=1)
-    add("limit-cycle", cmd_limit_cycle, conf_cycle)
-
-    add("regen-golden", cmd_regen_golden, lambda sp: None)
+        for f in flags:
+            sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
+                            default=f.default, required=f.required, choices=f.choices,
+                            help=f.help)
+        sp.set_defaults(handler=handler, regulator=None)
     return ap
 
 
-def _spec_to_argv(spec: dict) -> list[str]:
-    if "command" not in spec:
+def _spec_namespace(spec) -> argparse.Namespace:
+    """The namespace the equivalent flags would give, from a run-spec object."""
+    if not isinstance(spec, dict) or "command" not in spec:
         raise ValueError("run spec needs a 'command' field")
     command = spec["command"]
-    if command not in COMMANDS:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    argv = [command]
-    params = spec.get("params", {})
-    if params:
-        p = params_from_json(params)
-        argv += ["--alpha", repr(p.alpha), "--x0", repr(p.x0)]
-    regulator = spec.get("regulator", {})
-    if regulator:
-        r = regulator_from_json(regulator)
-        scheme = {"SquareWell": "square", "LinearWell": "linear", "Generic": "generic"}[r.kind]
-        argv += ["--scheme", scheme, "--g", repr(r.g)]
-        if r.kind == "SquareWell":
-            argv += ["--b", repr(r.b)]
-    known = {"command", "params", "regulator"}
-    for key, val in spec.items():
-        if key in known:
-            continue
-        if not isinstance(val, (int, float, str)):
-            raise ValueError(f"unsupported option type for {key!r}")
-        argv += [f"--{key.replace('_', '-')}", str(val)]
-    return argv
+    handler, flags = COMMANDS[command]
+    by_name = {f.name: f for f in flags}
+    fields = {k: v for k, v in spec.items() if k != "command"}
+    given, reg = {}, None
+    if "params" in fields and "alpha" in by_name:
+        p = _from_json(params_from_json, fields.pop("params"))
+        given.update(alpha=p.alpha, x0=p.x0)
+    if "regulator" in fields and "g" in by_name:
+        reg = _from_json(regulator_from_json, fields.pop("regulator"))
+        scheme = next(s for s, kind in SCHEMES.items() if kind == reg.kind)
+        given.update(scheme=scheme, g=reg.g, b=reg.b, profile=None)
+    unknown = sorted(set(fields) - set(by_name))
+    if unknown:
+        raise ValueError(f"unknown run-spec fields for {command}: {unknown}")
+    twice = sorted(set(fields) & set(given))
+    if twice:
+        raise ValueError(f"run-spec fields given twice: {twice}")
+    for key, val in fields.items():
+        f = by_name[key]
+        if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+            raise ValueError(f"unsupported value for {key!r}: {val!r}")
+        given[key] = f.type(str(val))  # the conversion the flag applies
+        if f.choices and given[key] not in f.choices:
+            raise ValueError(f"{key!r} must be one of {list(f.choices)}")
+    missing = [f.name for f in flags if f.required and given.get(f.name) is None]
+    if missing:
+        raise ValueError(f"run spec for {command} needs {missing}")
+    return argparse.Namespace(command=command, handler=handler, regulator=reg,
+                              **{f.name: given.get(f.name, f.default) for f in flags})
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         if ns.spec:
-            spec = json.loads(Path(ns.spec).read_text(encoding="utf-8"))
-            ns = ap.parse_args(_spec_to_argv(spec))
-        if not getattr(ns, "command", None):
-            ap.print_usage()
-            return 2
+            if ns.command:
+                raise ValueError("give a subcommand or --spec, not both")
+            ns = _spec_namespace(json.loads(Path(ns.spec).read_text(encoding="utf-8")))
+        if not ns.command:
+            raise ValueError("give a subcommand or --spec")
         summary, payload = ns.handler(ns)
-    except (ValueError, KeyError, json.JSONDecodeError, argparse.ArgumentError) as exc:
+    except (ValueError, KeyError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}))
         return 2
     except NumericalError as exc:

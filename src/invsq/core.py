@@ -154,6 +154,8 @@ class Regulator:
     b: float = 1.0
     profile_x: tuple = field(default=())
     profile_f: tuple = field(default=())
+    # (x, f, slopes) arrays of a Generic table, built once from the two fields above
+    _pchip: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g < 0.0:
@@ -173,6 +175,7 @@ class Regulator:
                 raise ValueError("profile grid must increase inside [0, 1]")
             if not np.all(np.isfinite(fv)):
                 raise ValueError("profile must be bounded (finite table)")
+            object.__setattr__(self, "_pchip", (fx, fv, _pchip_slopes(fx, fv)))
 
     def profile(self, s):
         """f(s) on [0, 1] such that the well is V = -g f(s) (b = x0 = 1)."""
@@ -186,9 +189,7 @@ class Regulator:
         return float(out) if out.ndim == 0 else out
 
     def _pchip_eval(self, s: np.ndarray) -> np.ndarray:
-        x = np.asarray(self.profile_x, float)
-        y = np.asarray(self.profile_f, float)
-        d = _pchip_slopes(x, y)
+        x, y, d = self._pchip
         s = np.clip(s, x[0], x[-1])
         idx = np.clip(np.searchsorted(x, s) - 1, 0, len(x) - 2)
         h = x[idx + 1] - x[idx]
@@ -278,5 +279,5 @@ def regulator_from_json(d: dict) -> Regulator:
     b = float(d.get("b", 1.0))
     if kind == KIND_GENERIC:
         prof = d["profile"]
-        return generic_well(g, prof["x"], prof["f"])
+        return Regulator(kind, g, b, tuple(prof["x"]), tuple(prof["f"]))
     return Regulator(kind, g, b)

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "brent",
-    "bracket_scan",
     "quad_gk",
     "QuadResult",
     "rk45",
@@ -81,19 +80,6 @@ def brent(f: Callable[[float], float], a: float, b: float,
         if fb == 0.0:
             return b
     raise NumericalError(f"brent: no convergence after {maxiter} iterations, last bracket ({a}, {b})")
-
-
-def bracket_scan(f: Callable[[float], float], lo: float, hi: float, n: int = 64) -> list[tuple[float, float]]:
-    """All sign-change brackets of f on a uniform n-point scan of [lo, hi]."""
-    xs = np.linspace(lo, hi, n)
-    fs = np.array([f(x) for x in xs])
-    out = []
-    for i in range(n - 1):
-        if fs[i] == 0.0:
-            out.append((xs[i], xs[i]))
-        elif fs[i] * fs[i + 1] < 0.0:
-            out.append((xs[i], xs[i + 1]))
-    return out
 
 
 # ---------------------------------------------------------------------------

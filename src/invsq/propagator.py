@@ -13,16 +13,19 @@ Two spectral normalizations coexist, and the distinction matters:
   fixed (x, y, t): its near-fixed-point law is G(l x, -i l^2 t; l y) ~
   l^{-1} G with no anomalous power.
 
-* "interior" -- eigenfunctions scaled to unit interior amplitude, the
-  convention in which the near-fixed-point analysis freezes B.  In this
-  normalization the homogeneous law picks up l^{2 nu_pm - 1}, the
-  Callan-Symanzik-type equation [b d/db -+ 2 omega u d/du + 2 nu_pm] G
-  = 0 holds asymptotically, and the (b, u)-dependence collapses onto
-  Phi(z) = z^{-nu_+} + c z^{-nu_-}, z = b (u/u0)^{1/(2 omega)}.
+* "coefficient+" / "coefficient-" -- eigenfunctions divided by their
+  dominant Bessel-J coefficient near g_+ / g_- (psi_coefficient_norm),
+  the convention in which the near-fixed-point coefficients are linear
+  in the reduced coupling u.  In this normalization the homogeneous law
+  picks up l^{2 nu_pm - 1}, the Callan-Symanzik-type equation
+  [b d/db -+ 2 omega u d/du + 2 nu_pm] G = 0 holds asymptotically, and
+  the (b, u)-dependence collapses onto Phi(z) = z^{-nu_+} + c z^{-nu_-},
+  z = b (u/u0)^{1/(2 omega)}.
 
-The scaling-law checks below therefore run in the interior normalization;
-everything observable (exact law, fixed-point forms, path-integral
-comparisons) runs in the closure normalization.
+The scaling-law checks below therefore run in the coefficient
+normalization of their fixed point; everything observable (exact law,
+fixed-point forms, path-integral comparisons) runs in the closure
+normalization.
 
 Valid for couplings on the first branch with no bound-state contribution
 (g <= g_minus); the analysis regime is g_+ < g < g_-.
@@ -39,7 +42,7 @@ import numpy as np
 from . import specfun as sf
 from .core import ModelParams, Regulator, fixed_points, square_well
 from .numerics import quad_gk, fit_two_powers
-from .spectrum import psi_coefficient_norm, psi_continuum, psi_over_interior_amplitude
+from .spectrum import psi_coefficient_norm, psi_continuum
 
 __all__ = [
     "PropagatorSample",
@@ -92,8 +95,8 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
     """G_{b,g}(x, -it; y) = int_0^inf dE e^{-tE} psi_E(x) psi_E(y).
 
     normalization picks the spectral convention ("closure" is the
-    physical kernel, "interior" the fixed-interior-amplitude one used by
-    the homogeneous-law checks; see the module docstring).
+    physical kernel, "coefficient+" / "coefficient-" the ones used by the
+    homogeneous-law checks; see the module docstring).
 
     In the wavenumber variable the integrand is smooth at the origin and
     oscillates on scale pi/max(x, y); panels start at that scale and the
@@ -115,16 +118,12 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
     if normalization == "closure":
         psi = psi_continuum
         weight = lambda k: 2.0 * k
-    elif normalization == "interior":
-        psi = psi_over_interior_amplitude
-        # measure B0 dE / (pi sqrt(E)) with B0 = 1, i.e. 2/pi in dk
-        weight = lambda k: 2.0 / math.pi * np.ones_like(k)
     elif normalization in ("coefficient+", "coefficient-"):
         sgn = +1 if normalization.endswith("+") else -1
         psi = lambda pp, rr, kk, xx: psi_coefficient_norm(pp, rr, kk, xx, sgn)
         weight = lambda k: 2.0 / math.pi * np.ones_like(k)
     else:
-        raise ValueError("normalization must be 'closure', 'interior', or 'coefficient+-'")
+        raise ValueError("normalization must be 'closure' or 'coefficient+-'")
     kmax = math.sqrt(ENERGY_CUTOFF_DECADES / t)
 
     def integrand(k):

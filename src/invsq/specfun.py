@@ -1,4 +1,4 @@
-"""Self-contained special-function kernel: Gamma, Bessel J/Y/I/K, Hankel.
+"""Self-contained special-function kernel: Gamma, Bessel J/Y/I/K.
 
 Real fractional orders only (|nu| < 2, noninteger where the J/Y and I/K
 connection formulas require it), positive real arguments.  Strategy:
@@ -21,25 +21,16 @@ quadratures at 1e-8..1e-9 are never kernel-limited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FunctionValue",
     "gamma",
-    "gammaln",
-    "bessel_j",
-    "bessel_y",
-    "bessel_i",
-    "bessel_k",
-    "hankel",
     "jv",
     "yv",
     "iv",
     "kv",
     "iv_scaled",
-    "kv_scaled",
     "jvp",
     "yvp",
     "ivp",
@@ -51,14 +42,6 @@ _X_SWITCH_J = 14.0   # series below, asymptotic expansion above
 _X_SWITCH_I = 16.0
 _X_SWITCH_K = 4.0    # connection formula below, cosh-integral above
 _ASYM_TERMS = 25
-
-
-@dataclass(frozen=True)
-class FunctionValue:
-    """A function value with a conservative absolute error estimate."""
-
-    value: float
-    abs_error_estimate: float
 
 
 # ---------------------------------------------------------------------------
@@ -105,20 +88,6 @@ def gamma(x):
     return float(out[0]) if scalar else out
 
 
-def gammaln(x):
-    """log Gamma(x) for x > 0."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0):
-        raise ValueError("gammaln requires x > 0")
-    a = np.full_like(x, _LANCZOS_P[0])
-    for i in range(1, 9):
-        a = a + _LANCZOS_P[i] / (x + i - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    out = 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * np.log(t) - t + np.log(a)
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # Ascending series
 # ---------------------------------------------------------------------------
@@ -129,20 +98,17 @@ def _check_order(nu: float) -> None:
 
 
 def _series_cyl(nu: float, x: np.ndarray, sign: float):
-    """sum_k (sign q)^k / (k! (nu+1)_k), q = (x/2)^2, with |term| tally.
+    """sum_k (sign q)^k / (k! (nu+1)_k), q = (x/2)^2.
 
     Shared kernel of the J (sign=-1) and I (sign=+1) ascending series.
-    Returns (sum, sum_abs) for error estimation.
     """
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
-    total_abs = np.ones_like(x)
     for k in range(1, _SERIES_TERMS + 1):
         term = term * (sign * q) / (k * (nu + k))
         total = total + term
-        total_abs = total_abs + np.abs(term)
-    return total, total_abs
+    return total
 
 
 def _prefactor(nu: float, x: np.ndarray) -> np.ndarray:
@@ -151,19 +117,11 @@ def _prefactor(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _jv_series(nu: float, x: np.ndarray):
-    s, s_abs = _series_cyl(nu, x, -1.0)
-    pref = _prefactor(nu, x)
-    val = pref * s
-    err = np.abs(pref) * s_abs * 5e-16
-    return val, err
+    return _prefactor(nu, x) * _series_cyl(nu, x, -1.0)
 
 
 def _iv_series(nu: float, x: np.ndarray):
-    s, s_abs = _series_cyl(nu, x, +1.0)
-    pref = _prefactor(nu, x)
-    val = pref * s
-    err = np.abs(pref) * s_abs * 5e-16
-    return val, err
+    return _prefactor(nu, x) * _series_cyl(nu, x, +1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +129,7 @@ def _iv_series(nu: float, x: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _hankel_pq(nu: float, x: np.ndarray):
-    """P, Q asymptotic sums and a bound on the first omitted terms."""
+    """P, Q asymptotic sums."""
     mu = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * x)
     # a_k = prod_{j=1..k} (mu - (2j-1)^2) / (k! 8^k), computed as scalars
@@ -179,27 +137,24 @@ def _hankel_pq(nu: float, x: np.ndarray):
     p = np.ones_like(x)
     q = np.zeros_like(x)
     term = np.ones_like(x)
-    last = np.ones_like(x)
     for k in range(1, _ASYM_TERMS + 1):
         term = term * (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
         if k % 2 == 1:
             q = q + (-1.0) ** ((k - 1) // 2) * term
         else:
             p = p + (-1.0) ** (k // 2) * term
-        last = np.abs(term)
-    return p, q, last
+    return p, q
 
 
 def _jy_asym(nu: float, x: np.ndarray):
-    """(J, Y, err) for large x from the Hankel expansion."""
-    p, q, last = _hankel_pq(nu, x)
+    """(J, Y) for large x from the Hankel expansion."""
+    p, q = _hankel_pq(nu, x)
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
     c, s = np.cos(chi), np.sin(chi)
     j = amp * (c * p - s * q)
     y = amp * (s * p + c * q)
-    err = amp * (last + np.exp(-2.0 * x))
-    return j, y, err
+    return j, y
 
 
 def _iv_asym(nu: float, x: np.ndarray, scaled: bool):
@@ -213,11 +168,9 @@ def _iv_asym(nu: float, x: np.ndarray, scaled: bool):
         total = total + term
     amp = 1.0 / np.sqrt(2.0 * math.pi * x)
     val = amp * total
-    err = amp * (np.abs(term) + np.exp(-2.0 * x))
     if not scaled:
         val = val * np.exp(x)
-        err = err * np.exp(x)
-    return val, err
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +185,7 @@ _K_COSH = np.cosh(_K_T)
 _X_KASYM = 90.0
 
 
-def _kv_integral(nu: float, x: np.ndarray, scaled: bool):
+def _kv_integral(nu: float, x: np.ndarray):
     """K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, trapezoid in t.
 
     The integrand is even and analytic, so the trapezoid rule converges
@@ -240,13 +193,10 @@ def _kv_integral(nu: float, x: np.ndarray, scaled: bool):
     for x up to ~_X_KASYM, beyond which the asymptotic expansion takes
     over.  For x >= 4 the t > 4.4 tail is below exp(-4 cosh 4.4).
     """
-    z = -np.outer(x, _K_COSH - (1.0 if scaled else 0.0))
-    vals = np.exp(z) @ (_K_W * np.cosh(nu * _K_T))
-    err = np.abs(vals) * 1e-13
-    return vals, err
+    return np.exp(-np.outer(x, _K_COSH)) @ (_K_W * np.cosh(nu * _K_T))
 
 
-def _kv_asym(nu: float, x: np.ndarray, scaled: bool):
+def _kv_asym(nu: float, x: np.ndarray):
     """K_nu(x) ~ sqrt(pi/2x) e^{-x} sum_k a_k(nu) / x^k, x >= ~90."""
     mu = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * x)
@@ -256,34 +206,26 @@ def _kv_asym(nu: float, x: np.ndarray, scaled: bool):
         term = term * (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
         total = total + term
     amp = np.sqrt(0.5 * math.pi / x)
-    val = amp * total
-    err = amp * np.abs(term)
-    if not scaled:
-        val = val * np.exp(-x)
-        err = err * np.exp(-x)
-    return val, err
+    return amp * total * np.exp(-x)
 
 
-def _kv_mid_or_large(nu: float, x: np.ndarray, scaled: bool):
+def _kv_mid_or_large(nu: float, x: np.ndarray):
     val = np.empty_like(x)
-    err = np.empty_like(x)
     mid = x < _X_KASYM
     if np.any(mid):
-        val[mid], err[mid] = _kv_integral(nu, x[mid], scaled)
+        val[mid] = _kv_integral(nu, x[mid])
     if np.any(~mid):
-        val[~mid], err[~mid] = _kv_asym(nu, x[~mid], scaled)
-    return val, err
+        val[~mid] = _kv_asym(nu, x[~mid])
+    return val
 
 
 def _kv_connection(nu: float, x: np.ndarray):
     """pi (I_{-nu} - I_nu) / (2 sin(pi nu)); fine for x <= ~4, nu noninteger."""
     anu = abs(nu)
-    im, em = _iv_series(-anu, x)
-    ip, ep = _iv_series(anu, x)
+    im = _iv_series(-anu, x)
+    ip = _iv_series(anu, x)
     s = math.sin(math.pi * anu)
-    val = 0.5 * math.pi * (im - ip) / s
-    err = 0.5 * math.pi * (em + ep + 5e-16 * (np.abs(im) + np.abs(ip))) / abs(s)
-    return val, err
+    return 0.5 * math.pi * (im - ip) / s
 
 
 # ---------------------------------------------------------------------------
@@ -296,27 +238,18 @@ def _dispatch(x, small_fn, large_fn, switch):
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("argument must be positive and finite")
     val = np.empty_like(x)
-    err = np.empty_like(x)
     lo = x <= switch
     if np.any(lo):
-        val[lo], err[lo] = small_fn(x[lo])
+        val[lo] = small_fn(x[lo])
     if np.any(~lo):
-        val[~lo], err[~lo] = large_fn(x[~lo])
-    if scalar:
-        return float(val[0]), float(err[0])
-    return val, err
-
-
-def _jv_large(nu, t):
-    j, _, err = _jy_asym(nu, t)
-    return j, err
+        val[~lo] = large_fn(x[~lo])
+    return float(val[0]) if scalar else val
 
 
 def jv(nu, x):
     """Bessel J_nu(x), x > 0."""
     _check_order(nu)
-    v, _ = _dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jv_large(nu, t), _X_SWITCH_J)
-    return v
+    return _dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jy_asym(nu, t)[0], _X_SWITCH_J)
 
 
 def yv(nu, x):
@@ -326,59 +259,29 @@ def yv(nu, x):
         raise ValueError("yv requires noninteger order")
 
     def small(t):
-        jp, ep = _jv_series(nu, t)
-        jm, em = _jv_series(-nu, t)
         s, c = math.sin(math.pi * nu), math.cos(math.pi * nu)
-        val = (jp * c - jm) / s
-        err = (ep + em + 5e-16 * (np.abs(jp) + np.abs(jm))) / abs(s)
-        return val, err
+        return (_jv_series(nu, t) * c - _jv_series(-nu, t)) / s
 
-    def large(t):
-        j, y, err = _jy_asym(nu, t)
-        return y, err
-
-    v, _ = _dispatch(x, small, large, _X_SWITCH_J)
-    return v
+    return _dispatch(x, small, lambda t: _jy_asym(nu, t)[1], _X_SWITCH_J)
 
 
 def iv(nu, x):
     """Modified Bessel I_nu(x), x > 0."""
     _check_order(nu)
-    v, _ = _dispatch(x, lambda t: _iv_series(nu, t), lambda t: _iv_asym(nu, t, False), _X_SWITCH_I)
-    return v
+    return _dispatch(x, lambda t: _iv_series(nu, t), lambda t: _iv_asym(nu, t, False), _X_SWITCH_I)
 
 
 def iv_scaled(nu, x):
     """e^{-x} I_nu(x), overflow-safe for large x."""
     _check_order(nu)
-
-    def small(t):
-        val, err = _iv_series(nu, t)
-        sc = np.exp(-t)
-        return val * sc, err * sc
-
-    v, _ = _dispatch(x, small, lambda t: _iv_asym(nu, t, True), _X_SWITCH_I)
-    return v
+    return _dispatch(x, lambda t: _iv_series(nu, t) * np.exp(-t), lambda t: _iv_asym(nu, t, True),
+                     _X_SWITCH_I)
 
 
 def kv(nu, x):
     """Modified Bessel K_nu(x), x > 0, noninteger nu below the crossover."""
     _check_order(nu)
-    v, _ = _dispatch(x, lambda t: _kv_connection(nu, t), lambda t: _kv_mid_or_large(nu, t, False), _X_SWITCH_K)
-    return v
-
-
-def kv_scaled(nu, x):
-    """e^{x} K_nu(x), decay-compensated for large x."""
-    _check_order(nu)
-
-    def small(t):
-        val, err = _kv_connection(nu, t)
-        sc = np.exp(t)
-        return val * sc, err * sc
-
-    v, _ = _dispatch(x, small, lambda t: _kv_mid_or_large(nu, t, True), _X_SWITCH_K)
-    return v
+    return _dispatch(x, lambda t: _kv_connection(nu, t), lambda t: _kv_mid_or_large(nu, t), _X_SWITCH_K)
 
 
 # Derivatives from recurrences (exact identities, no differencing).
@@ -442,39 +345,3 @@ def kv_log_derivative(nu, x):
         out[~small] = xl * kvp(anu, xl) / kv(anu, xl)
     return float(out[0]) if scalar else out
 
-
-# ---------------------------------------------------------------------------
-# FunctionValue-returning API
-# ---------------------------------------------------------------------------
-
-def _as_fv(pair) -> FunctionValue:
-    v, e = pair
-    return FunctionValue(float(v), float(e))
-
-
-def bessel_j(nu: float, x: float) -> FunctionValue:
-    _check_order(nu)
-    return _as_fv(_dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jv_large(nu, t), _X_SWITCH_J))
-
-
-def bessel_y(nu: float, x: float) -> FunctionValue:
-    v = yv(nu, x)
-    return FunctionValue(float(v), abs(float(v)) * 1e-12 + 1e-15)
-
-
-def bessel_i(nu: float, x: float) -> FunctionValue:
-    _check_order(nu)
-    return _as_fv(_dispatch(x, lambda t: _iv_series(nu, t), lambda t: _iv_asym(nu, t, False), _X_SWITCH_I))
-
-
-def bessel_k(nu: float, x: float) -> FunctionValue:
-    _check_order(nu)
-    return _as_fv(_dispatch(x, lambda t: _kv_connection(nu, t), lambda t: _kv_mid_or_large(nu, t, False), _X_SWITCH_K))
-
-
-def hankel(nu: float, kind: int, x: float) -> complex:
-    """H^(1,2)_nu(x) = J_nu(x) +/- i Y_nu(x)."""
-    if kind not in (1, 2):
-        raise ValueError("kind must be 1 or 2")
-    sign = 1.0 if kind == 1 else -1.0
-    return complex(jv(nu, x)) + sign * 1j * complex(yv(nu, x))

@@ -186,24 +186,6 @@ def psi_continuum(params: ModelParams, reg: Regulator, k, x):
     return cp * root * sf.jv(params.omega, kx) + cm * root * sf.jv(-params.omega, kx)
 
 
-def psi_over_interior_amplitude(params: ModelParams, reg: Regulator, k, x):
-    """Exterior eigenfunction scaled to unit interior amplitude, psi_E(x)/A.
-
-    A fixed-interior-amplitude convention (the closure factor B held
-    constant); carries an O(u) normalization dressing near the fixed
-    points.  Safe for xi well below the first interior node.
-    """
-    cp, cm = spectral_coefficients(params, reg, k)
-    k = np.asarray(k, dtype=float)
-    xi = reg.b * params.x0 * k
-    zeta = np.sqrt(reg.g + xi * xi)
-    w = params.omega
-    a_val = (cp * np.sqrt(xi) * sf.jv(w, xi) + cm * np.sqrt(xi) * sf.jv(-w, xi)) / np.sin(zeta)
-    kx = k * x
-    root = np.sqrt(kx)
-    return (cp * root * sf.jv(w, kx) + cm * root * sf.jv(-w, kx)) / a_val
-
-
 def psi_coefficient_norm(params: ModelParams, reg: Regulator, k, x, sign: int = +1):
     """Eigenfunction normalized by its dominant Bessel-J coefficient.
 
@@ -311,31 +293,17 @@ def mean_position_constant(params: ModelParams) -> float:
 # Generic regulator: shooting, threshold, and the universal exponent
 # ---------------------------------------------------------------------------
 
-def _interior_solutions(params: ModelParams, reg: Regulator, g: float, eps: float):
-    """phi1 (from x=0: phi=0, phi'=1) and phi2 (from x=1: phi=1, phi'=0)."""
+def interior_logderiv(params: ModelParams, reg: Regulator, g: float, eps: float) -> float:
+    """Left side of the generic matching condition at x = 1: phi'(1)/phi(1)
+    for the interior solution started at x = 0 with phi = 0, phi' = 1."""
 
     def rhs(x, y):
         return np.array([y[1], (eps - g * reg.profile(x)) * y[0]])
 
-    phi1 = rk45(rhs, 0.0, [0.0, 1.0], 1.0, rtol=1e-11, atol=1e-14)
-    phi2 = rk45(rhs, 1.0, [1.0, 0.0], 0.0, rtol=1e-11, atol=1e-14)
-    return phi1, phi2
-
-
-def interior_logderiv(params: ModelParams, reg: Regulator, g: float, eps: float) -> float:
-    """Left side of the generic matching condition at x = 1.
-
-    Built from the two independent interior solutions; with phi1(0) = 0
-    it reduces to phi1'(1)/phi1(1).
-    """
-    (p1_1, dp1_1), (p2_0, _) = _interior_solutions(params, reg, g, eps)
-    p1_0 = 0.0
-    p2_1, dp2_1 = 1.0, 0.0
-    numerator = dp1_1 * p2_0 - p1_0 * dp2_1
-    denominator = p1_1 * p2_0 - p1_0 * p2_1
-    if denominator == 0.0:
-        raise NumericalError("interior matching denominator vanished")
-    return numerator / denominator
+    phi, dphi = rk45(rhs, 0.0, [0.0, 1.0], 1.0, rtol=1e-11, atol=1e-14)
+    if phi == 0.0:
+        raise NumericalError("interior solution vanishes at the matching point")
+    return dphi / phi
 
 
 def _exterior_logderiv(params: ModelParams, eps: float) -> float:

@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from invsq.cli import main
+from invsq.cli import COMMANDS, main
 
 G_PLUS_316 = 0.7135701978897408
 G_MINUS_316 = 1.9411429858956074
@@ -18,6 +19,21 @@ def run_cli(args, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     payload = json.loads(out[-1]) if out else {}
     return code, out, payload
+
+
+def json_lines(lines):
+    found = []
+    for line in lines:
+        try:
+            found.append(json.loads(line))
+        except ValueError:
+            pass
+    return found
+
+
+def run_spec(spec, path, capsys):
+    path.write_text(json.dumps(spec))
+    return run_cli(["--spec", str(path)], capsys)
 
 
 def test_fixed_points_json(capsys):
@@ -132,3 +148,131 @@ def test_exponent_headers_record_tolerances(tmp_path, capsys):
             capsys)
     text = (tmp_path / "exponent_squarewell.csv").read_text()
     assert "tolerance" in text and "slope" in text
+
+
+def test_generic_regulator_spec_matches_flags(tmp_path, capsys):
+    profile = {"x": [0.0, 0.5, 1.0], "f": [1.0, 0.9, 0.6]}
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    window = {"n_points": 3, "window_lo": 1e-3, "window_hi": 2e-3}
+    spec = {"command": "exponent", "params": {"alpha": -0.1875},
+            "regulator": {"kind": "Generic", "g": 1.0, "profile": profile},
+            "out": str(tmp_path / "spec"), **window}
+    code, _, from_spec = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code == 0
+    code, _, from_flags = run_cli(
+        ["exponent", "--alpha", "-0.1875", "--scheme", "generic", "--g", "1.0",
+         "--profile", str(tmp_path / "profile.json"), "--n-points", "3",
+         "--window-lo", "1e-3", "--window-hi", "2e-3", "--out", str(tmp_path / "flags")],
+        capsys)
+    assert code == 0
+    assert from_spec["g_star"] == from_flags["g_star"]
+    assert from_spec["exponent"] == from_flags["exponent"]
+
+
+def test_unknown_spec_field_exits_2_with_one_json_line(tmp_path, capsys):
+    spec = {"command": "fixed-points", "params": {"alpha": -0.1875}, "bogus": 1}
+    code, lines, _ = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code == 2
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
+
+
+def test_g_list_rejects_non_square_scheme(tmp_path, capsys):
+    code, lines, payload = run_cli(["bound-state", "--alpha", "-0.1875", "--scheme", "linear",
+                                    "--g-list", "3,4", "--out", str(tmp_path)], capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation"
+    assert not (tmp_path / "bound_state_sweep.csv").exists()
+
+
+def test_malformed_profile_file_exits_2(tmp_path, capsys):
+    (tmp_path / "profile.json").write_text("[1, 2]")
+    code, lines, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "generic",
+                                    "--g", "1.0", "--profile", str(tmp_path / "profile.json"),
+                                    "--out", str(tmp_path)], capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation"
+
+
+@pytest.mark.parametrize("field, value", [("regulator", []), ("regulator", "g"),
+                                          ("regulator", ["g"]), ("params", ["alpha"])])
+def test_non_object_spec_value_exits_2(field, value, tmp_path, capsys):
+    spec = {"command": "bound-state", "params": {"alpha": -0.1875},
+            "regulator": {"kind": "SquareWell", "g": 3.0}, field: value}
+    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation"
+
+
+@pytest.mark.parametrize("scheme", ["linear", "generic"])
+def test_b_other_than_1_rejected_for_b1_schemes(scheme, tmp_path, capsys):
+    (tmp_path / "profile.json").write_text(json.dumps({"x": [0.0, 1.0], "f": [1.0, 0.5]}))
+    code, lines, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", scheme,
+                                    "--g", "1.0", "--b", "0.5",
+                                    "--profile", str(tmp_path / "profile.json"),
+                                    "--out", str(tmp_path)], capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and "b = 1" in payload["detail"]
+
+
+def test_threads_and_out_only_where_read(capsys):
+    def having(flag):
+        return {name for name, (_, flags) in COMMANDS.items() if any(f.name == flag for f in flags)}
+
+    assert having("threads") == {"feynman-kac", "chain"}
+    assert having("out") == set(COMMANDS) - {"fixed-points", "scaling-check"}
+    code, lines, payload = run_cli(["fixed-points", "--alpha", "-0.1875", "--threads", "2"],
+                                   capsys)
+    assert code == 2 and len(lines) == 1 and payload["error"] == "validation"
+
+
+# cheap commands for the run-spec fuzz test: field -> strategy of valid values
+CHEAP_FIELDS = {
+    "fixed-points": {},
+    "bound-state": {"g": st.floats(0.5, 6.0), "b": st.sampled_from([0.5, 1.0]),
+                    "g_list": st.sampled_from(["2.0,2.5", "1.0"]),
+                    "scheme": st.sampled_from(["square", "square", "linear"])},
+    "flow": {"gamma0": st.floats(-0.5, 0.9), "b1": st.sampled_from([0.5, 0.1]),
+             "steps": st.integers(1, 3)},
+    "contours": {"ratios": st.sampled_from(["1", "1,2"]), "n_xi": st.integers(2, 4)},
+}
+MISTYPED = st.sampled_from([None, True, [1.0], {"a": 1}, "abc", "", 2.5, -1])
+VALID_PARAMS = st.fixed_dictionaries({"alpha": st.floats(-0.24, -0.02)})
+MALFORMED_PARAMS = st.sampled_from([{"alpha": "x"}, {"alpha": -0.1875, "bogus": 1}, {}, 5, [],
+                                    {"alpha": 0.1}, {"alpha": -0.3}, {"alpha": None}])
+REGULATORS = st.sampled_from([
+    {"kind": "SquareWell", "g": 3.0, "b": 1.0}, {"kind": "LinearWell", "g": 3.0},
+    {"kind": "Nope", "g": 1.0}, {"g": "x"}, {"kind": "Generic", "g": 1.0},
+    {"kind": "Generic", "g": 1.0, "profile": {"x": 5, "f": 3}}, [], ["g"], "g", 7])
+# mostly valid fields, so that a good share of the specs runs to the end
+FIELD_CHOICE = st.sampled_from(["valid"] * 4 + ["malformed", "missing"])
+
+
+@st.composite
+def run_specs(draw):
+    command = draw(st.sampled_from(sorted(CHEAP_FIELDS)))
+    spec = {"command": command}
+    choice = draw(FIELD_CHOICE)
+    if choice != "missing":
+        spec["params"] = draw(VALID_PARAMS if choice == "valid" else MALFORMED_PARAMS)
+    for name, valid in CHEAP_FIELDS[command].items():
+        choice = draw(FIELD_CHOICE)
+        if choice != "missing":
+            spec[name] = draw(valid if choice == "valid" else MISTYPED)
+    if command == "bound-state" and "g" not in spec and draw(st.booleans()):
+        spec["regulator"] = draw(REGULATORS)
+    if draw(st.integers(0, 4)) == 0:
+        spec["unknown_field"] = draw(MISTYPED)
+    return spec
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=run_specs())
+def test_any_run_spec_keeps_the_exit_contract(spec, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("INVSQ_OUTDIR", str(tmp_path / "out"))
+    code, lines, _ = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code in (0, 2, 3, 4)
+    found = json_lines(lines)
+    assert len(found) == 1
+    assert ("error" in found[0]) == (code != 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invsq.numerics import (NumericalError, bracket_scan, brent, fit_loglog,
+from invsq.numerics import (NumericalError, brent, fit_loglog,
                             fit_two_powers, quad_gk, rk45)
 
 
@@ -24,13 +24,6 @@ def test_brent_requires_bracket():
 def test_brent_recovers_planted_root(r, scale):
     f = lambda x: scale * (x - r) * (x * x + 1.0)
     assert brent(f, -1.0, 1.0) == pytest.approx(r, abs=1e-10)
-
-
-def test_bracket_scan_finds_all_sign_changes():
-    f = lambda x: math.sin(x)
-    brackets = bracket_scan(f, 0.5, 9.0, 64)
-    roots = sorted(brent(f, a, b) for a, b in brackets)
-    assert np.allclose(roots, [math.pi, 2 * math.pi], atol=1e-10)
 
 
 def test_quad_oscillatory_decaying():

@@ -121,12 +121,7 @@ def test_scaling_relation_and_composition_bound(params316):
     assert r16 <= 1.5 * (r14 + r15)
 
 
-def test_interior_normalization_available(params316, gfix):
-    # the fixed-interior-amplitude kernel stays exposed and positive
-    g_plus, _ = gfix
-    v = pg.propagator_quadrature(params316, square_well(g_plus + 1e-3, 1e-3),
-                                 1.0, 1.0, 1.0, normalization="interior")
-    assert v.value > 0.0
+def test_unknown_normalization_rejected(params316):
     with pytest.raises(ValueError):
         pg.propagator_quadrature(params316, square_well(1.0, 1e-3), 1.0, 1.0, 1.0,
                                  normalization="nonsense")
@@ -181,7 +176,7 @@ def test_u0_row_matches_power_law(params316, gfix):
 def test_physical_kernel_is_b_insensitive_at_fixed_point(params316, gfix):
     # closure normalization: the heat kernel tends to the b = 0 closed
     # form, so halving b changes nothing at leading order (no anomalous
-    # b-power; that power lives in the interior normalization)
+    # b-power; that power lives in the coefficient normalizations)
     g_plus, _ = gfix
     a = pg.propagator_quadrature(params316, square_well(g_plus, 1e-3), 1.0, 1.0, 10.0)
     b = pg.propagator_quadrature(params316, square_well(g_plus, 5e-4), 1.0, 1.0, 10.0)

@@ -61,12 +61,10 @@ def test_half_integer_closed_forms():
     assert sf.jv(0.5, x) == pytest.approx(2.0 / math.pi, rel=1e-12)
     assert sf.kv(0.5, 1.0) == pytest.approx(math.sqrt(math.pi / 2.0) / math.e, rel=1e-12)
     assert sf.iv(0.5, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi) * math.sinh(1.0), rel=1e-12)
-    # H^(1)_{1/2}(x) = sqrt(2/pi x) (-i) e^{ix} has modulus sqrt(2/pi x)
-    h = sf.hankel(0.5, 1, 1.3)
-    assert abs(h) == pytest.approx(math.sqrt(2.0 / (math.pi * 1.3)), rel=1e-11)
-    expected = math.sqrt(2.0 / (math.pi * 1.3)) * (-1j) * np.exp(1.3j)
-    assert h == pytest.approx(expected, rel=1e-11)
-    assert sf.hankel(0.5, 2, 1.3) == pytest.approx(expected.conjugate(), rel=1e-11)
+    # J_{1/2}(x) = sqrt(2/pi x) sin x, Y_{1/2}(x) = -sqrt(2/pi x) cos x
+    amp = math.sqrt(2.0 / (math.pi * 1.3))
+    assert sf.jv(0.5, 1.3) == pytest.approx(amp * math.sin(1.3), rel=1e-11)
+    assert sf.yv(0.5, 1.3) == pytest.approx(-amp * math.cos(1.3), rel=1e-11)
 
 
 def test_small_argument_leading_terms():
@@ -154,22 +152,12 @@ def test_scaled_variants_track_unscaled():
     xs = np.geomspace(0.5, 60.0, 40)
     for nu in ORDERS:
         assert np.allclose(sf.iv_scaled(nu, xs), sf.iv(nu, xs) * np.exp(-xs), rtol=1e-11)
-        assert np.allclose(sf.kv_scaled(nu, xs), sf.kv(nu, xs) * np.exp(xs), rtol=1e-11)
 
 
 def test_scaled_i_no_overflow():
     assert np.isfinite(sf.iv_scaled(0.25, 5e4))
     assert sf.iv_scaled(0.25, 5e4) == pytest.approx(
         1.0 / math.sqrt(2.0 * math.pi * 5e4), rel=1e-4)
-
-
-def test_function_value_api_reports_error():
-    fv = sf.bessel_j(0.25, 1.0)
-    assert fv.abs_error_estimate >= 0.0
-    assert abs(fv.value - J_QUARTER_1) <= max(fv.abs_error_estimate, 1e-12)
-    assert sf.bessel_k(0.25, 0.1).value == pytest.approx(K_QUARTER_01, rel=1e-12)
-    assert sf.bessel_i(0.25, 10.0).value == pytest.approx(I_QUARTER_10, rel=1e-12)
-    assert sf.bessel_y(0.25, 2.0).value == pytest.approx(Y_QUARTER_2, rel=1e-11)
 
 
 def test_domain_errors():
