@@ -166,21 +166,19 @@ def cmd_bound_state(ns):
 def cmd_exponent(ns):
     p = _params(ns)
     reg = _regulator(ns)
+    du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     if reg.kind == KIND_SQUARE and reg.b == 1.0:
         # exact matching route for the square well
         _, g_minus = fixed_points(p)
-        du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
         eps = np.array([-spectrum.bound_state(p, square_well(g_minus + d)).energy for d in du])
         from .numerics import fit_loglog
         slope, amplitude, resid = fit_loglog(du, eps)
-        fit = spectrum.CriticalFit(slope, amplitude, g_minus, resid)
+        fit = spectrum.CriticalFit(slope, amplitude, g_minus, resid, tuple(eps.tolist()))
     else:
         fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
                                                n_points=ns.n_points)
-        du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
-        eps = np.array([spectrum.generic_bound_energy(p, reg, fit.g_star + d) for d in du])
     rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, math.sqrt(e), fit.exponent)
-            for d, e in zip(du, eps)]
+            for d, e in zip(du, fit.eps)]
     out = _outdir(ns) / f"exponent_{reg.kind.lower()}.csv"
     write_csv(out, _provenance(ns, scheme=reg.kind, g_star=fit.g_star,
                                exponent=fit.exponent, amplitude=fit.amplitude,
@@ -358,8 +356,8 @@ class Flag(NamedTuple):
     help: str | None = None
 
 
-MODEL = (Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2"),
-         Flag("x0", default=1.0, help="fixed length scale"))
+ALPHA = Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2")
+MODEL = (ALPHA, Flag("x0", default=1.0, help="fixed length scale"))
 
 
 def _regulator_flags(g_required: bool) -> tuple:
@@ -442,7 +440,9 @@ COMMANDS = {
         Flag("eps_list", str, "0.1,0.05,0.025"),
         OUT,
         THREADS)),
-    "limit-cycle": (cmd_limit_cycle, MODEL + (
+    # limit-cycle roots are in units of x0, so that command takes no --x0
+    "limit-cycle": (cmd_limit_cycle, (
+        ALPHA,
         Flag("b", default=1.0),
         Flag("eps", required=True),
         Flag("n_periods", int, 1),
@@ -485,7 +485,11 @@ def _spec_namespace(spec) -> argparse.Namespace:
     given, reg = {}, None
     if "params" in fields and "alpha" in by_name:
         p = _from_json(params_from_json, fields.pop("params"))
-        given.update(alpha=p.alpha, x0=p.x0)
+        given["alpha"] = p.alpha
+        if "x0" in by_name:
+            given["x0"] = p.x0
+        elif p.x0 != 1.0:
+            raise ValueError(f"{command} takes no x0")
     if "regulator" in fields and "g" in by_name:
         reg = _from_json(regulator_from_json, fields.pop("regulator"))
         scheme = next(s for s, kind in SCHEMES.items() if kind == reg.kind)

@@ -2,7 +2,7 @@
 
 Square-well eigenstates come from the implicit matching equations
 (interior sinusoid against sqrt(x) K_omega or J_{+-omega} tails); generic
-regulators go through ODE shooting on the interior and the same exterior
+regulators go through Magnus shooting on the interior and the same exterior
 log-derivative.  Includes the near-threshold binding-energy law, the
 divergence of the mean position, and the regulator-independence (the
 "universality") of the exponent 1/omega.
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .core import ModelParams, Regulator, KIND_SQUARE, PI_SQ, fixed_points, gamma_cot
-from .numerics import NumericalError, brent, quad_gk, rk45, fit_loglog
+from .core import KIND_GENERIC, KIND_SQUARE, PI_SQ, ModelParams, Regulator, fixed_points, gamma_cot
+from .numerics import NumericalError, brent, quad_gk, fit_loglog
+from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 
 __all__ = [
     "BoundState",
@@ -81,10 +82,13 @@ class ContinuumState:
 
 @dataclass(frozen=True)
 class CriticalFit:
+    """Fit of log eps against log (g - g_*); eps holds the fitted binding energies -E."""
+
     exponent: float
     amplitude: float
     g_star: float
     residual: float
+    eps: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +297,81 @@ def mean_position_constant(params: ModelParams) -> float:
 # Generic regulator: shooting, threshold, and the universal exponent
 # ---------------------------------------------------------------------------
 
-def interior_logderiv(params: ModelParams, reg: Regulator, g: float, eps: float) -> float:
+# uniform steps of the interior Magnus grid on [0, 1]; a Generic table's
+# nodes are merged in, so no step straddles a kink of the PCHIP profile
+MAGNUS_STEPS = 800
+# (g, eps) pairs shot together: bounds the (pairs, steps) temporaries of a batch
+MAGNUS_ROWS = 4
+_GAUSS = math.sqrt(3.0) / 6.0
+
+
+def _step_product(m):
+    """M[..., N-1] @ ... @ M[..., 0] over the step axis by pairwise reduction.
+
+    Works in place on m: an odd last matrix is folded into its neighbour.
+    """
+    while m.shape[-3] > 1:
+        if m.shape[-3] % 2:
+            m[..., -2, :, :] = m[..., -1, :, :] @ m[..., -2, :, :]
+            m = m[..., :-1, :, :]
+        m = m[..., 1::2, :, :] @ m[..., 0::2, :, :]
+    return m[..., 0, :, :]
+
+
+def _magnus_propagator(h, f1, f2, g, eps):
+    """Propagator of (phi, phi') over [0, 1] for columns g, eps of shape (rows, 1).
+
+    On each step Omega = [[c, h], [h qbar, -c]] from the Gauss-point values
+    q_i = eps - g f_i, with qbar their mean and c = sqrt(3)/12 h^2 (q1 - q2);
+    Omega^2 = s^2 I, so exp Omega = cosh(s) I + sinh(s)/s Omega (cos and
+    sin/r with r^2 = -s^2 when s^2 < 0).
+    """
+    q1 = eps - g * f1
+    q2 = eps - g * f2
+    c = (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2)
+    hq = 0.5 * h * (q1 + q2)
+    s2 = c * c + h * hq
+    s = np.sqrt(np.abs(s2))
+    grow = s2 >= 0.0
+    cosine = np.where(grow, np.cosh(s), np.cos(s))
+    nonzero = s > 0.0
+    sinc = np.where(grow, np.sinh(s), np.sin(s)) / np.where(nonzero, s, 1.0)
+    sinc = np.where(nonzero, sinc, 1.0)
+    steps = np.stack([np.stack([cosine + sinc * c, sinc * h], -1),
+                      np.stack([sinc * hq, cosine - sinc * c], -1)], -2)
+    return _step_product(steps)
+
+
+def interior_logderiv(params: ModelParams, reg: Regulator, g, eps):
     """Left side of the generic matching condition at x = 1: phi'(1)/phi(1)
-    for the interior solution started at x = 0 with phi = 0, phi' = 1."""
+    for the interior solution started at x = 0 with phi = 0, phi' = 1.
 
-    def rhs(x, y):
-        return np.array([y[1], (eps - g * reg.profile(x)) * y[0]])
-
-    phi, dphi = rk45(rhs, 0.0, [0.0, 1.0], 1.0, rtol=1e-11, atol=1e-14)
-    if phi == 0.0:
-        raise NumericalError("interior solution vanishes at the matching point")
-    return dphi / phi
+    Fourth-order Magnus integration of phi'' = (eps - g f(x)) phi on a
+    fixed grid (Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983),
+    vectorized over the steps.  g and eps broadcast; a scalar pair returns
+    a float.
+    """
+    x = np.linspace(0.0, 1.0, MAGNUS_STEPS + 1)
+    if reg.kind == KIND_GENERIC:
+        # merge the table's nodes (sort and drop repeats; np.unique would
+        # import numpy.ma, about 1 MiB, on first use)
+        x = np.sort(np.concatenate([x, np.clip(reg.profile_x, 0.0, 1.0)]))
+        x = x[np.concatenate([[True], np.diff(x) > 0.0])]
+    h = np.diff(x)
+    f1, f2 = np.split(reg.profile(np.concatenate([x[:-1] + h * (0.5 - _GAUSS),
+                                                  x[:-1] + h * (0.5 + _GAUSS)])), 2)
+    g, eps = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(eps, dtype=float))
+    out = np.empty(g.shape)
+    flat_g, flat_eps, flat_out = g.reshape(-1, 1), eps.reshape(-1, 1), out.reshape(-1)
+    for i in range(0, flat_out.size, MAGNUS_ROWS):
+        rows = slice(i, i + MAGNUS_ROWS)
+        m = _magnus_propagator(h, f1, f2, flat_g[rows], flat_eps[rows])
+        # (phi, phi') at x = 1 is the second column: the start is (0, 1)
+        phi, dphi = m[:, 0, 1], m[:, 1, 1]
+        if not np.all(np.isfinite(phi) & (phi != 0.0)):
+            raise NumericalError("interior solution vanishes or is not finite at x = 1")
+        flat_out[rows] = dphi / phi
+    return float(out) if out.ndim == 0 else out
 
 
 def _exterior_logderiv(params: ModelParams, eps: float) -> float:
@@ -321,7 +389,8 @@ def generic_threshold_g(params: ModelParams, reg: Regulator,
 
     The scan is geometric and dense enough not to step over the first
     matching even for strongly peaked profiles, whose ground threshold
-    sits at g ~ 1/sup f.
+    sits at g ~ 1/sup f.  The whole scan is one batched shooting pass;
+    brent then refines the first crossing.
     """
     params.require_main()
 
@@ -333,15 +402,15 @@ def generic_threshold_g(params: ModelParams, reg: Regulator,
     g_bind, g_nobind = existence_bounds(params, reg)
     lo = 0.5 * g_nobind
     hi = min(1.05 * g_bind, g_hi)
-    if f(lo) < 0.0:
+    gs = np.concatenate([[lo], np.geomspace(g_nobind, hi, 24)])
+    fs = f(gs)
+    if fs[0] < 0.0:
         raise NumericalError("profile binds below its comparison bound?")
-    g_prev, f_prev = lo, f(lo)
-    for g_try in np.geomspace(g_nobind, hi, 24):
-        f_try = f(g_try)
-        if f_prev * f_try < 0.0:
-            return brent(lambda g: f(g), g_prev, g_try, xtol=1e-13)
-        g_prev, f_prev = g_try, f_try
-    raise NumericalError(f"no binding threshold found below g={hi}")
+    cross = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
+    if cross.size == 0:
+        raise NumericalError(f"no binding threshold found below g={hi}")
+    i = cross[0]
+    return brent(f, float(gs[i]), float(gs[i + 1]), xtol=1e-13)
 
 
 def generic_bound_energy(params: ModelParams, reg: Regulator, g: float) -> float:
@@ -375,7 +444,8 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
     du = np.geomspace(window[0], window[1], n_points)
     eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
     slope, amplitude, resid = fit_loglog(du, eps)
-    return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid)
+    return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
+                       eps=tuple(eps.tolist()))
 
 
 def existence_bounds(params: ModelParams, reg: Regulator) -> tuple[float, float]:

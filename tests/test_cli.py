@@ -92,6 +92,39 @@ def test_limit_cycle(tmp_path, capsys):
     assert (tmp_path / "limit_cycle.csv").exists()
 
 
+def test_limit_cycle_rejects_x0(tmp_path, capsys):
+    # its roots are in units of x0, so the command has no --x0 to ignore
+    code, lines, payload = run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
+                                    "--x0", "5", "--out", str(tmp_path)], capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation"
+    spec = {"command": "limit-cycle", "params": {"alpha": -0.30, "x0": 5.0}, "eps": 1e-6,
+            "out": str(tmp_path)}
+    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and "x0" in payload["detail"]
+    assert not (tmp_path / "limit_cycle.csv").exists()
+
+
+def test_exponent_shoots_each_energy_once(tmp_path, capsys, monkeypatch):
+    from invsq import spectrum
+    found = []
+    orig = spectrum.generic_bound_energy
+
+    def counted(*args):
+        found.append(orig(*args))
+        return found[-1]
+
+    monkeypatch.setattr(spectrum, "generic_bound_energy", counted)
+    code, _, _ = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "linear",
+                          "--g", "1.0", "--n-points", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert len(found) == 3
+    lines = (tmp_path / "exponent_linearwell.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert [-float(r[4]) for r in rows] == found
+
+
 def test_run_spec_file(tmp_path, capsys):
     spec = {"command": "fixed-points", "params": {"alpha": -0.1875}}
     path = tmp_path / "spec.json"

@@ -8,7 +8,7 @@ import pytest
 from invsq import specfun as sf
 from invsq import spectrum as sp
 from invsq.core import derived_constants, fixed_points, linear_well, generic_well, square_well
-from invsq.numerics import fit_loglog, quad_gk
+from invsq.numerics import NumericalError, fit_loglog, quad_gk
 
 BINDING_C_316 = 0.7975240094170116  # [2^{2w-2}(1+alpha/g_-)Gamma(w)/Gamma(1-w)]^{1/w}
 MEAN_X_C_316 = 0.5890486225480862   # pi (1/4 - w^2) tan(pi w)/(4 w) at w = 1/4
@@ -228,3 +228,81 @@ def test_existence_bounds_bracket(params316, gfix):
     assert ub_lin == pytest.approx((0.5 + params316.alpha / math.e) / moment_lin, rel=1e-10)
     fit_g_star = 2.6989686016  # frozen from the threshold solve
     assert lb_lin < fit_g_star < ub_lin
+
+
+# ---------------------------------------------------------------------------
+# Interior shooting against independent oracles (scipy, test-only)
+# ---------------------------------------------------------------------------
+
+AIRY_G_STAR = 2.6989686016261887  # linear well: Airy logderiv at x = 1, eps = 0, equals nu_-
+
+
+def _airy_logderiv(g, eps):
+    """phi'(1)/phi(1) of phi'' = (eps - g x) phi, phi(0) = 0, in closed form.
+
+    phi ~ Bi(z0) Ai(z) - Ai(z0) Bi(z) with z = -g^{1/3} (x - eps/g).
+    """
+    special = pytest.importorskip("scipy.special")
+    a = g ** (1.0 / 3.0)
+    ai0, _, bi0, _ = special.airy(a * eps / g)
+    ai1, aip1, bi1, bip1 = special.airy(-a * (1.0 - eps / g))
+    return -a * (bi0 * aip1 - ai0 * bip1) / (bi0 * ai1 - ai0 * bi1)
+
+
+@pytest.mark.parametrize("g", [1.5, 2.5, 3.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3])
+def test_interior_logderiv_matches_airy(params316, g, eps):
+    got = sp.interior_logderiv(params316, linear_well(1.0), g, eps)
+    assert isinstance(got, float)
+    assert got == pytest.approx(_airy_logderiv(g, eps), rel=1e-11)
+
+
+def test_interior_logderiv_batches_over_g_and_eps(params316):
+    g = np.array([[1.5], [2.5], [3.0]])
+    eps = np.array([0.0, 1e-3])
+    got = sp.interior_logderiv(params316, linear_well(1.0), g, eps)
+    assert got.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            one = sp.interior_logderiv(params316, linear_well(1.0), float(g[i, 0]), float(eps[j]))
+            assert got[i, j] == pytest.approx(one, rel=1e-13)
+
+
+def test_linear_threshold_matches_airy(params316):
+    optimize = pytest.importorskip("scipy.optimize")
+    g_airy = optimize.brentq(lambda g: _airy_logderiv(g, 0.0) - params316.nu_minus,
+                             2.0, 3.5, xtol=1e-15, rtol=1e-15)
+    assert g_airy == pytest.approx(AIRY_G_STAR, rel=1e-13)
+    assert sp.generic_threshold_g(params316, linear_well(1.0)) == pytest.approx(g_airy, rel=1e-11)
+
+
+def test_airy_threshold_constant_at_high_precision(params316):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        def mismatch(g):
+            a = mpmath.cbrt(g)
+            ai0, bi0 = mpmath.airyai(0), mpmath.airybi(0)
+            phi = bi0 * mpmath.airyai(-a) - ai0 * mpmath.airybi(-a)
+            dphi = -a * (bi0 * mpmath.airyai(-a, 1) - ai0 * mpmath.airybi(-a, 1))
+            return dphi / phi - mpmath.mpf(params316.nu_minus)
+        g_star = mpmath.findroot(mismatch, AIRY_G_STAR)
+    assert float(g_star) == pytest.approx(AIRY_G_STAR, rel=1e-15)
+
+
+@pytest.mark.parametrize("g, eps", [(1.5, 0.0), (2.5, 0.0), (3.0, 0.0), (2.5, 1e-3)])
+def test_pchip_interior_matches_dop853(params316, g, eps):
+    # the PCHIP profile is only C1 at its nodes, so the reference restarts there
+    integrate = pytest.importorskip("scipy.integrate")
+    xs = np.linspace(0.0, 1.0, 21)
+    reg = generic_well(1.0, xs, 1.0 - 0.2 * xs ** 2)
+    y = np.array([0.0, 1.0])
+    for a, b in zip(xs[:-1], xs[1:]):
+        sol = integrate.solve_ivp(lambda x, u: [u[1], (eps - g * reg.profile(x)) * u[0]],
+                                  (a, b), y, method="DOP853", rtol=1e-13, atol=1e-16)
+        y = sol.y[:, -1]
+    assert sp.interior_logderiv(params316, reg, g, eps) == pytest.approx(y[1] / y[0], rel=1e-11)
+
+
+def test_interior_logderiv_nan_depth_raises(params316):
+    with pytest.raises(NumericalError):
+        sp.interior_logderiv(params316, linear_well(1.0), math.nan, 0.0)
