@@ -18,8 +18,10 @@ Transfer-matrix numerics: uniform grid with a cell edge exactly at the
 well boundary (the near-threshold energy is violently sensitive to the
 effective well width, so the edge must not be grid-quantized), Gaussian
 step applied by FFT with the image (absorbed-wall) term, leading
-eigenvalue by Lanczos with Sturm bisection on the tridiagonal - the
-spectral gap e^{-eps E0} - 1 is far too small for power iteration.
+eigenvalue by LOBPCG preconditioned with the free step in a walled box,
+(1 - G + eps s)^{-1}, applied by DST - the spectral gap e^{-eps E0} - 1
+is far too small for power iteration, and the preconditioner takes the
+Laplacian's spread out of the iteration count (10-20 steps per solve).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Regulator, fixed_points
+from .core import ModelParams, Regulator, fixed_points, square_well
 from .numerics import NumericalError
-from .spectrum import bound_state
+from .spectrum import bound_state, generic_bound_energy
 
 __all__ = [
     "PathEnsembleSpec",
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 CHUNK_SAMPLES = 4096
+EIGEN_RTOL = 1e-12  # eigen-solve stops at ||T x - lambda x|| <= EIGEN_RTOL * lambda
 
 PHASE_EXTENSIVE = "extensive"
 PHASE_NONEXTENSIVE = "nonextensive"
@@ -91,6 +94,8 @@ class FreeEnergyResult:
     f_raw: tuple
     order: float
     n_grid: int = 0
+    eigen_iterations: tuple = ()
+    eigen_residual: float = 0.0
 
 
 def free_kernel(x: float, y: float, t: float) -> float:
@@ -181,17 +186,11 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     if mode not in ("regulated", "barrier", "free"):
         raise ValueError("mode must be regulated, barrier, or free")
     n_regs = len(regs) if mode == "regulated" else 1
-    chunks = []
-    remaining, idx = spec.n_samples, 0
-    while remaining > 0:
-        take = min(CHUNK_SAMPLES, remaining)
-        chunks.append((idx, take))
-        remaining -= take
-        idx += 1
+    chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
+              for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
 
-    def work(args):
-        ci, cn = args
-        return _chunk_weights(params, regs, spec, mode, ci, cn)
+    def work(chunk):
+        return _chunk_weights(params, regs, spec, mode, *chunk)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -201,12 +200,10 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     kern = free_kernel(spec.x, spec.y, spec.t)
     out = []
     for j in range(n_regs):
-        s1 = 0.0
-        s2 = 0.0
+        s1 = s2 = 0.0
         for res in results:
-            w = res[j]
-            s1 += float(np.sum(w))
-            s2 += float(np.sum(w * w))
+            s1 += float(np.sum(res[j]))
+            s2 += float(np.sum(res[j] * res[j]))
         n = spec.n_samples
         mean = s1 / n
         var = max(s2 / n - mean * mean, 0.0)
@@ -235,7 +232,6 @@ def scaling_check_W(params: ModelParams, b: float, sign: int,
     long times the ratio tends to the target, and lam' = 1/lam gives
     asymptotic equivalence (target 1).
     """
-    from .core import square_well
     g_plus, g_minus = fixed_points(params)
     g = g_plus if sign == +1 else g_minus
     nu = params.nu_plus if sign == +1 else params.nu_minus
@@ -275,8 +271,7 @@ class TransferOperator:
         self.x = (np.arange(self.n) + 0.5) * self.h
         v = _potential_on_paths(params, reg, self.x)
         self.halfweight = np.exp(-0.5 * eps * v)
-        m = 2 * self.n
-        self.m = m
+        self.m = m = 2 * self.n
         pref = self.h / math.sqrt(4.0 * math.pi * eps)
         d = np.arange(self.n) * self.h
         gk = pref * np.exp(-d * d / (4.0 * eps))
@@ -304,75 +299,83 @@ class TransferOperator:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self.halfweight * self.gauss_apply(self.halfweight * psi)
 
+    def preconditioner(self, shift: float):
+        """r -> (1 - G + eps shift)^{-1} r, G the Gaussian step with walls at 0 and x_max.
 
-def _sturm_max_eig(diag: np.ndarray, off: np.ndarray, tol: float = 1e-15) -> float:
-    """Largest eigenvalue of a symmetric tridiagonal matrix by bisection
-    on the Sturm sequence count."""
-    spread = 2.0 * (float(np.max(np.abs(off))) if len(off) else 0.0)
-    lo = float(np.min(diag)) - spread
-    hi = float(np.max(diag)) + spread
-    n = len(diag)
-
-    def count_below(lam: float) -> int:
-        cnt = 0
-        d = diag[0] - lam
-        if d < 0:
-            cnt += 1
-        for i in range(1, n):
-            denom = d if d != 0.0 else 1e-300
-            d = (diag[i] - lam) - off[i - 1] ** 2 / denom
-            if d < 0:
-                cnt += 1
-        return cnt
-
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if count_below(mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tol * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+        The odd extension [r, -r[::-1]] on the 2n ring diagonalizes G (a
+        DST-II by rfft) with eigenvalues the rfft of the Gaussian kernel.
+        """
+        inv = 1.0 / (1.0 - self._fk.real + self.eps * shift)
+        n, m = self.n, self.m
+        return lambda r: np.fft.irfft(np.fft.rfft(np.concatenate([r, -r[::-1]])) * inv, m)[:n]
 
 
-def lanczos_lambda_max(apply_op, n: int, max_iter: int = 30000,
-                       tol: float = 1e-14, check_every: int = 200,
-                       seed: int = 7) -> tuple[float, int]:
-    """Largest eigenvalue of a symmetric operator from the Lanczos
-    tridiagonal; the Ritz value converges to lambda_max from below, so
-    loss of orthogonality cannot inflate it."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    alphas: list[float] = []
-    betas: list[float] = []
-    v_prev = np.zeros(n)
-    beta = 0.0
-    est_prev = -np.inf
-    stall = 0
-    for j in range(max_iter):
-        w = apply_op(v)
-        a = float(v @ w)
-        alphas.append(a)
-        w -= a * v + beta * v_prev
-        beta = float(np.linalg.norm(w))
-        v_prev = v
-        if beta < 1e-300:
-            break
-        v = w / beta
-        betas.append(beta)
-        if (j + 1) % check_every == 0:
-            est = _sturm_max_eig(np.array(alphas), np.array(betas[:-1]))
-            if est_prev > -np.inf and est - est_prev < tol * max(abs(est), 1.0):
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
-                stall = 0
-            est_prev = est
-    lam = _sturm_max_eig(np.array(alphas), np.array(betas[:len(alphas) - 1]))
-    return lam, len(alphas)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # numpy's pairwise sum: the same bits whatever BLAS threading is in force
+    return float(np.sum(a * b))
+
+
+def _top_ritz_pair(basis, images):
+    """Largest Ritz value of T on span(basis) and its coefficients (images = T basis);
+    None when the Gram matrix is not numerically positive definite."""
+    gram = np.array([[_dot(a, b) for b in basis] for a in basis])
+    proj = np.array([[_dot(a, tb) for tb in images] for a in basis])
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
+        vals, vecs = np.linalg.eigh(chol_inv @ (0.5 * (proj + proj.T)) @ chol_inv.T)
+    except np.linalg.LinAlgError:
+        return None
+    return float(vals[-1]), chol_inv.T @ vecs[:, -1]
+
+
+def lanczos_lambda_max(apply_op, x0: np.ndarray, precond, max_iter: int = 100,
+                       stats: dict | None = None) -> tuple[float, int]:
+    """Largest eigenvalue of a symmetric operator by preconditioned LOBPCG.
+
+    Block size 1 (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517): each
+    iteration applies T once, to w = precond(T x - lambda x), and takes the
+    top Ritz pair of T on span[x, w, p].  Returns (lambda, iterations) once
+    ||T x - lambda x|| <= EIGEN_RTOL * lambda for unit x, and puts that
+    relative residual in stats["residual"].  NumericalError on a non-finite
+    value, a Gram breakdown that persists without p, or max_iter.  The
+    name predates the method: bench/tracing.py wraps it (ROADMAP 1).
+    """
+    x = x0 / math.sqrt(_dot(x0, x0))
+    tx = apply_op(x)
+    lam = _dot(x, tx)
+    p = tp = None
+    for it in range(max_iter + 1):
+        r = tx - lam * x
+        res = math.sqrt(_dot(r, r))
+        if not (math.isfinite(lam) and math.isfinite(res)):
+            raise NumericalError(f"eigen-solve: non-finite value after {it} iterations")
+        if res <= EIGEN_RTOL * lam:
+            if stats is not None:
+                stats["residual"] = res / lam
+            return lam, it
+        if it == max_iter:
+            raise NumericalError(f"eigen-solve: residual {res / lam:.2e} after {it} "
+                                 f"iterations (tol {EIGEN_RTOL:.0e})")
+        w = precond(r)
+        w /= math.sqrt(_dot(w, w))
+        basis, images = [x, w], [tx, apply_op(w)]
+        if p is not None:
+            scale = math.sqrt(_dot(p, p))
+            basis, images = basis + [p / scale], images + [tp / scale]
+        ritz = _top_ritz_pair(basis, images)
+        if ritz is None and p is not None:  # retried once without p
+            basis, images = basis[:2], images[:2]
+            ritz = _top_ritz_pair(basis, images)
+        if ritz is None:
+            raise NumericalError(f"eigen-solve: Gram breakdown at iteration {it + 1}")
+        lam, c = ritz
+        p = sum(ci * b for ci, b in zip(c[1:], basis[1:]))
+        tp = sum(ci * tb for ci, tb in zip(c[1:], images[1:]))
+        x = c[0] * x + p
+        tx = c[0] * tx + tp
+        norm = math.sqrt(_dot(x, x))
+        x /= norm
+        tx /= norm
 
 
 def chain_partition(params: ModelParams, reg: Regulator, spec: ChainSpec,
@@ -384,20 +387,20 @@ def chain_partition(params: ModelParams, reg: Regulator, spec: ChainSpec,
     defaults to the literal chain (absorption only at the sites).
     """
     op = TransferOperator(params, reg, spec.epsilon, spec.x_max, spec.n_grid, image=image)
-    vy = float(_potential_on_paths(params, reg, np.array([spec.y]))[0])
-    vx = float(_potential_on_paths(params, reg, np.array([spec.x]))[0])
     pref = 1.0 / math.sqrt(4.0 * math.pi * spec.epsilon)
-    col = pref * np.exp(-(op.x - spec.y) ** 2 / (4.0 * spec.epsilon))
-    if image:
-        col = col - pref * np.exp(-(op.x + spec.y) ** 2 / (4.0 * spec.epsilon))
-    u = col * math.exp(-0.5 * spec.epsilon * vy) * op.halfweight
+
+    def end_link(z: float) -> np.ndarray:
+        """The link from the pinned end z to every grid site."""
+        vz = float(_potential_on_paths(params, reg, np.array([z]))[0])
+        col = pref * np.exp(-(op.x - z) ** 2 / (4.0 * spec.epsilon))
+        if image:
+            col = col - pref * np.exp(-(op.x + z) ** 2 / (4.0 * spec.epsilon))
+        return col * math.exp(-0.5 * spec.epsilon * vz) * op.halfweight
+
+    u = end_link(spec.y)
     for _ in range(spec.n_links - 1):
         u = op.apply(u)  # each application carries one grid weight h
-    colx = pref * np.exp(-(op.x - spec.x) ** 2 / (4.0 * spec.epsilon))
-    if image:
-        colx = colx - pref * np.exp(-(op.x + spec.x) ** 2 / (4.0 * spec.epsilon))
-    tail = colx * math.exp(-0.5 * spec.epsilon * vx) * op.halfweight
-    return float(np.sum(u * tail) * op.h)
+    return float(np.sum(u * end_link(spec.x)) * op.h)
 
 
 def free_energy_density(params: ModelParams, reg: Regulator,
@@ -417,54 +420,51 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     e0 = None
     if reg.kind == "SquareWell":
         st = bound_state(params, reg)
-        if st is not None:
-            e0 = st.energy
+        e0 = st.energy if st is not None else None
     else:
-        from .spectrum import generic_bound_energy
         try:
             e0 = -generic_bound_energy(params, reg, reg.g)
         except ValueError:
-            e0 = None
+            pass
+    # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}
     if e0 is not None:
-        x_max = max(box_kappa / math.sqrt(-e0), 4.0 * reg.b * params.x0, 8.0)
+        x_max, shift = max(box_kappa / math.sqrt(-e0), 4.0 * reg.b * params.x0, 8.0), -e0
     else:
-        x_max = min_box
+        x_max, shift = min_box, (math.pi / min_box) ** 2
     sigma_min = math.sqrt(2.0 * min(eps_list))
     n = 1
     while n * sigma_min / resolve < x_max and n < max_n:
         n *= 2
     eps_sorted = tuple(sorted(eps_list, reverse=True))
 
-    def f_at(eps: float) -> float:
+    def f_at(eps: float):
         op = TransferOperator(params, reg, eps, x_max, n, image=True)
-        lam, _ = lanczos_lambda_max(op.apply, op.n)
+        start, stats = op.x * np.exp(-math.sqrt(shift) * op.x), {}
+        # a fixed positive start, no warm start: results must not depend on which
+        # thread solves which eps; called by the name bench/tracing.py wraps (ROADMAP 1)
+        lam, iters = lanczos_lambda_max(op.apply, start, op.preconditioner(shift), stats=stats)
         if lam <= 0.0:
             raise NumericalError("transfer matrix lost positivity")
-        return -math.log(lam) / eps
+        return -math.log(lam) / eps, iters, stats["residual"]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fs = list(pool.map(f_at, eps_sorted))
+            solves = list(pool.map(f_at, eps_sorted))
     else:
-        fs = [f_at(e) for e in eps_sorted]
+        solves = [f_at(e) for e in eps_sorted]
+    fs = [f for f, _, _ in solves]
     ratio = eps_sorted[-2] / eps_sorted[-1] if len(eps_sorted) >= 2 else 2.0
-    if order is not None and len(fs) >= 2:
-        f_star = fs[-1] + (fs[-1] - fs[-2]) / (ratio ** order - 1.0)
-    elif len(fs) >= 3:
+    if order is None and len(fs) >= 3:
         d1, d2 = fs[-2] - fs[-3], fs[-1] - fs[-2]
         if d1 * d2 > 0 and abs(d2) < abs(d1):
             order = math.log(d1 / d2) / math.log(ratio)
-            f_star = fs[-1] + d2 / (ratio ** order - 1.0)
-        else:
-            order = 1.0
-            f_star = fs[-1] + (fs[-1] - fs[-2]) / (ratio - 1.0)
-    elif len(fs) == 2:
-        order = 1.0
-        f_star = fs[-1] + (fs[-1] - fs[-2]) / (ratio - 1.0)
+    if len(fs) >= 2:
+        order = 1.0 if order is None else order
+        f_star = fs[-1] + (fs[-1] - fs[-2]) / (ratio ** order - 1.0)
     else:
-        order = math.nan
-        f_star = fs[-1]
+        order, f_star = math.nan, fs[-1]
     phase = PHASE_EXTENSIVE if e0 is not None else PHASE_NONEXTENSIVE
     return FreeEnergyResult(f_xy=f_star, E0=e0 if e0 is not None else 0.0, phase=phase,
                             eps_used=eps_sorted, f_raw=tuple(fs), order=order,
-                            n_grid=n)
+                            n_grid=n, eigen_iterations=tuple(it for _, it, _ in solves),
+                            eigen_residual=max(res for _, _, res in solves))

@@ -294,13 +294,18 @@ def cmd_chain(ns):
                                         threads=ns.threads)
     rows = [(reg.g, e, res.n_grid, f, res.E0) for e, f in zip(res.eps_used, res.f_raw)]
     rows.append((reg.g, 0.0, res.n_grid, res.f_xy, res.E0))
+    diagnostics = {"eigen_iterations": list(res.eigen_iterations),
+                   "eigen_residual": res.eigen_residual}
     out = _outdir(ns) / "chain.csv"
     write_csv(out, _provenance(ns, phase=res.phase, order=res.order,
+                               eigen_iterations=" ".join(map(str, res.eigen_iterations)),
+                               eigen_residual=res.eigen_residual,
                                note="epsilon = 0 row is the extrapolation"),
               ["g (dimensionless)", "epsilon (length^2)", "n_grid",
                "f (1/length^2)", "E0_ref (1/length^2)"], rows)
     return (f"f={res.f_xy:.8g} (E0={res.E0:.8g}, {res.phase}) -> {out}"), \
-        {"f": res.f_xy, "E0": res.E0, "phase": res.phase, "path": str(out)}
+        {"f": res.f_xy, "E0": res.E0, "phase": res.phase, "path": str(out),
+         "diagnostics": diagnostics}
 
 
 def cmd_limit_cycle(ns):

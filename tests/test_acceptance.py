@@ -211,7 +211,7 @@ def test_criterion_11_chain_criticality():
     # (c) exponent 1/omega, verified transitively.  The direct log-log
     # fit of f over a decade reaches 1/omega only in the asymptotic
     # window |E| << 1e-8, where the transfer-matrix spectral gap
-    # 1 - e^{-eps |E0|} is far below any feasible Lanczos resolution --
+    # 1 - e^{-eps |E0|} is far below any feasible eigen-solver resolution --
     # over any chain-reachable window the EXACT quantum slope is itself
     # ~3.2, not 4 (corrections to scaling).  So assert the two links the
     # chain can honestly own: it reproduces the quantum energies

@@ -9,7 +9,7 @@ from invsq import classical as cl
 from invsq import propagator as pg
 from invsq import spectrum as sp
 from invsq.core import fixed_points, square_well
-from invsq.numerics import quad_gk
+from invsq.numerics import NumericalError, quad_gk
 
 SEED = 424242
 
@@ -212,3 +212,77 @@ def test_free_energy_endpoint_independent(params316, gfix):
                                              x_max=30.0, n_grid=4096), image=True)
         slopes.append(-(math.log(z2) - math.log(z1)) / (eps * 1600))
     assert slopes[0] == pytest.approx(slopes[1], rel=1e-3)
+
+
+def test_free_energy_result_is_plain_and_repeatable(params316, gfix):
+    # bench/run.py compares whole results with != and the CLI writes them
+    # as JSON: every field must be a plain Python value
+    _, g_minus = gfix
+    reg = square_well(g_minus + 0.5)
+    runs = [cl.free_energy_density(params316, reg, eps_list=(0.05, 0.025, 0.0125),
+                                   threads=k) for k in (1, 2, 2)]
+    assert runs[0] == runs[1] == runs[2]
+    assert len({hash(r) for r in runs}) == 1
+    for name, value in vars(runs[0]).items():
+        items = value if isinstance(value, tuple) else (value,)
+        assert all(type(v) in (float, int, str) for v in items), name
+    assert all(type(k) is int for k in runs[0].eigen_iterations)
+    assert len(runs[0].eigen_iterations) == 3
+    assert 0.0 < runs[0].eigen_residual <= 1e-12
+
+
+def _leading(op, shift, **kw):
+    start = op.x * np.exp(-math.sqrt(shift) * op.x)
+    return cl.lanczos_lambda_max(op.apply, start, op.preconditioner(shift), **kw)
+
+
+@pytest.mark.parametrize("shift_g, eps, x_max, n_grid", [(0.1, 0.025, 120.0, 4096),
+                                                        (-0.3, 0.05, 40.0, 1024)])
+def test_eigen_solver_matches_eigsh(params316, gfix, shift_g, eps, x_max, n_grid):
+    sla = pytest.importorskip("scipy.sparse.linalg")
+    _, g_minus = gfix
+    reg = square_well(g_minus + shift_g)
+    st = sp.bound_state(params316, reg)
+    assert (st is None) == (shift_g < 0)
+    op = cl.TransferOperator(params316, reg, eps, x_max, n_grid)
+    shift = -st.energy if st is not None else (math.pi / op.x_max) ** 2
+    lam, iters = _leading(op, shift)
+    a = sla.LinearOperator((op.n, op.n), matvec=op.apply, dtype=float)
+    _, vec = sla.eigsh(a, k=1, which="LA", tol=1e-15, ncv=40, v0=np.ones(op.n))
+    # the oracle is the Rayleigh quotient of eigsh's eigenvector, summed
+    # exactly: ARPACK's own Ritz value is off by up to 5e-14 here
+    v = vec[:, 0]
+    ref = math.fsum(v * op.apply(v)) / math.fsum(v * v)
+    assert lam == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert iters < 60
+
+
+def test_eigen_solver_matches_dense_eigvalsh(params316, gfix):
+    _, g_minus = gfix
+    reg = square_well(g_minus + 0.1)
+    op = cl.TransferOperator(params316, reg, 0.05, 20.0, 256)
+    dense = np.array([op.apply(e) for e in np.eye(op.n)]).T
+    ref = np.linalg.eigvalsh(0.5 * (dense + dense.T))[-1]
+    lam, iters = _leading(op, -sp.bound_state(params316, reg).energy)
+    assert lam == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert iters < 60
+
+
+def test_eigen_solver_fails_loudly(params316, gfix):
+    _, g_minus = gfix
+    reg = square_well(g_minus + 0.5)
+    op = cl.TransferOperator(params316, reg, 0.05, 40.0, 1024)
+    shift = -sp.bound_state(params316, reg).energy
+    with pytest.raises(NumericalError, match="after 2 iterations"):
+        _leading(op, shift, max_iter=2)
+    op.halfweight[100] = math.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        _leading(op, shift)
+
+
+def test_eigen_solver_gram_breakdown_is_not_a_linalg_error():
+    x = np.linspace(1.0, 2.0, 16)
+    assert cl._top_ritz_pair([x, x], [x, x]) is None
+    # an operator whose preconditioned residual repeats x breaks down at once
+    with pytest.raises(NumericalError, match="Gram breakdown"):
+        cl.lanczos_lambda_max(lambda u: u * np.arange(1.0, 17.0), x, lambda r: x)

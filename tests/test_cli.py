@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from invsq import classical
 from invsq.cli import COMMANDS, main
 
 G_PLUS_316 = 0.7135701978897408
@@ -82,6 +83,43 @@ def test_phase_shift_csv(tmp_path, capsys):
                           "--n-k", "5", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "phase_shift.csv").exists()
+
+
+CHAIN_ARGS = ["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.05,0.025"]
+
+
+def test_chain_reports_eigen_diagnostics(tmp_path, capsys):
+    code, _, payload = run_cli(CHAIN_ARGS + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    diag = payload["diagnostics"]
+    assert len(diag["eigen_iterations"]) == 2
+    assert all(type(k) is int and 0 < k < 60 for k in diag["eigen_iterations"])
+    assert 0.0 < diag["eigen_residual"] <= 1e-12
+    head = [l for l in (tmp_path / "chain.csv").read_text().splitlines() if l.startswith("#")]
+    assert f"# eigen_iterations = {' '.join(map(str, diag['eigen_iterations']))}" in head
+    assert f"# eigen_residual = {diag['eigen_residual']:.17g}" in head
+
+
+def _capped_solver(orig):
+    return lambda *args, **kw: orig(*args, **{**kw, "max_iter": 2})
+
+
+def _nan_halfweight(orig):
+    def init(self, *args, **kw):
+        orig(self, *args, **kw)
+        self.halfweight[7] = float("nan")
+    return init
+
+
+@pytest.mark.parametrize("owner, name, broken", [
+    (classical, "lanczos_lambda_max", _capped_solver),
+    (classical.TransferOperator, "__init__", _nan_halfweight)])
+def test_chain_eigen_failure_exits_3(owner, name, broken, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    code, lines, payload = run_cli(CHAIN_ARGS + ["--out", str(tmp_path)], capsys)
+    assert code == 3 and len(lines) == 1
+    assert payload["error"] == "numerical" and "eigen-solve" in payload["detail"]
+    assert not (tmp_path / "chain.csv").exists()
 
 
 def test_limit_cycle(tmp_path, capsys):
