@@ -167,17 +167,11 @@ def cmd_exponent(ns):
     p = _params(ns)
     reg = _regulator(ns)
     du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
-    if reg.kind == KIND_SQUARE and reg.b == 1.0:
-        # exact matching route for the square well
-        _, g_minus = fixed_points(p)
-        eps = np.array([-spectrum.bound_state(p, square_well(g_minus + d)).energy for d in du])
-        from .numerics import fit_loglog
-        slope, amplitude, resid = fit_loglog(du, eps)
-        fit = spectrum.CriticalFit(slope, amplitude, g_minus, resid, tuple(eps.tolist()))
-    else:
-        fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
-                                               n_points=ns.n_points)
-    rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, math.sqrt(e), fit.exponent)
+    fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
+                                           n_points=ns.n_points)
+    # xi = b x0 sqrt(-E); the generic path works in units of its well's edge
+    cut = reg.b * p.x0 if reg.kind == KIND_SQUARE else 1.0
+    rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, cut * math.sqrt(e), fit.exponent)
             for d, e in zip(du, fit.eps)]
     out = _outdir(ns) / f"exponent_{reg.kind.lower()}.csv"
     write_csv(out, _provenance(ns, scheme=reg.kind, g_star=fit.g_star,

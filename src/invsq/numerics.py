@@ -173,7 +173,7 @@ def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince RK45
+# Dormand-Prince RK45 (no caller in the package; kept for bench/tracing.py)
 # ---------------------------------------------------------------------------
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])

@@ -28,7 +28,8 @@ fixed-point forms, path-integral comparisons) runs in the closure
 normalization.
 
 Valid for couplings on the first branch with no bound-state contribution
-(g <= g_minus); the analysis regime is g_+ < g < g_-.
+(g <= g_minus, enforced: above it the quadrature would miss the bound
+state); the analysis regime is g_+ < g < g_-.
 """
 
 from __future__ import annotations
@@ -112,6 +113,8 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
         raise ValueError("propagator sampled inside the regulated region (need x, y > b x0)")
     if t <= 0.0:
         raise ValueError("require t > 0")
+    if reg.g > fixed_points(params)[1]:
+        raise ValueError(f"g={reg.g} is above g_minus: the quadrature omits the bound state")
     if t < 1e-4:
         warnings.warn("t so small the spectral cutoff is very high; "
                       "expect slow quadrature", RegimeWarning, stacklevel=2)

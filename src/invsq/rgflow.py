@@ -7,16 +7,20 @@ omega; u = gamma - nu_- is irrelevant at the infrared fixed point and
 u = nu_+ - gamma relevant at the ultraviolet one.
 
 Constant-C_+/C_- contours in the (xi, g)-plane come from inverting the
-exact coefficient ratio, which is closed-form linear in gamma(g + xi^2).
+exact coefficient ratio, which is closed-form linear in gamma(g + xi^2);
+the same inversion traces the curves of constant phase shift in
+`scattering`, since the phase fixes that ratio.
 
 For alpha < -1/4 the flow never settles: the shallow-binding matching
 condition sqrt(g) cot sqrt(g) = 1/2 - |omega| tan(|omega| log b +
 |omega| log(eps)/2 + phi) is log-periodic (a limit cycle), with the phase
-phi fixed by the normalizable outer solution, not fitted.
+phi = pi/2 - |omega| ln 2 - arg Gamma(1 + i|omega|) fixed in closed form by
+the normalizable outer solution, not fitted.  Nothing here solves an ODE.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,7 +29,8 @@ import numpy as np
 from . import specfun as sf
 from .core import (MODE_LIMIT_CYCLE, ModelParams, PI_SQ, fixed_points,
                    gamma_cot)
-from .numerics import NumericalError, brent, rk45
+from .numerics import NumericalError, brent
+from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 
 __all__ = [
     "FlowState",
@@ -36,6 +41,7 @@ __all__ = [
     "fixed_point_info",
     "flow",
     "invert_gamma",
+    "contour_coupling",
     "contour_constant_ratio",
     "scaling_variable_step",
     "limit_cycle_phase",
@@ -130,17 +136,6 @@ def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:
     return FlowState(b1, gamma1, g1, gamma1 - nm, exited)
 
 
-def flow_ode_check(params: ModelParams, gamma0: float, b0: float, b1: float) -> float:
-    """gamma(b1) by direct adaptive integration of the RG equation.
-
-    Oracle companion to flow(); integrates d gamma / d ln b = beta(gamma).
-    """
-    s0, s1 = math.log(b0), math.log(b1)
-    y = rk45(lambda s, y: np.array([beta(params, y[0])]), s0, [gamma0], s1,
-             rtol=1e-11, atol=1e-13)
-    return float(y[0])
-
-
 def scaling_variable_step(u: float, epsilon: float, fp: FixedPointInfo) -> float:
     """One infinitesimal cutoff reduction b -> b(1 - epsilon): u' = u (1-eps)^y."""
     return u * (1.0 - epsilon) ** fp.rg_eigenvalue
@@ -150,68 +145,71 @@ def scaling_variable_step(u: float, epsilon: float, fp: FixedPointInfo) -> float
 # Contours of constant C_+/C_- (the flow diagram data)
 # ---------------------------------------------------------------------------
 
+def contour_coupling(params: ModelParams, c_plus: float, c_minus: float, xi) -> np.ndarray:
+    """g(xi) on the first branch where the exact (C_+, C_-) is parallel to (c_plus, c_minus).
+
+    Inverting the matching formula gives gamma(g + xi^2) = 1/2 +
+    xi (c_+ J'_omega + c_- J'_-omega)/(c_+ J_omega + c_- J_-omega) in closed
+    form, so each xi costs one root inversion of gamma.  Taking the pair
+    rather than its ratio covers C_- = 0 and either sign.  NaN marks the
+    xi with no g on the first branch.
+    """
+    params.require_main()
+    w = params.omega
+    xi = np.asarray(xi, dtype=float)
+    denom = c_plus * sf.jv(w, xi) + c_minus * sf.jv(-w, xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma_target = 0.5 + xi * (c_plus * sf.jvp(w, xi) + c_minus * sf.jvp(-w, xi)) / denom
+    z = np.full(xi.shape, math.nan)
+    for i in np.flatnonzero((denom != 0.0) & (gamma_target < 1.0)):
+        z[i] = invert_gamma(float(gamma_target[i]))
+    g = z - xi * xi
+    return np.where((g > 0.0) & (g < PI_SQ), g, math.nan)
+
+
 def contour_constant_ratio(params: ModelParams, ratio_target: float, xi_grid):
     """Points (xi, g) where the exact C_+/C_- equals ratio_target.
 
-    Inverting the matching formula gives gamma(g + xi^2) = 1/2 +
-    xi (rho J'_omega + J'_-omega)/(rho J_omega + J_-omega) in closed form,
-    so each xi costs one root inversion of gamma.  Points with no g on
-    the first branch are omitted.
+    Points with no g on the first branch are omitted.
     """
-    params.require_main()
     if ratio_target <= 0.0:
         raise ValueError("ratio_target must be positive (g between the fixed points)")
-    w = params.omega
-    out = []
-    for xi in np.asarray(xi_grid, dtype=float):
-        jw = sf.jv(w, xi)
-        jmw = sf.jv(-w, xi)
-        jw_p = 0.5 * (sf.jv(w - 1.0, xi) - sf.jv(w + 1.0, xi))
-        jmw_p = 0.5 * (sf.jv(-w - 1.0, xi) - sf.jv(-w + 1.0, xi))
-        denom = ratio_target * jw + jmw
-        if denom == 0.0:
-            continue
-        gamma_target = 0.5 + xi * (ratio_target * jw_p + jmw_p) / denom
-        if gamma_target >= 1.0:
-            continue
-        z = invert_gamma(gamma_target)
-        g = z - xi * xi
-        if 0.0 < g < PI_SQ:
-            out.append((float(xi), float(g)))
-    return out
+    xi = np.asarray(xi_grid, dtype=float)
+    g = contour_coupling(params, ratio_target, 1.0, xi)
+    return [(float(x), float(v)) for x, v in zip(xi, g) if not math.isnan(v)]
 
 
 # ---------------------------------------------------------------------------
 # alpha < -1/4: the limit cycle
 # ---------------------------------------------------------------------------
 
-def limit_cycle_phase(params: ModelParams, eps: float = 1e-6) -> float:
+# Stirling coefficients B_2m / (2m (2m - 1)), m = 1..7 (Abramowitz & Stegun 6.1.40)
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0, 1.0 / 156.0)
+
+
+def _arg_gamma_1_plus_iy(y: float) -> float:
+    """arg Gamma(1 + iy), continuous in y: Gamma(1 + iy) = Gamma(10 + iy) /
+    prod_{k<10} (k + iy), and at |z| >= 10 seven Stirling terms are exact
+    to rounding (the real constant ln(2 pi)/2 is left out)."""
+    z = complex(10.0, y)
+    log_gamma = (z - 0.5) * cmath.log(z) - z + sum(
+        c / z ** (2 * m + 1) for m, c in enumerate(_STIRLING))
+    return log_gamma.imag - sum(math.atan2(y, k) for k in range(1, 10))
+
+
+def limit_cycle_phase(params: ModelParams) -> float:
     """Matching phase phi of the shallow-binding log-periodic condition.
 
-    Determined, not fitted: integrate the outer equation psi'' =
-    (alpha/x^2 + eps) psi inward from deep in the exponential tail
-    (where the normalizable solution is imposed), then read the phase of
-    the near-origin oscillation psi ~ sqrt(x) sin(|omega| ln x + theta)
-    from the logarithmic derivative; phi = theta - |omega| ln(sqrt(eps))
-    + pi/2, folded to [0, pi).
+    Determined, not fitted: near the origin the normalizable outer solution
+    sqrt(x) K_{i|omega|}(sqrt(eps) x) oscillates as sqrt(x) sin(|omega| ln x
+    + theta), and the small-argument form of K_{i|omega|} gives phi = pi/2 -
+    |omega| ln 2 - arg Gamma(1 + i|omega|), folded to [0, pi).
     """
     if params.mode != MODE_LIMIT_CYCLE:
         raise ValueError("limit cycle requires alpha < -1/4")
     aw = params.omega
-    kap = math.sqrt(eps)
-    x_far = 25.0 / kap
-    x_read = 1e-3 / kap
-
-    def rhs(x, y):
-        return np.array([y[1], (params.alpha / (x * x) + eps) * y[0]])
-
-    y = rk45(rhs, x_far, [1.0, -kap], x_read, rtol=1e-11, atol=0.0)
-    psi, dpsi = float(y[0]), float(y[1])
-    # x psi'/psi = 1/2 + |w| cot(|w| ln x + theta)
-    cot_val = (x_read * dpsi / psi - 0.5) / aw
-    theta = math.atan2(1.0, cot_val) - aw * math.log(x_read)
-    phi = theta - aw * math.log(kap) + 0.5 * math.pi
-    return phi % math.pi
+    return (0.5 * math.pi - aw * math.log(2.0) - _arg_gamma_1_plus_iy(aw)) % math.pi
 
 
 def limit_cycle(params: ModelParams, b: float, eps: float,

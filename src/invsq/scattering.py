@@ -4,7 +4,9 @@ potential, and the running of g along curves of constant phase shift.
 Matching the interior sinusoid onto incoming/outgoing Hankel waves at the
 cutoff gives a pure-phase reflection amplitude r; the curves dr/dmu = 0 in
 the (mu, g)-plane, mu = k b x0, linearize at small mu onto exactly the
-beta function of the coupling flow.
+beta function of the coupling flow.  The phase shift fixes the exterior
+ratio C_+/C_-, so those curves are the closed-form contours of
+`rgflow.contour_coupling`; no ODE is solved.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .core import ModelParams, Regulator, gamma_cot
-from .numerics import rk45
+from .core import PI_SQ, ModelParams, Regulator, gamma_cot, square_well
+from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
+from .rgflow import contour_coupling
+from .spectrum import spectral_coefficients
 
 __all__ = [
     "ReflectionAmplitude",
@@ -27,7 +31,6 @@ __all__ = [
     "phase_shift_sweep",
     "phase_shift_expansion",
     "pole_energy_estimate",
-    "running_coupling_field",
     "constant_phase_curve",
 ]
 
@@ -121,29 +124,27 @@ def pole_energy_estimate(params: ModelParams, reg: Regulator, k: float) -> float
 # Integral curves of constant phase shift
 # ---------------------------------------------------------------------------
 
-def running_coupling_field(params: ModelParams, mu: float, g: float) -> float:
-    """dg/dmu = f(mu, g) along curves of constant reflection phase."""
-    zeta = math.sqrt(mu * mu + g)
-    s, c = math.sin(zeta), math.cos(zeta)
-    numer = -params.alpha * zeta * s * s + g * zeta * c * c - g * s * c
-    denom = 0.5 * mu * (zeta - s * c)
-    return numer / denom
+CURVE_POINTS = 128
 
 
-def constant_phase_curve(params: ModelParams, mu0: float, g0: float, mu1: float,
-                         rtol: float = 1e-10):
-    """Integrate the constant-phase-shift curve from (mu0, g0) to mu1.
+def constant_phase_curve(params: ModelParams, mu0: float, g0: float, mu1: float):
+    """The curve of constant phase shift through (mu0, g0), out to mu1.
 
-    Returns the accepted-step path as a list of (mu, g); dr/dmu = 0 along
-    the curve to integration tolerance, and for mu1 -> 0 the endpoint
-    coupling tends to the infrared fixed point g_minus.
+    Returns CURVE_POINTS pairs (mu, g), mu geometric from mu0 to mu1.  Along
+    the curve the exterior pair (C_+, C_-) at k = 1, b = mu/x0 keeps the
+    direction it has at the start, so g(mu) is that contour in closed form;
+    for mu1 -> 0 it tends to the infrared fixed point g_minus.  Raises
+    ValueError where the curve leaves the first branch.
     """
     params.require_main()
     if mu0 <= 0.0 or mu1 <= 0.0:
         raise ValueError("mu must stay positive")
-
-    def rhs(mu, y):
-        return np.array([running_coupling_field(params, mu, float(y[0]))])
-
-    _, mus, gs = rk45(rhs, mu0, [g0], mu1, rtol=rtol, atol=1e-13, record=True)
-    return [(float(m), float(y[0])) for m, y in zip(mus, gs)]
+    if not 0.0 < g0 + mu0 * mu0 < PI_SQ:
+        raise ValueError(f"start (mu={mu0}, g={g0}) is not on the first branch")
+    c_plus, c_minus = spectral_coefficients(params, square_well(g0, mu0 / params.x0), 1.0)
+    mus = np.geomspace(mu0, mu1, CURVE_POINTS)
+    gs = contour_coupling(params, float(c_plus), float(c_minus), mus)
+    if np.isnan(gs).any():
+        raise ValueError(f"constant-phase curve from (mu={mu0}, g={g0}) leaves the first "
+                         f"branch at mu={mus[np.isnan(gs)][0]:.6g}")
+    return [(float(m), float(g)) for m, g in zip(mus, gs)]

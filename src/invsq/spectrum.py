@@ -16,7 +16,7 @@ All spectral coefficients returned here carry that normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,10 +173,8 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     gt = gamma_cot(reg.g + xi * xi) - 0.5
     jw = sf.jv(w, xi)
     jmw = sf.jv(-w, xi)
-    jw_p = 0.5 * (sf.jv(w - 1.0, xi) - sf.jv(w + 1.0, xi))
-    jmw_p = 0.5 * (sf.jv(-w - 1.0, xi) - sf.jv(-w + 1.0, xi))
-    num = -xi * jmw_p + jmw * gt
-    den = xi * jw_p - jw * gt
+    num = -xi * sf.jvp(-w, xi) + jmw * gt
+    den = xi * sf.jvp(w, xi) - jw * gt
     q = num * num + den * den + 2.0 * num * den * math.cos(math.pi * w)
     scale = 1.0 / np.sqrt(2.0 * k * q)
     return num * scale, den * scale
@@ -438,11 +436,16 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
 
     The window (g - g_*) in [1e-4, 1e-2] sits inside the asymptotic
     regime but above root-finder noise; the slope estimates 1/omega for
-    any bounded integrable profile.
+    any bounded integrable profile.  Square wells of any b take the exact
+    matching route (g_* = g_minus, energies from bound_state).
     """
-    g_star = generic_threshold_g(params, reg)
     du = np.geomspace(window[0], window[1], n_points)
-    eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
+    if reg.kind == KIND_SQUARE:
+        _, g_star = fixed_points(params)
+        eps = np.array([-bound_state(params, replace(reg, g=g_star + d)).energy for d in du])
+    else:
+        g_star = generic_threshold_g(params, reg)
+        eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
     slope, amplitude, resid = fit_loglog(du, eps)
     return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
                        eps=tuple(eps.tolist()))

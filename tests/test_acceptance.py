@@ -1,6 +1,14 @@
-"""Acceptance suite: every quantitative claim the package must reproduce,
+r"""Acceptance suite: every quantitative claim the package must reproduce,
 each criterion at its stated tolerance, one printed pass/fail line per
 criterion.  Run with `pytest tests/test_acceptance.py -v -s`.
+
+Each printed line, less its time, must also match golden/acceptance.txt,
+so a change that moves a printed number shows up as a diff of that file.
+A change that moves one on purpose regenerates it with
+
+    PYTHONPATH=src python -m pytest tests/test_acceptance.py -s --tb=no -p no:cacheprovider \
+        | grep -oE 'criterion +[0-9]+ \[(PASS|FAIL)\].*' | sed 's/ ([0-9.]*s)$//' \
+        > golden/acceptance.txt
 
 All criteria run at alpha = -3/16 (omega = 1/4) unless stated; reference
 numbers quoted in comments are frozen from the analysis (fixed-point
@@ -11,6 +19,7 @@ independent oracles inside the test.
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +39,17 @@ P = derived_constants(ALPHA)
 G_PLUS, G_MINUS = fixed_points(P)
 
 
+TRANSCRIPT = Path(__file__).resolve().parents[1] / "golden" / "acceptance.txt"
+
+
 def report(num: int, name: str, ok: bool, detail: str, t0: float) -> None:
     status = "PASS" if ok else "FAIL"
-    print(f"criterion {num:2d} [{status}] {name}: {detail} ({time.time() - t0:.1f}s)")
+    line = f"criterion {num:2d} [{status}] {name}: {detail}"
+    print(f"{line} ({time.time() - t0:.1f}s)")
     assert ok, f"criterion {num} ({name}): {detail}"
+    frozen = [t for t in TRANSCRIPT.read_text().splitlines()
+              if t.startswith(f"criterion {num:2d} ")]
+    assert frozen == [line], f"criterion {num}'s line differs from golden/acceptance.txt"
 
 
 def test_criterion_01_fixed_points():

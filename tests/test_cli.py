@@ -85,6 +85,31 @@ def test_phase_shift_csv(tmp_path, capsys):
     assert (tmp_path / "phase_shift.csv").exists()
 
 
+@pytest.mark.parametrize("n_xi", [0, 1])
+def test_contours_with_no_or_one_xi(n_xi, tmp_path, capsys):
+    code, _, payload = run_cli(["contours", "--alpha", "-0.1875", "--n-xi", str(n_xi),
+                                "--out", str(tmp_path)], capsys)
+    assert code == 0 and payload["rows"] == n_xi
+
+
+def test_phase_curve_leaving_the_branch_exits_2(tmp_path, capsys):
+    code, lines, payload = run_cli(["phase-curve", "--alpha", "-0.1875", "--mu0", "0.5",
+                                    "--g0", "0.5", "--mu1", "1e-6", "--out", str(tmp_path)],
+                                   capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and "first branch" in payload["detail"]
+    assert not (tmp_path / "phase_curve.csv").exists()
+
+
+def test_propagator_above_g_minus_exits_2(tmp_path, capsys):
+    code, lines, payload = run_cli(["propagator", "--alpha", "-0.1875", "--g", "2.4411",
+                                    "--b", "0.5", "--x", "1.2", "--y", "0.9", "--t", "1",
+                                    "--out", str(tmp_path)], capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and "g_minus" in payload["detail"]
+    assert not (tmp_path / "propagator.csv").exists()
+
+
 CHAIN_ARGS = ["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.05,0.025"]
 
 
@@ -211,6 +236,26 @@ def test_determinism_repeat_runs(tmp_path, capsys):
     a = (tmp_path / "a" / "exponent_squarewell.csv").read_bytes()
     b = (tmp_path / "b" / "exponent_squarewell.csv").read_bytes()
     assert a == b
+
+
+def test_square_exponent_at_b_half_writes_bound_state_energies(tmp_path, capsys):
+    from invsq import spectrum
+    from invsq.core import derived_constants, square_well
+    from invsq.numerics import fit_loglog
+    code, _, payload = run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0", "--b", "0.5",
+                                "--n-points", "4", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    lines = (tmp_path / "exponent_squarewell.csv").read_text().splitlines()
+    table = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    rows = [[float(v) for v in r if v != "SquareWell"] for r in table]
+    assert len(rows) == 4 and all(r[1] == 0.5 for r in rows)
+    p = derived_constants(-0.1875)
+    states = [spectrum.bound_state(p, square_well(r[2], 0.5)) for r in rows]
+    assert [r[3] for r in rows] == [s.energy for s in states]
+    assert [r[4] for r in rows] == pytest.approx([s.xi for s in states], rel=1e-14)
+    du = [r[2] - payload["g_star"] for r in rows]
+    amplitude = fit_loglog(du, [-s.energy for s in states])[1]
+    assert payload["amplitude"] == pytest.approx(amplitude, rel=1e-9)
 
 
 def test_exponent_headers_record_tolerances(tmp_path, capsys):

@@ -51,6 +51,18 @@ def test_domain_validation(params316):
         pg.fixed_point_propagator(params316, 0, 1.0, 1.0, 1.0)
 
 
+def test_quadrature_refuses_couplings_with_a_bound_state(params316, gfix):
+    # above g_minus the continuum is only part of the kernel (full: 0.50281)
+    _, g_minus = gfix
+    with pytest.raises(ValueError, match="g_minus"):
+        pg.propagator_quadrature(params316, square_well(2.4411, 0.5), 1.2, 0.9, 1.0)
+    with pytest.raises(ValueError, match="g_minus"):
+        pg.propagator_quadrature(params316, square_well(math.nextafter(g_minus, 3.0), 0.5),
+                                 1.2, 0.9, 1.0)
+    assert pg.propagator_quadrature(params316, square_well(g_minus, 0.5),
+                                    1.2, 0.9, 1.0).value > 0.0
+
+
 def test_fixed_point_short_time_free(params316):
     # free-particle behavior at short times
     x, y, t = 1.0, 1.1, 1e-4

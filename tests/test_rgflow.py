@@ -71,11 +71,15 @@ def test_flow_infinitesimal_step_matches_scaling_variable(params316):
 
 
 def test_flow_closed_form_vs_ode(params316):
+    # oracle: d gamma / d ln b = beta(gamma), integrated by scipy
+    integrate = pytest.importorskip("scipy.integrate")
     p = params316
     for gamma0, b1 in ((0.5, 0.01), (0.3, 0.2), (0.7, 0.04)):
         closed = rg.flow(p, gamma0, 1.0, b1).gamma
-        ode = rg.flow_ode_check(p, gamma0, 1.0, b1)
-        assert closed == pytest.approx(ode, abs=1e-10)
+        sol = integrate.solve_ivp(lambda s, y: [rg.beta(p, y[0])], (0.0, math.log(b1)),
+                                  [gamma0], method="DOP853", rtol=1e-12, atol=1e-13)
+        assert sol.success
+        assert closed == pytest.approx(sol.y[0, -1], abs=1e-10)
 
 
 def test_flow_ir_limit_and_exit(params316):
@@ -135,13 +139,19 @@ def test_flow_composition_property(gamma0, frac):
 
 
 def test_limit_cycle_phase_matches_closed_form():
-    p = derived_constants(-0.3)
-    phi = rg.limit_cycle_phase(p, eps=1e-6)
-    # the phase is read at kappa x = 1e-3, which limits it to O((kappa x)^2)
-    assert phi == pytest.approx(PHI_03, abs=5e-6)
-    # eps-independence of the extracted phase (mod pi)
-    phi2 = rg.limit_cycle_phase(p, eps=1e-8)
-    assert phi2 == pytest.approx(phi, abs=2e-5)
+    assert rg.limit_cycle_phase(derived_constants(-0.3)) == pytest.approx(PHI_03, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-0.3, -0.5, -1.0, -4.0])
+def test_limit_cycle_phase_matches_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    p = derived_constants(alpha)
+    w = mpmath.mpf(p.omega)
+    with mpmath.workdps(30):
+        # the imaginary part of loggamma is arg Gamma continued without 2 pi jumps
+        exact = (mpmath.pi / 2 - w * mpmath.log(2)
+                 - mpmath.loggamma(1 + 1j * w).imag) % mpmath.pi
+    assert rg.limit_cycle_phase(p) == pytest.approx(float(exact), abs=1e-12)
 
 
 def test_limit_cycle_discrete_scale_invariance():

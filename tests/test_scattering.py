@@ -109,14 +109,37 @@ def test_constant_phase_curve_flows_to_ir_fixed_point(params316, gfix):
         all(b <= a + 1e-12 for a, b in zip(gs, gs[1:]))
 
 
+@pytest.mark.parametrize("g0", [1.2, 2.5, 5.0])
+def test_constant_phase_curve_keeps_the_phase_to_rounding(params316, g0):
+    # on both sides of g_minus (a negative C_+/C_- above it)
+    d0 = sc.phase_shift(params316, square_well(g0, 0.5), 1.0).delta
+    path = sc.constant_phase_curve(params316, 0.5, g0, 1e-6)
+    assert len(path) == sc.CURVE_POINTS
+    assert path[0][0] == 0.5 and path[-1][0] == pytest.approx(1e-6, rel=1e-12)
+    drift = max(abs(sc.phase_shift(params316, square_well(g, mu), 1.0).delta - d0)
+                for mu, g in path)
+    assert drift <= 1e-12
+
+
+def test_constant_phase_curve_leaving_the_branch_raises(params316):
+    # below g_+ the curve runs to g = 0 before mu reaches mu1
+    with pytest.raises(ValueError, match="first branch"):
+        sc.constant_phase_curve(params316, 0.5, 0.5, 1e-6)
+    with pytest.raises(ValueError, match="first branch"):
+        sc.constant_phase_curve(params316, 0.5, 12.0, 1e-6)
+
+
 def test_field_linearizes_to_beta_function(params316):
-    # mu dgamma/dmu = beta(gamma) at small mu, 1% relative
+    # mu dgamma/dmu = beta(gamma) at small mu, 1% relative, along the curve
     mu = 1e-4
+    rel = 1e-3
     h = 1e-7
     for g in (0.9, 1.2, 1.6):
-        f = sc.running_coupling_field(params316, mu, g)
+        g_up = sc.constant_phase_curve(params316, mu, g, mu * (1.0 + rel))[-1][1]
+        g_down = sc.constant_phase_curve(params316, mu, g, mu * (1.0 - rel))[-1][1]
+        mu_dg_dmu = (g_up - g_down) / (2.0 * rel)
         gamma_prime = float((gamma_cot(g + h) - gamma_cot(g - h)) / (2.0 * h))
-        lhs = mu * gamma_prime * f
+        lhs = gamma_prime * mu_dg_dmu
         rhs = rg.beta(params316, float(gamma_cot(g)))
         assert lhs == pytest.approx(rhs, rel=1e-2)
 
