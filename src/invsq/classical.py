@@ -34,7 +34,8 @@ import numpy as np
 
 from .core import ModelParams, Regulator, fixed_points, square_well
 from .numerics import NumericalError
-from .spectrum import bound_state, generic_bound_energy
+from .spectrum import NoBoundState, generic_bound_energy
+from .spectrum import bound_state  # noqa: F401  (bench/tracing.py looks bound_state up here)
 
 __all__ = [
     "PathEnsembleSpec",
@@ -50,6 +51,8 @@ __all__ = [
 
 CHUNK_SAMPLES = 4096
 EIGEN_RTOL = 1e-12  # eigen-solve stops at ||T x - lambda x|| <= EIGEN_RTOL * lambda
+BOX_KAPPA = 7.0  # the chain's box spans this many decay lengths of the bound state
+MAX_GRID = 1 << 16  # cap on the chain's grid size
 
 PHASE_EXTENSIVE = "extensive"
 PHASE_NONEXTENSIVE = "nonextensive"
@@ -115,10 +118,7 @@ def absorbed_kernel(x: float, y: float, t: float) -> float:
 def _potential_on_paths(params: ModelParams, reg: Regulator, pts: np.ndarray) -> np.ndarray:
     """V on path nodes; dead (nonpositive) nodes land in the bounded branch."""
     cut = reg.b * params.x0
-    if reg.kind == "SquareWell":
-        inner = -reg.g / cut ** 2
-    else:
-        inner = -reg.g * reg.profile(np.clip(pts / params.x0, 0.0, 1.0))
+    inner = -reg.g / cut ** 2 * reg.profile(np.clip(pts / cut, 0.0, 1.0))
     return np.where(pts < cut, inner, params.alpha / np.maximum(pts, cut) ** 2)
 
 
@@ -317,12 +317,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def _top_ritz_pair(basis, images):
     """Largest Ritz value of T on span(basis) and its coefficients (images = T basis);
-    None when the Gram matrix is not numerically positive definite."""
-    gram = np.array([[_dot(a, b) for b in basis] for a in basis])
-    proj = np.array([[_dot(a, tb) for tb in images] for a in basis])
+    None when the Gram matrix is not numerically positive definite.  Both matrices
+    are symmetric (T is), so only their upper triangles are formed."""
+    k = len(basis)
+    gram, proj = np.empty((k, k)), np.empty((k, k))
+    for i, j in zip(*np.triu_indices(k)):
+        gram[i, j] = gram[j, i] = _dot(basis[i], basis[j])
+        proj[i, j] = proj[j, i] = _dot(basis[i], images[j])
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(gram))
-        vals, vecs = np.linalg.eigh(chol_inv @ (0.5 * (proj + proj.T)) @ chol_inv.T)
+        vals, vecs = np.linalg.eigh(chol_inv @ proj @ chol_inv.T)
     except np.linalg.LinAlgError:
         return None
     return float(vals[-1]), chol_inv.T @ vecs[:, -1]
@@ -404,36 +408,29 @@ def chain_partition(params: ModelParams, reg: Regulator, spec: ChainSpec,
 
 
 def free_energy_density(params: ModelParams, reg: Regulator,
-                        eps_list=(0.1, 0.05, 0.025),
-                        box_kappa: float = 7.0, min_box: float = 60.0,
-                        resolve: float = 4.5, max_n: int = 1 << 16,
+                        eps_list=(0.1, 0.05, 0.025), min_box: float = 60.0, resolve: float = 4.5,
                         threads: int = 1, order: float | None = None) -> FreeEnergyResult:
     """f = -(1/eps) log lambda_max(T), Richardson-extrapolated in eps.
 
-    The box extends box_kappa decay lengths of the bound state (or
+    The box extends BOX_KAPPA decay lengths of the bound state (or
     min_box when there is none); the grid resolves the smallest Gaussian
     step width sigma = sqrt(2 eps) by the factor `resolve`.  The
     extrapolation order is measured from the three-point differences
     unless `order` pins it (the well-edge discontinuity makes the leading
     family eps^{3/2}).
     """
-    e0 = None
-    if reg.kind == "SquareWell":
-        st = bound_state(params, reg)
-        e0 = st.energy if st is not None else None
-    else:
-        try:
-            e0 = -generic_bound_energy(params, reg, reg.g)
-        except ValueError:
-            pass
+    try:
+        e0 = -generic_bound_energy(params, reg, reg.g)
+    except NoBoundState:
+        e0 = None
     # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}
     if e0 is not None:
-        x_max, shift = max(box_kappa / math.sqrt(-e0), 4.0 * reg.b * params.x0, 8.0), -e0
+        x_max, shift = max(BOX_KAPPA / math.sqrt(-e0), 4.0 * reg.b * params.x0, 8.0), -e0
     else:
         x_max, shift = min_box, (math.pi / min_box) ** 2
     sigma_min = math.sqrt(2.0 * min(eps_list))
     n = 1
-    while n * sigma_min / resolve < x_max and n < max_n:
+    while n * sigma_min / resolve < x_max and n < MAX_GRID:
         n *= 2
     eps_sorted = tuple(sorted(eps_list, reverse=True))
 

@@ -169,8 +169,7 @@ def cmd_exponent(ns):
     du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
                                            n_points=ns.n_points)
-    # xi = b x0 sqrt(-E); the generic path works in units of its well's edge
-    cut = reg.b * p.x0 if reg.kind == KIND_SQUARE else 1.0
+    cut = reg.b * p.x0  # xi = b x0 sqrt(-E)
     rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, cut * math.sqrt(e), fit.exponent)
             for d, e in zip(du, fit.eps)]
     out = _outdir(ns) / f"exponent_{reg.kind.lower()}.csv"

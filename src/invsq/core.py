@@ -28,6 +28,7 @@ __all__ = [
     "derived_constants",
     "gamma_of_g",
     "gamma_cot",
+    "invert_gamma",
     "fixed_points",
     "PI_SQ",
 ]
@@ -97,6 +98,13 @@ def gamma_of_g(g: float) -> float:
     return float(gamma_cot(g))
 
 
+def invert_gamma(gamma_value: float) -> float:
+    """g on the first branch (0, pi^2) with sqrt(g) cot sqrt(g) = gamma_value."""
+    if gamma_value >= 1.0:
+        raise ValueError(f"gamma={gamma_value} not attained on the first branch (max 1 at g=0)")
+    return brent(lambda g: gamma_cot(g) - gamma_value, 1e-14, PI_SQ - 1e-11, xtol=1e-14)
+
+
 def fixed_points(params: ModelParams) -> tuple[float, float]:
     """(g_plus, g_minus): roots of gamma(g) = nu_pm on the first branch.
 
@@ -104,13 +112,7 @@ def fixed_points(params: ModelParams) -> tuple[float, float]:
     nu_pm lie below 1, so each root exists, is unique, and g_plus < g_minus.
     """
     params.require_main()
-
-    def root(nu: float) -> float:
-        return brent(lambda g: gamma_cot(g) - nu, 1e-12, PI_SQ - 1e-12, xtol=1e-14)
-
-    g_plus = root(params.nu_plus)
-    g_minus = root(params.nu_minus)
-    return g_plus, g_minus
+    return invert_gamma(params.nu_plus), invert_gamma(params.nu_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +145,10 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Regulator:
     """Short-distance modification of alpha/x^2 below the cutoff.
 
-    kind = SquareWell realizes V = -g/(b x0)^2 on 0 < x < b x0;
-    LinearWell and Generic realize V = -g f(x) on 0 < x < 1 (with b = 1),
-    f(x) = x for the linear well, tabulated with monotone-cubic
-    interpolation for Generic.
+    Every kind realizes V = -(g/(b x0)^2) f(x/(b x0)) on 0 < x < b x0:
+    f = 1 for SquareWell (any b); LinearWell and Generic have b = 1, so
+    V = -(g/x0^2) f(x/x0), with f(s) = s for the linear well and the
+    table's monotone-cubic interpolant for Generic.
     """
 
     kind: str
@@ -178,7 +180,7 @@ class Regulator:
             object.__setattr__(self, "_pchip", (fx, fv, _pchip_slopes(fx, fv)))
 
     def profile(self, s):
-        """f(s) on [0, 1] such that the well is V = -g f(s) (b = x0 = 1)."""
+        """f(s) on [0, 1], s = x/(b x0), such that the well is V = -(g/(b x0)^2) f(s)."""
         s = np.asarray(s, dtype=float)
         if self.kind == KIND_SQUARE:
             out = np.ones_like(s)
@@ -214,11 +216,8 @@ class Regulator:
         cut = self.b * params.x0
         out = np.where(x > 0, params.alpha / np.where(x > 0, x, 1.0) ** 2, np.inf)
         inside = (x > 0) & (x < cut)
-        if self.kind == KIND_SQUARE:
-            out = np.where(inside, -self.g / cut ** 2, out)
-        else:
-            s = np.where(inside, x / params.x0, 0.0)
-            out = np.where(inside, -self.g * self.profile(s), out)
+        well = -self.g / cut ** 2 * self.profile(np.where(inside, x / cut, 0.0))
+        out = np.where(inside, well, out)
         return float(out) if out.ndim == 0 else out
 
 

@@ -28,12 +28,16 @@ class NumericalError(RuntimeError):
     """A solver failed to converge; message carries the diagnostic state."""
 
 
+BRENT_MAXITER = 200
+QUAD_MAX_PANELS = 4096  # quad_gk stops refining at this many panels
+
+
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
 
 def brent(f: Callable[[float], float], a: float, b: float,
-          xtol: float = 1e-13, rtol: float = 4e-16, maxiter: int = 200) -> float:
+          xtol: float = 1e-13, rtol: float = 4e-16) -> float:
     """Brent's method on a sign-changing bracket [a, b]."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -44,7 +48,7 @@ def brent(f: Callable[[float], float], a: float, b: float,
         raise NumericalError(f"no sign change on bracket: f({a})={fa}, f({b})={fb}")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
@@ -79,7 +83,8 @@ def brent(f: Callable[[float], float], a: float, b: float,
         fb = f(b)
         if fb == 0.0:
             return b
-    raise NumericalError(f"brent: no convergence after {maxiter} iterations, last bracket ({a}, {b})")
+    raise NumericalError(f"brent: no convergence after {BRENT_MAXITER} iterations, "
+                         f"last bracket ({a}, {b})")
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,7 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray):
 
 def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             rtol: float = 1e-9, atol: float = 0.0,
-            initial_panels: int = 1, max_panels: int = 4096) -> QuadResult:
+            initial_panels: int = 1) -> QuadResult:
     """Adaptive panel-bisection Gauss-Kronrod integration of f on [a, b].
 
     f must accept a 1-D array of abscissas and return the integrand values;
@@ -149,7 +154,7 @@ def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         tol = max(rtol * abs(total), atol)
         if tot_err <= tol:
             return QuadResult(total, tot_err, n_evals, True)
-        if len(pa) >= max_panels:
+        if len(pa) >= QUAD_MAX_PANELS:
             break
         # split every panel whose error exceeds its share of the budget
         share = tol / max(len(pa), 1)
@@ -251,21 +256,19 @@ def _two_power_amplitudes(z, phi, p, q):
     return coef
 
 
-def fit_two_powers(z, phi, p0: float | None = None, q0: float | None = None):
+def fit_two_powers(z, phi):
     """Fit phi(z) ~ A z^p + C z^q by damped Gauss-Newton on relative residuals.
 
-    Exponents start from the local log-slopes at the ends of the z range
-    unless given.  Returns (A, p, C, q, rms relative residual) with p < q.
+    Exponents start from the local log-slopes at the ends of the z range.
+    Returns (A, p, C, q, rms relative residual) with p < q.
     """
     z = np.asarray(z, float)
     phi = np.asarray(phi, float)
     order = np.argsort(z)
     z, phi = z[order], phi[order]
     m = max(3, len(z) // 4)
-    if p0 is None:
-        p0 = np.polyfit(np.log(z[:m]), np.log(phi[:m]), 1)[0]
-    if q0 is None:
-        q0 = np.polyfit(np.log(z[-m:]), np.log(phi[-m:]), 1)[0]
+    p0 = np.polyfit(np.log(z[:m]), np.log(phi[:m]), 1)[0]
+    q0 = np.polyfit(np.log(z[-m:]), np.log(phi[-m:]), 1)[0]
     if abs(p0 - q0) < 0.1:
         # one power dominates everywhere; seed the second from the
         # residual against a pure steep-power fit

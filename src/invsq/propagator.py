@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 ENERGY_CUTOFF_DECADES = 40.0
+CS_REL_STEP = 1e-3  # relative b and u steps of the Callan-Symanzik differences
 
 
 class RegimeWarning(UserWarning):
@@ -223,10 +224,9 @@ def check_scaling_relation(params: ModelParams, b: float, u: float, sign: int,
 
 
 def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
-                             x: float, y: float, t: float,
-                             rel_step: float = 1e-3, rtol: float = 1e-10) -> float:
+                             x: float, y: float, t: float, rtol: float = 1e-10) -> float:
     """Residual of [b d/db -+ 2 omega u d/du + 2 nu_pm] G = 0, normalized
-    by 2 nu_pm G; central differences with relative steps in b and u.
+    by 2 nu_pm G; central differences with relative steps CS_REL_STEP in b and u.
     """
     _warn_regime(b, u, t)
     nu = params.nu_plus if sign == +1 else params.nu_minus
@@ -239,9 +239,9 @@ def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
                                      x, y, t, rtol, normalization=norm).value
 
     g0 = g_at(b, u)
-    db = rel_step * b
+    db = CS_REL_STEP * b
     d_b = (g_at(b + db, u) - g_at(b - db, u)) / (2.0 * db)
-    du = rel_step * u if u != 0.0 else 0.0
+    du = CS_REL_STEP * u if u != 0.0 else 0.0
     if du:
         d_u = (g_at(b, u + du) - g_at(b, u - du)) / (2.0 * du)
     else:

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .core import (MODE_LIMIT_CYCLE, ModelParams, PI_SQ, fixed_points,
-                   gamma_cot)
-from .numerics import NumericalError, brent
-from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
+from .core import MODE_LIMIT_CYCLE, ModelParams, PI_SQ, fixed_points, invert_gamma
+from .numerics import NumericalError
+from .numerics import brent, rk45  # noqa: F401  (bench/tracing.py looks both up here)
 
 __all__ = [
     "FlowState",
@@ -98,13 +97,6 @@ def fixed_point_info(params: ModelParams, which: str) -> FixedPointInfo:
     if which.upper().startswith("UV"):
         return FixedPointInfo(params.nu_plus, g_plus, -2.0 * params.omega, UV)
     raise ValueError("which must be 'IR' or 'UV'")
-
-
-def invert_gamma(gamma_value: float) -> float:
-    """g on the first branch (0, pi^2) with sqrt(g) cot sqrt(g) = gamma_value."""
-    if gamma_value >= 1.0:
-        raise ValueError(f"gamma={gamma_value} not attained on the first branch (max 1 at g=0)")
-    return brent(lambda g: gamma_cot(g) - gamma_value, 1e-14, PI_SQ - 1e-11, xtol=1e-14)
 
 
 def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:

@@ -1,11 +1,13 @@
 """Bound and continuum eigenstates of the regulated Hamiltonian.
 
-Square-well eigenstates come from the implicit matching equations
-(interior sinusoid against sqrt(x) K_omega or J_{+-omega} tails); generic
-regulators go through Magnus shooting on the interior and the same exterior
-log-derivative.  Includes the near-threshold binding-energy law, the
-divergence of the mean position, and the regulator-independence (the
-"universality") of the exponent 1/omega.
+Every regulator's ground state comes from one matching solve in log xi,
+xi = b x0 sqrt(-E): the interior log-derivative at the cut against the
+exterior 1/2 + xi K'_omega(xi)/K_omega(xi).  The interior side is the closed
+form sqrt(g - xi^2) cot sqrt(g - xi^2) for the square well and Magnus
+shooting for every other profile.  Square-well continuum states match the
+interior sinusoid against J_{+-omega} tails.  Includes the near-threshold
+binding-energy law, the divergence of the mean position, and the
+regulator-independence (the "universality") of the exponent 1/omega.
 
 Continuum normalization: eigenfunctions are delta(E - E') normalized,
 which pins the far-region oscillation amplitude of psi_E to
@@ -16,7 +18,7 @@ All spectral coefficients returned here carry that normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .numerics import NumericalError, brent, quad_gk, fit_loglog
 from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 
 __all__ = [
+    "NoBoundState",
     "BoundState",
     "ContinuumState",
     "CriticalFit",
@@ -43,6 +46,10 @@ __all__ = [
     "existence_bounds",
     "closure_delta",
 ]
+
+
+class NoBoundState(ValueError):
+    """The regulated Hamiltonian has no bound state at the requested depth."""
 
 
 @dataclass(frozen=True)
@@ -92,14 +99,42 @@ class CriticalFit:
 
 
 # ---------------------------------------------------------------------------
-# Square-well bound state: sqrt(g - xi^2) cot sqrt(g - xi^2) = 1/2 + xi K'/K
+# Ground state of every regulator: interior(g, xi^2) = 1/2 + xi K'/K
 # ---------------------------------------------------------------------------
 
-def _bound_mismatch(params: ModelParams, g: float, xi: float) -> float:
+def _interior(params: ModelParams, reg: Regulator, g, eps):
+    """x psi'/psi at the cut, in units of b x0, of the interior solution that
+    vanishes at 0, at energy E = -eps/(b x0)^2 (g and eps broadcast)."""
+    if reg.kind == KIND_SQUARE:
+        return gamma_cot(g - eps)
+    return interior_logderiv(params, reg, g, eps)
+
+
+def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
+    """xi = b x0 sqrt(-E) of the ground state of reg at depth g.
+
+    Solved in log xi: near threshold the root sits at xi ~ (g - g_*)^{1/2w},
+    which for small omega underflows any fixed linear bracket.  At the top,
+    xi^2 = g sup f, the interior solution is convex and the mismatch is
+    positive.  A square well deeper than pi^2 starts the bracket above the
+    last cotangent pole; other profiles need g sup f < pi^2, where Sturm
+    comparison with the square well keeps the interior solution free of
+    zeros, hence its log-derivative free of poles.
+    """
+    top = g * reg.sup_profile()
+    if reg.kind != KIND_SQUARE and top >= PI_SQ:
+        raise ValueError(f"g sup f = {top:.6g} >= pi^2: the {reg.kind} interior "
+                         "log-derivative may have poles (square wells only)")
+    lo = math.log(math.sqrt(g - PI_SQ)) + 1e-12 if top > PI_SQ else math.log(1e-280)
     w = params.omega
-    lhs = gamma_cot(g - xi * xi)
-    rhs = 0.5 + sf.kv_log_derivative(w, xi)
-    return lhs - rhs
+
+    def mismatch(s: float) -> float:
+        xi = math.exp(s)
+        return _interior(params, reg, g, xi * xi) - (0.5 + sf.kv_log_derivative(w, xi))
+
+    if not (top > 0.0 and mismatch(lo) < 0.0):
+        raise NoBoundState(f"no bound state at g={g}")
+    return math.exp(brent(mismatch, lo, math.log(math.sqrt(top)) - 1e-13, xtol=1e-13))
 
 
 def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
@@ -116,18 +151,7 @@ def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
     g = reg.g
     if g <= g_minus:
         return None
-    # solve in log xi: near threshold the root sits at xi ~ (g - g_-)^{1/2w},
-    # which for small omega underflows any fixed linear bracket
-    if g > PI_SQ:
-        lo = math.log(math.sqrt(g - PI_SQ)) + 1e-12
-    else:
-        lo = math.log(1e-280)
-    hi = math.log(math.sqrt(g)) - 1e-13
-    f = lambda s: _bound_mismatch(params, g, math.exp(s))
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0.0 < fhi):
-        raise NumericalError(f"bound_state: bracket failed on ({lo}, {hi}): f=({flo}, {fhi})")
-    xi = math.exp(brent(f, lo, hi, xtol=1e-13))
+    xi = _ground_xi(params, reg, g)
     cut = reg.b * params.x0
     energy = -((xi / cut) ** 2)
     # match with C = 1, then normalize
@@ -261,24 +285,21 @@ def closure_delta(params: ModelParams, reg: Regulator, x: float, y: float, t: fl
 # ---------------------------------------------------------------------------
 
 def mean_position(params: ModelParams, reg: Regulator, g: float | None = None) -> float:
-    """<x> of the normalized ground state by quadrature of the full wavefunction."""
+    """<x> of the unit-normalized ground state: the interior moment
+    A^2 int_0^cut x sin^2(k x) dx in closed form, the K_omega tail by quadrature."""
     if g is not None:
         reg = Regulator(reg.kind, g, reg.b, reg.profile_x, reg.profile_f)
     st = bound_state(params, reg)
     if st is None:
         raise ValueError(f"no bound state at g={reg.g}")
     cut = reg.b * params.x0
-    w_in = math.sqrt(reg.g - st.xi ** 2) / cut
+    k = math.sqrt(reg.g - st.xi ** 2) / cut
     kappa = st.xi / cut
-
-    num_in = quad_gk(lambda x: x * np.sin(w_in * x) ** 2, 0.0, cut, rtol=1e-11).value * st.A ** 2
-    den_in = quad_gk(lambda x: np.sin(w_in * x) ** 2, 0.0, cut, rtol=1e-11).value * st.A ** 2
-    w = params.omega
-    num_out = quad_gk(lambda u: u * u * sf.kv(w, u) ** 2, st.xi, st.xi + 45.0,
+    num_in = st.A ** 2 * (0.25 * cut * cut - cut * math.sin(2.0 * k * cut) / (4.0 * k)
+                          + (math.sin(k * cut) / (2.0 * k)) ** 2)
+    num_out = quad_gk(lambda u: u * u * sf.kv(params.omega, u) ** 2, st.xi, st.xi + 45.0,
                       rtol=1e-11, initial_panels=8).value * st.C ** 2 / kappa ** 2
-    den_out = quad_gk(lambda u: u * sf.kv(w, u) ** 2, st.xi, st.xi + 45.0,
-                      rtol=1e-11, initial_panels=8).value * st.C ** 2 / kappa
-    return (num_in + num_out) / (den_in + den_out)
+    return num_in + num_out
 
 
 def mean_position_constant(params: ModelParams) -> float:
@@ -301,6 +322,8 @@ MAGNUS_STEPS = 800
 # (g, eps) pairs shot together: bounds the (pairs, steps) temporaries of a batch
 MAGNUS_ROWS = 4
 _GAUSS = math.sqrt(3.0) / 6.0
+# largest depth the threshold scan reaches
+SCAN_G_MAX = 60.0
 
 
 def _step_product(m):
@@ -372,39 +395,30 @@ def interior_logderiv(params: ModelParams, reg: Regulator, g, eps):
     return float(out) if out.ndim == 0 else out
 
 
-def _exterior_logderiv(params: ModelParams, eps: float) -> float:
-    """Right side 1/2 + sqrt(eps) K'_omega(sqrt(eps))/K_omega(sqrt(eps))."""
-    w = params.omega
-    root = math.sqrt(eps)
-    if root == 0.0:
-        return params.nu_minus
-    return 0.5 + float(sf.kv_log_derivative(w, root))
-
-
-def generic_threshold_g(params: ModelParams, reg: Regulator,
-                        g_hi: float = 60.0) -> float:
+def generic_threshold_g(params: ModelParams, reg: Regulator) -> float:
     """Critical depth g_* where a zero-energy state first matches.
 
     The scan is geometric and dense enough not to step over the first
     matching even for strongly peaked profiles, whose ground threshold
-    sits at g ~ 1/sup f.  The whole scan is one batched shooting pass;
+    sits at g ~ 1/sup f.  The whole scan is one batched interior pass;
     brent then refines the first crossing.
     """
     params.require_main()
 
     def f(g):
-        return interior_logderiv(params, reg, g, 0.0) - params.nu_minus
+        return _interior(params, reg, g, 0.0) - params.nu_minus
 
     # the variational bounds bracket the threshold, so the scan stays on
     # the ground-state crossing even for strongly peaked profiles
     g_bind, g_nobind = existence_bounds(params, reg)
     lo = 0.5 * g_nobind
-    hi = min(1.05 * g_bind, g_hi)
+    hi = min(1.05 * g_bind, SCAN_G_MAX)
     gs = np.concatenate([[lo], np.geomspace(g_nobind, hi, 24)])
     fs = f(gs)
     if fs[0] < 0.0:
         raise NumericalError("profile binds below its comparison bound?")
-    cross = np.flatnonzero(fs[:-1] * fs[1:] < 0.0)
+    # <= 0: for the square well g_nobind is g_minus itself, where f may be exactly 0
+    cross = np.flatnonzero(fs[:-1] * fs[1:] <= 0.0)
     if cross.size == 0:
         raise NumericalError(f"no binding threshold found below g={hi}")
     i = cross[0]
@@ -412,22 +426,14 @@ def generic_threshold_g(params: ModelParams, reg: Regulator,
 
 
 def generic_bound_energy(params: ModelParams, reg: Regulator, g: float) -> float:
-    """eps = -E of the shallowest bound state of V = -g f(x) (b = x0 = 1)."""
+    """eps = -E > 0 of the ground state of reg at depth g, in physical units
+    (1/length^2): E = -(xi/(b x0))^2, xi from the one matching solve.
+
+    NoBoundState (a ValueError) when there is none; ValueError for a
+    non-square well with g sup f >= pi^2, where that solve does not apply.
+    """
     params.require_main()
-
-    def f(eps):
-        return interior_logderiv(params, reg, g, eps) - _exterior_logderiv(params, eps)
-
-    lo = 1e-30
-    if f(lo) > 0.0:
-        raise ValueError(f"no bound state at g={g}")
-    hi = 1e-12
-    while f(hi) < 0.0:
-        lo = hi
-        hi *= 8.0
-        if hi > 1e6:
-            raise NumericalError("failed to bracket the bound-state energy")
-    return brent(f, lo, hi, xtol=1e-300, rtol=1e-14)
+    return (_ground_xi(params, reg, g) / (reg.b * params.x0)) ** 2
 
 
 def generic_bound_threshold(params: ModelParams, reg: Regulator,
@@ -436,16 +442,11 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
 
     The window (g - g_*) in [1e-4, 1e-2] sits inside the asymptotic
     regime but above root-finder noise; the slope estimates 1/omega for
-    any bounded integrable profile.  Square wells of any b take the exact
-    matching route (g_* = g_minus, energies from bound_state).
+    any bounded integrable profile.
     """
     du = np.geomspace(window[0], window[1], n_points)
-    if reg.kind == KIND_SQUARE:
-        _, g_star = fixed_points(params)
-        eps = np.array([-bound_state(params, replace(reg, g=g_star + d)).energy for d in du])
-    else:
-        g_star = generic_threshold_g(params, reg)
-        eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
+    g_star = generic_threshold_g(params, reg)
+    eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
     slope, amplitude, resid = fit_loglog(du, eps)
     return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
                        eps=tuple(eps.tolist()))

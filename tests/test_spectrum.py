@@ -7,8 +7,9 @@ import pytest
 
 from invsq import specfun as sf
 from invsq import spectrum as sp
-from invsq.core import derived_constants, fixed_points, linear_well, generic_well, square_well
-from invsq.numerics import NumericalError, fit_loglog, quad_gk
+from invsq.core import (PI_SQ, derived_constants, fixed_points, gamma_cot, generic_well,
+                        linear_well, square_well)
+from invsq.numerics import NumericalError, brent, fit_loglog, quad_gk
 
 BINDING_C_316 = 0.7975240094170116  # [2^{2w-2}(1+alpha/g_-)Gamma(w)/Gamma(1-w)]^{1/w}
 MEAN_X_C_316 = 0.5890486225480862   # pi (1/4 - w^2) tan(pi w)/(4 w) at w = 1/4
@@ -176,6 +177,24 @@ def test_mean_position_deep_well_localized(params316):
     assert 0.0 < mx < 3.0  # O(b x0) for a deep well
 
 
+@pytest.mark.parametrize("g, b", [(9.0, 1.0), (2.5, 0.5), (1.9511429858956073, 2.0)])
+def test_mean_position_matches_quadrature_of_the_state(params316, g, b):
+    # the closed-form interior moment against quadrature of the whole state
+    reg = square_well(g, b)
+    st = sp.bound_state(params316, reg)
+    cut, w = b * params316.x0, params316.omega
+    k, kappa = math.sqrt(g - st.xi ** 2) / cut, st.xi / cut
+
+    def moment(power):
+        inner = quad_gk(lambda x: x ** power * (st.A * np.sin(k * x)) ** 2, 0.0, cut, rtol=1e-13)
+        outer = quad_gk(lambda u: (u / kappa) ** power * u * sf.kv(w, u) ** 2, st.xi,
+                        st.xi + 45.0, rtol=1e-13, initial_panels=8)
+        return inner.value + outer.value * st.C ** 2 / kappa
+
+    assert moment(0) == pytest.approx(1.0, abs=1e-12)
+    assert sp.mean_position(params316, reg) == pytest.approx(moment(1) / moment(0), rel=1e-12)
+
+
 def test_mean_position_requires_bound_state(params316, gfix):
     _, g_minus = gfix
     with pytest.raises(ValueError):
@@ -186,6 +205,10 @@ def test_generic_path_reproduces_square_well_threshold(params316, gfix):
     _, g_minus = gfix
     g_star = sp.generic_threshold_g(params316, square_well(1.0))
     assert g_star == pytest.approx(g_minus, abs=1e-9)
+    # Magnus shooting on the flat profile against the closed form's threshold
+    shot = brent(lambda g: sp.interior_logderiv(params316, square_well(1.0), g, 0.0)
+                 - params316.nu_minus, 1.5, 2.5)
+    assert shot == pytest.approx(g_minus, abs=1e-9)
 
 
 def test_generic_energy_matches_exact_matching(params316, gfix):
@@ -193,7 +216,57 @@ def test_generic_energy_matches_exact_matching(params316, gfix):
     g = g_minus + 5e-3
     eps = sp.generic_bound_energy(params316, square_well(1.0), g)
     st = sp.bound_state(params316, square_well(g))
-    assert eps == pytest.approx(-st.energy, rel=1e-6)
+    assert eps == -st.energy
+    # the Magnus shooter on the flat profile against gamma_cot, at the bound
+    # state and across the bracket of the matching solve
+    for xi2 in (0.0, st.xi ** 2, 1e-3, 0.5 * g, 0.99 * g):
+        got = sp.interior_logderiv(params316, square_well(1.0), g, xi2)
+        assert got == pytest.approx(gamma_cot(g - xi2), rel=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [-0.24, -0.2475])
+def test_small_omega_exponents_on_every_regulator(alpha):
+    # at omega = 0.1 and 0.05, eps ~ (g - g_*)^{1/omega} falls far below 1e-30
+    p = derived_constants(alpha)
+    xs = np.linspace(0.0, 1.0, 21)
+    for reg in (linear_well(1.0), generic_well(1.0, xs, 1.0 - 0.2 * xs ** 2)):
+        fit = sp.generic_bound_threshold(p, reg, n_points=8)
+        assert fit.exponent == pytest.approx(1.0 / p.omega, rel=2e-2)
+
+
+def test_linear_well_scales_with_x0():
+    # V = -(g/x0^2) f(x/x0): doubling x0 quarters every energy and the potential
+    p1, p2 = derived_constants(-0.1875), derived_constants(-0.1875, x0=2.0)
+    reg = linear_well(1.0)
+    for g in (2.7, 3.5, 6.0):
+        assert sp.generic_bound_energy(p2, reg, g) == 0.25 * sp.generic_bound_energy(p1, reg, g)
+    x = np.linspace(0.05, 6.0, 120)
+    assert np.array_equal(reg.potential(x, p2), 0.25 * reg.potential(0.5 * x, p1))
+    fit1 = sp.generic_bound_threshold(p1, reg, n_points=3)
+    fit2 = sp.generic_bound_threshold(p2, reg, n_points=3)
+    assert fit2.g_star == fit1.g_star
+    assert fit2.eps == tuple(0.25 * e for e in fit1.eps)
+
+
+def test_deep_non_square_wells_are_refused(params316):
+    from invsq.classical import free_energy_density
+    xs = np.linspace(0.0, 1.0, 21)
+    for reg in (linear_well(PI_SQ), generic_well(1.01 * PI_SQ / 0.8, xs, 0.8 - 0.1 * xs)):
+        with pytest.raises(ValueError, match="pi\\^2"):
+            sp.generic_bound_energy(params316, reg, reg.g)
+        # the chain must not read the refusal as "no bound state"
+        with pytest.raises(ValueError, match="pi\\^2"):
+            free_energy_density(params316, reg)
+    # just below pi^2 the linear well still binds
+    assert sp.generic_bound_energy(params316, linear_well(1.0), 0.99 * PI_SQ) > 0.0
+
+
+def test_no_bound_state_is_reported_as_such(params316, gfix):
+    _, g_minus = gfix
+    for reg, g in ((square_well(1.0), g_minus - 0.1), (linear_well(1.0), 2.0),
+                   (square_well(1.0), 0.0)):
+        with pytest.raises(sp.NoBoundState):
+            sp.generic_bound_energy(params316, reg, g)
 
 
 def test_linear_well_universal_exponent(params316):
