@@ -7,6 +7,15 @@ Monte Carlo with a per-step bridge crossing correction (factor
 1 - exp(-x_j x_{j+1}/eps) for the absorbed measure), which removes the
 O(sqrt(eps)) discrete-absorption bias.
 
+Monte Carlo numerics: paths come in chunks of CHUNK_SAMPLES, each with its
+own Philox key, so results do not depend on the thread count.  A chunk is
+built TILE_ROWS paths at a time in one preallocated float32 tile, drawn
+in order from the chunk's one stream, so the nodes are those of a single
+whole-chunk draw.  A path with a node <= 0 has a crossing factor of
+exactly 0 and weight 0; it is screened out by its row minimum, and only
+the paths that pass (about a quarter at x = y = 1, t = 4) are charged for
+the crossing product, the well occupancy and the tail action.
+
 Chain: the same kernel read as a transfer matrix gives the partition
 function of a one-dimensional chain of N coupled coordinates in the
 background potential; the free-energy density per unit "volume" t = N eps
@@ -50,6 +59,7 @@ __all__ = [
 ]
 
 CHUNK_SAMPLES = 4096
+TILE_ROWS = 128  # paths built at once in a chunk: 2 MiB of float32 nodes at 4096 steps
 EIGEN_RTOL = 1e-12  # eigen-solve stops at ||T x - lambda x|| <= EIGEN_RTOL * lambda
 BOX_KAPPA = 7.0  # the chain's box spans this many decay lengths of the bound state
 MAX_GRID = 1 << 16  # cap on the chain's grid size
@@ -127,64 +137,85 @@ def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index:
     """Path weights for one deterministic chunk, one column per regulator.
 
     Paths are built in float32 (position precision far below the Monte
-    Carlo noise), sums accumulate in float64.  Square wells sharing one
-    cutoff are charged via the trapezoid well occupancy and the common
-    inverse-square tail action, so extra depths cost O(n_samples).
+    Carlo noise), sums accumulate in float64.  The chunk's rows are drawn
+    TILE_ROWS at a time from its one Philox stream, so every node is the
+    one a single (n_in_chunk, n) draw would give.  A row with a node <= 0
+    has a crossing factor of exactly 0; only the other rows are charged
+    for the crossing product, the well occupancy and the tail action.
+    Square wells sharing one cutoff share that occupancy and tail, so
+    extra depths cost O(n_samples).
     """
+    if mode == "free":
+        return [np.ones(n_in_chunk)]
     n = spec.n_steps
     eps = spec.t / n
     bitgen = np.random.Philox(key=(spec.seed & 0xFFFFFFFFFFFFFFFF) + (chunk_index << 64))
     rng = np.random.Generator(bitgen)
-    path = rng.standard_normal((n_in_chunk, n), dtype=np.float32)
-    path *= np.float32(math.sqrt(2.0 * eps))
-    np.cumsum(path, axis=1, out=path)
     frac = (np.arange(1, n + 1) / n).astype(np.float32)
-    path -= path[:, -1:] * frac
-    path += np.float32(spec.y) + np.float32(spec.x - spec.y) * frac
-    if mode == "free":
-        return [np.ones(n_in_chunk)]
-    first = np.full((n_in_chunk, 1), spec.y, dtype=np.float32)
-    nodes = np.concatenate([first, path], axis=1)
-    pair = nodes[:, :-1] * nodes[:, 1:]
-    pair *= np.float32(-1.0 / eps)
-    factors = np.exp(pair)
-    np.subtract(1.0, factors, out=factors)
-    # 1 - e^{-q} instead of -expm1(-q): the difference only matters for
-    # factors below f32 resolution, i.e. steps that already kill the path
-    np.maximum(factors, 0.0, out=factors)
-    surv = np.prod(factors, axis=1).astype(np.float64)
-    if mode == "barrier":
-        return [surv]
-    cut = regs[0].b * params.x0
-    if any(r.kind != "SquareWell" or r.b != regs[0].b for r in regs):
-        raise ValueError("batched paths require square wells with a common width")
+    line = np.float32(spec.y) + np.float32(spec.x - spec.y) * frac
+    step = np.float32(math.sqrt(2.0 * eps))
+    cut = regs[0].b * params.x0 if mode == "regulated" else 0.0
     trapz_w = np.ones(n + 1, dtype=np.float32)
     trapz_w[0] = trapz_w[-1] = 0.5
-    inside = nodes < np.float32(cut)
-    well_time = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
-    clipped = np.maximum(nodes, np.float32(cut))
-    np.multiply(clipped, clipped, out=clipped)
-    tail = np.float32(params.alpha) / clipped
-    tail[inside] = 0.0
-    tail_action = eps * (tail @ trapz_w).astype(np.float64)
+    rows = min(TILE_ROWS, n_in_chunk)
+    draws = np.empty((rows, n), dtype=np.float32)
+    nodes = np.empty((rows, n + 1), dtype=np.float32)
+    nodes[:, 0] = spec.y
+    surv = np.zeros(n_in_chunk)
+    well_time = np.zeros(n_in_chunk)
+    tail_action = np.zeros(n_in_chunk)
+    for start in range(0, n_in_chunk, rows):
+        d, tile = draws[:n_in_chunk - start], nodes[:n_in_chunk - start]
+        rng.standard_normal(out=d, dtype=np.float32)
+        d *= step
+        np.cumsum(d, axis=1, out=tile[:, 1:])
+        np.multiply(tile[:, -1:], frac, out=d)  # the bridge: pin the end to x
+        tile[:, 1:] -= d
+        tile[:, 1:] += line
+        idx = np.flatnonzero(tile.min(axis=1) > 0.0)
+        live = tile[idx]
+        # q = x_j x_{j+1} / eps > 0 on a live row; 1 - e^{-q} instead of
+        # -expm1(-q): the difference only matters below f32 resolution
+        q = live[:, :-1] * live[:, 1:]
+        q *= np.float32(-1.0 / eps)
+        np.exp(q, out=q)
+        np.subtract(1.0, q, out=q)
+        surv[start + idx] = np.prod(q, axis=1)
+        if mode == "barrier":
+            continue
+        inside = live < np.float32(cut)
+        well_time[start + idx] = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
+        np.maximum(live, np.float32(cut), out=live)
+        np.multiply(live, live, out=live)
+        np.divide(np.float32(params.alpha), live, out=live)
+        live[inside] = 0.0
+        tail_action[start + idx] = eps * (live @ trapz_w).astype(np.float64)
+    if mode == "barrier":
+        return [surv]
     alive = surv > 0.0
     out = []
     for reg in regs:
         action = tail_action - (reg.g / cut ** 2) * well_time
-        weight = np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0)
-        out.append(weight)
+        out.append(np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0))
     return out
 
 
 def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
-                      mode: str = "regulated", threads: int = 1):
+                      mode: str = "regulated", threads: int = 1, *,
+                      stats: dict | None = None):
     """(W, stderr) per regulator, all regulators sharing one path ensemble.
 
     Deterministic for fixed seed regardless of thread count: chunking is
-    fixed at CHUNK_SAMPLES and the reduction runs in chunk order.
+    fixed at CHUNK_SAMPLES and the reduction runs in chunk order.  With
+    `stats`, puts per-regulator lists of the effective-sample fraction
+    (sum w)^2 / (N sum w^2) and the largest weight's share max w / sum w
+    in stats["ess_fraction"] and stats["max_weight_share"] (both 0 when
+    no path carries weight).
     """
     if mode not in ("regulated", "barrier", "free"):
         raise ValueError("mode must be regulated, barrier, or free")
+    if mode == "regulated" and any(r.kind != "SquareWell" or r.b != regs[0].b for r in regs):
+        raise ValueError("batched paths require square wells with a common width")
     n_regs = len(regs) if mode == "regulated" else 1
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
@@ -198,16 +229,21 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     else:
         results = [work(c) for c in chunks]
     kern = free_kernel(spec.x, spec.y, spec.t)
-    out = []
+    n = spec.n_samples
+    out, ess, share = [], [], []
     for j in range(n_regs):
-        s1 = s2 = 0.0
+        s1 = s2 = w_max = 0.0
         for res in results:
             s1 += float(np.sum(res[j]))
             s2 += float(np.sum(res[j] * res[j]))
-        n = spec.n_samples
+            w_max = max(w_max, float(np.max(res[j])))
         mean = s1 / n
         var = max(s2 / n - mean * mean, 0.0)
         out.append((kern * mean, kern * math.sqrt(var / n)))
+        ess.append(s1 * s1 / (n * s2) if s2 > 0.0 else 0.0)
+        share.append(w_max / s1 if s1 > 0.0 else 0.0)
+    if stats is not None:
+        stats["ess_fraction"], stats["max_weight_share"] = ess, share
     return out
 
 
@@ -363,11 +399,11 @@ def lanczos_lambda_max(apply_op, x0: np.ndarray, precond, max_iter: int = 100,
         w = precond(r)
         w /= math.sqrt(_dot(w, w))
         basis, images = [x, w], [tx, apply_op(w)]
-        if p is not None:
-            scale = math.sqrt(_dot(p, p))
+        scale = math.sqrt(_dot(p, p)) if p is not None else 0.0
+        if scale > 0.0:  # a zero p is dropped, as the Gram retry drops it
             basis, images = basis + [p / scale], images + [tp / scale]
         ritz = _top_ritz_pair(basis, images)
-        if ritz is None and p is not None:  # retried once without p
+        if ritz is None and len(basis) == 3:  # retried once without p
             basis, images = basis[:2], images[:2]
             ritz = _top_ritz_pair(basis, images)
         if ritz is None:
@@ -417,7 +453,8 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     step width sigma = sqrt(2 eps) by the factor `resolve`.  The
     extrapolation order is measured from the three-point differences
     unless `order` pins it (the well-edge discontinuity makes the leading
-    family eps^{3/2}).
+    family eps^{3/2}).  NumericalError when MAX_GRID cells cannot give
+    that resolution across the box (a very shallow bound state).
     """
     try:
         e0 = -generic_bound_energy(params, reg, reg.g)
@@ -432,6 +469,9 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     n = 1
     while n * sigma_min / resolve < x_max and n < MAX_GRID:
         n *= 2
+    if n * sigma_min / resolve < x_max:
+        raise NumericalError(f"chain grid unresolved: a box of {x_max:.4g} needs more than "
+                             f"{MAX_GRID} cells to resolve the step width {sigma_min:.4g}")
     eps_sorted = tuple(sorted(eps_list, reverse=True))
 
     def f_at(eps: float):

@@ -269,14 +269,18 @@ def cmd_feynman_kac(ns):
     p = _params(ns)
     spec = classical.PathEnsembleSpec(y=ns.y, x=ns.x, t=ns.t, n_steps=ns.n_steps,
                                       n_samples=ns.n_samples, seed=ns.seed)
-    w, err = classical.feynman_kac(p, _regulator(ns), spec, mode=ns.mode,
-                                   threads=ns.threads)
+    stats = {}
+    [(w, err)] = classical.feynman_kac_batch(p, [_regulator(ns)], spec, ns.mode, ns.threads,
+                                             stats=stats)
+    diagnostics = {"ess_fraction": stats["ess_fraction"][0],
+                   "max_weight_share": stats["max_weight_share"][0]}
     rows = [(ns.x, ns.y, ns.t, ns.n_steps, ns.n_samples, w, err)]
     out = _outdir(ns) / "feynman_kac.csv"
-    write_csv(out, _provenance(ns, mode=ns.mode, seed=ns.seed),
+    write_csv(out, _provenance(ns, mode=ns.mode, seed=ns.seed, **diagnostics),
               ["x (length)", "y (length)", "t (length^2)", "N", "n_samples",
                "W (1/length)", "stderr (1/length)"], rows)
-    return f"W = {w:.8g} +- {err:.2g} -> {out}", {"W": w, "stderr": err, "path": str(out)}
+    return f"W = {w:.8g} +- {err:.2g} -> {out}", \
+        {"W": w, "stderr": err, "path": str(out), "diagnostics": diagnostics}
 
 
 def cmd_chain(ns):

@@ -1,6 +1,8 @@
 """Feynman-Kac Monte Carlo and the chain transfer matrix."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from invsq import classical as cl
 from invsq import propagator as pg
 from invsq import spectrum as sp
-from invsq.core import fixed_points, square_well
+from invsq.core import fixed_points, linear_well, square_well
 from invsq.numerics import NumericalError, quad_gk
 
 SEED = 424242
@@ -56,11 +58,130 @@ def test_mc_matches_quadrature_both_fixed_points(params316, gfix):
         assert abs(w - ref) <= 4.0 * err
 
 
-def test_batch_requires_common_width(params316):
-    spec = spec_for(1.0, 1.0, 1.0, n_steps=64, n_samples=256)
-    with pytest.raises(ValueError):
-        cl.feynman_kac_batch(params316, [square_well(1.0, 0.05), square_well(1.0, 0.1)],
-                             spec)
+def test_batch_requires_common_width(params316, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("paths drawn before the regulators were checked")
+
+    # refused before any chunk is drawn, on one thread or several
+    monkeypatch.setattr(cl, "_chunk_weights", no_draws)
+    spec = spec_for(1.0, 1.0, 1.0, n_steps=64, n_samples=3 * cl.CHUNK_SAMPLES)
+    for regs in ([square_well(1.0, 0.05), square_well(1.0, 0.1)], [linear_well(1.0)]):
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="square wells with a common width"):
+                cl.feynman_kac_batch(params316, regs, spec, threads=threads)
+
+
+def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
+    """The chunk kernel as it was before tiling: one (n_in_chunk, n) draw, every path charged."""
+    n = spec.n_steps
+    eps = spec.t / n
+    bitgen = np.random.Philox(key=(spec.seed & 0xFFFFFFFFFFFFFFFF) + (chunk_index << 64))
+    rng = np.random.Generator(bitgen)
+    path = rng.standard_normal((n_in_chunk, n), dtype=np.float32)
+    path *= np.float32(math.sqrt(2.0 * eps))
+    np.cumsum(path, axis=1, out=path)
+    frac = (np.arange(1, n + 1) / n).astype(np.float32)
+    path -= path[:, -1:] * frac
+    path += np.float32(spec.y) + np.float32(spec.x - spec.y) * frac
+    if mode == "free":
+        return [np.ones(n_in_chunk)]
+    first = np.full((n_in_chunk, 1), spec.y, dtype=np.float32)
+    nodes = np.concatenate([first, path], axis=1)
+    pair = nodes[:, :-1] * nodes[:, 1:]
+    pair *= np.float32(-1.0 / eps)
+    factors = np.exp(pair)
+    np.subtract(1.0, factors, out=factors)
+    np.maximum(factors, 0.0, out=factors)
+    surv = np.prod(factors, axis=1).astype(np.float64)
+    if mode == "barrier":
+        return [surv]
+    cut = regs[0].b * params.x0
+    trapz_w = np.ones(n + 1, dtype=np.float32)
+    trapz_w[0] = trapz_w[-1] = 0.5
+    inside = nodes < np.float32(cut)
+    well_time = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
+    clipped = np.maximum(nodes, np.float32(cut))
+    np.multiply(clipped, clipped, out=clipped)
+    tail = np.float32(params.alpha) / clipped
+    tail[inside] = 0.0
+    tail_action = eps * (tail @ trapz_w).astype(np.float64)
+    alive = surv > 0.0
+    out = []
+    for reg in regs:
+        action = tail_action - (reg.g / cut ** 2) * well_time
+        out.append(np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0))
+    return out
+
+
+# a full chunk, the ragged 37-path chunk after it, and a chunk one partial tile past a full one
+KERNEL_SPEC = spec_for(1.0, 1.0, 4.0, n_steps=1024, n_samples=cl.CHUNK_SAMPLES + 37)
+KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, cl.TILE_ROWS + 37)]
+
+
+def test_barrier_kernel_is_bit_identical_to_reference(params316):
+    regs = [square_well(1.0, 0.05)]
+    for chunk in KERNEL_CHUNKS:
+        [w] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
+        [ref] = _reference_chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
+        assert w.dtype == ref.dtype and np.array_equal(w, ref)
+
+
+@pytest.mark.parametrize("which", [(0,), (0, 1)])
+def test_regulated_kernel_matches_reference(params316, gfix, which):
+    # the tail action is a float32 BLAS sum over fewer rows than before, which may
+    # round a path's sum differently by an ulp or two: these paths move by under
+    # 1e-6 relative (criterion 10's 10^6 paths by up to 1.9e-6)
+    regs = [square_well(gfix[i], 0.05) for i in which]
+    for chunk in KERNEL_CHUNKS:
+        got = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
+        ref = _reference_chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
+        assert len(got) == len(regs)
+        for w, r in zip(got, ref):
+            dead = r == 0.0  # every path that touches the origin, and underflowed survivors
+            assert np.array_equal(w == 0.0, dead)
+            assert np.all(np.abs(w[~dead] / r[~dead] - 1.0) <= 1e-6)
+        if chunk[1] == cl.CHUNK_SAMPLES:
+            assert 0.5 < np.mean(dead) < 1.0  # most bridges die at x = y = 1, t = 4
+
+
+def test_regulated_chunk_memory_is_tile_sized(params316, gfix):
+    spec = spec_for(1.0, 1.0, 4.0, n_steps=4096, n_samples=cl.CHUNK_SAMPLES)
+    tracemalloc.start()
+    try:
+        cl._chunk_weights(params316, [square_well(gfix[0], 0.05)], spec, "regulated",
+                          0, cl.CHUNK_SAMPLES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20  # one untiled (4096, 4097) float32 temporary is 64 MiB
+
+
+def test_weight_stats_recomputed_from_chunks(params316, gfix):
+    regs = [square_well(gfix[0], 0.05), square_well(gfix[1], 0.05)]
+    spec = spec_for(1.0, 1.0, 4.0, n_steps=256, n_samples=2 * cl.CHUNK_SAMPLES + 100)
+    stats = {}
+    cl.feynman_kac_batch(params316, regs, spec, threads=2, stats=stats)
+    chunks = [(0, cl.CHUNK_SAMPLES), (1, cl.CHUNK_SAMPLES), (2, 100)]
+    per_chunk = [cl._chunk_weights(params316, regs, spec, "regulated", *c) for c in chunks]
+    for j in range(len(regs)):
+        w = np.concatenate([res[j] for res in per_chunk])
+        assert stats["ess_fraction"][j] == pytest.approx(
+            w.sum() ** 2 / (w.size * np.sum(w * w)), rel=1e-12)
+        assert stats["max_weight_share"][j] == pytest.approx(w.max() / w.sum(), rel=1e-12)
+        assert 0.0 < stats["ess_fraction"][j] <= 1.0
+        assert 1.0 / w.size <= stats["max_weight_share"][j] < 1.0
+
+
+def test_weight_stats_leave_the_estimate_unchanged(params316, gfix):
+    regs = [square_well(gfix[0], 0.05)]
+    spec = spec_for(1.0, 1.0, 4.0, n_steps=256, n_samples=5000)
+    stats = {}
+    assert cl.feynman_kac_batch(params316, regs, spec, stats=stats) \
+        == cl.feynman_kac_batch(params316, regs, spec)
+    assert set(stats) == {"ess_fraction", "max_weight_share"}
+    free = {}
+    cl.feynman_kac_batch(params316, regs, spec, mode="free", stats=free)
+    assert free == {"ess_fraction": [1.0], "max_weight_share": [pytest.approx(1.0 / 5000)]}
 
 
 def test_path_spec_validation():
@@ -231,6 +352,17 @@ def test_free_energy_result_is_plain_and_repeatable(params316, gfix):
     assert 0.0 < runs[0].eigen_residual <= 1e-12
 
 
+@pytest.mark.parametrize("d", [1e-3, 1e-6])
+def test_free_energy_refuses_an_unresolved_grid(params316, gfix, d):
+    # the bound state's box outgrows MAX_GRID cells of the resolved pitch:
+    # fail loudly instead of returning an eigenvalue of a one-cell-per-unit grid
+    reg = square_well(gfix[1] + d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="grid unresolved"):
+            cl.free_energy_density(params316, reg)
+
+
 def _leading(op, shift, **kw):
     start = op.x * np.exp(-math.sqrt(shift) * op.x)
     return cl.lanczos_lambda_max(op.apply, start, op.preconditioner(shift), **kw)
@@ -286,3 +418,18 @@ def test_eigen_solver_gram_breakdown_is_not_a_linalg_error():
     # an operator whose preconditioned residual repeats x breaks down at once
     with pytest.raises(NumericalError, match="Gram breakdown"):
         cl.lanczos_lambda_max(lambda u: u * np.arange(1.0, 17.0), x, lambda r: x)
+
+
+def test_eigen_solver_drops_a_zero_search_direction():
+    # the top Ritz vector on [x, w] is x itself, so p = 0 w is zero: it must be
+    # dropped (no 0/0) and the solve must end at its iteration cap
+    d = np.linspace(0.5, 0.8, 16)
+    d[:2] = 1.0, 3.0
+    x = np.zeros(16)
+    x[:2] = 1.0
+    z = np.zeros(16)
+    z[5] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="after 4 iterations"):
+            cl.lanczos_lambda_max(lambda u: u * d, x, lambda r: z, max_iter=4)

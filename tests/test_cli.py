@@ -147,6 +147,45 @@ def test_chain_eigen_failure_exits_3(owner, name, broken, monkeypatch, tmp_path,
     assert not (tmp_path / "chain.csv").exists()
 
 
+def test_chain_unresolved_grid_exits_3(tmp_path, capsys):
+    code, lines, payload = run_cli(["chain", "--alpha", "-0.1875", "--g",
+                                    repr(G_MINUS_316 + 1e-6), "--out", str(tmp_path)], capsys)
+    assert code == 3 and len(lines) == 1
+    assert payload["error"] == "numerical" and "grid unresolved" in payload["detail"]
+    assert not (tmp_path / "chain.csv").exists()
+
+
+FK_ARGS = ["feynman-kac", "--alpha", "-0.1875", "--x", "1", "--y", "1", "--t", "4"]
+
+
+def test_feynman_kac_reports_weight_diagnostics(tmp_path, capsys):
+    code, _, payload = run_cli(FK_ARGS + ["--g", repr(G_PLUS_316), "--b", "0.05",
+                                          "--n-steps", "256", "--n-samples", "5000",
+                                          "--out", str(tmp_path)], capsys)
+    assert code == 0
+    diag = payload["diagnostics"]
+    assert 0.0 < diag["ess_fraction"] <= 1.0
+    assert 1.0 / 5000 <= diag["max_weight_share"] < 1.0
+    head = [l for l in (tmp_path / "feynman_kac.csv").read_text().splitlines()
+            if l.startswith("#")]
+    assert f"# ess_fraction = {diag['ess_fraction']:.17g}" in head
+    assert f"# max_weight_share = {diag['max_weight_share']:.17g}" in head
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_feynman_kac_rejects_non_square_wells_before_drawing(threads, monkeypatch,
+                                                             tmp_path, capsys):
+    def no_draws(*args):
+        raise AssertionError("paths drawn before the regulator was checked")
+
+    monkeypatch.setattr(classical, "_chunk_weights", no_draws)
+    code, lines, payload = run_cli(FK_ARGS + ["--scheme", "linear", "--g", "1",
+                                              "--threads", threads, "--out", str(tmp_path)],
+                                   capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and "common width" in payload["detail"]
+
+
 def test_limit_cycle(tmp_path, capsys):
     code, _, payload = run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
                                 "--out", str(tmp_path)], capsys)
