@@ -62,6 +62,7 @@ CHUNK_SAMPLES = 4096
 TILE_ROWS = 128  # paths built at once in a chunk: 2 MiB of float32 nodes at 4096 steps
 EIGEN_RTOL = 1e-12  # eigen-solve stops at ||T x - lambda x|| <= EIGEN_RTOL * lambda
 BOX_KAPPA = 7.0  # the chain's box spans this many decay lengths of the bound state
+GRID_RESOLVE = 4.5  # chain grid cells per smallest Gaussian step width sqrt(2 eps)
 MAX_GRID = 1 << 16  # cap on the chain's grid size
 
 PHASE_EXTENSIVE = "extensive"
@@ -124,13 +125,6 @@ def absorbed_kernel(x: float, y: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Feynman-Kac Monte Carlo
 # ---------------------------------------------------------------------------
-
-def _potential_on_paths(params: ModelParams, reg: Regulator, pts: np.ndarray) -> np.ndarray:
-    """V on path nodes; dead (nonpositive) nodes land in the bounded branch."""
-    cut = reg.b * params.x0
-    inner = -reg.g / cut ** 2 * reg.profile(np.clip(pts / cut, 0.0, 1.0))
-    return np.where(pts < cut, inner, params.alpha / np.maximum(pts, cut) ** 2)
-
 
 def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index: int,
                    n_in_chunk: int):
@@ -305,7 +299,7 @@ class TransferOperator:
         self.x_max = self.n * self.h
         self.eps = eps
         self.x = (np.arange(self.n) + 0.5) * self.h
-        v = _potential_on_paths(params, reg, self.x)
+        v = reg.potential(self.x, params)
         self.halfweight = np.exp(-0.5 * eps * v)
         self.m = m = 2 * self.n
         pref = self.h / math.sqrt(4.0 * math.pi * eps)
@@ -431,7 +425,7 @@ def chain_partition(params: ModelParams, reg: Regulator, spec: ChainSpec,
 
     def end_link(z: float) -> np.ndarray:
         """The link from the pinned end z to every grid site."""
-        vz = float(_potential_on_paths(params, reg, np.array([z]))[0])
+        vz = reg.potential(z, params)
         col = pref * np.exp(-(op.x - z) ** 2 / (4.0 * spec.epsilon))
         if image:
             col = col - pref * np.exp(-(op.x + z) ** 2 / (4.0 * spec.epsilon))
@@ -444,13 +438,13 @@ def chain_partition(params: ModelParams, reg: Regulator, spec: ChainSpec,
 
 
 def free_energy_density(params: ModelParams, reg: Regulator,
-                        eps_list=(0.1, 0.05, 0.025), min_box: float = 60.0, resolve: float = 4.5,
+                        eps_list=(0.1, 0.05, 0.025), min_box: float = 60.0,
                         threads: int = 1, order: float | None = None) -> FreeEnergyResult:
     """f = -(1/eps) log lambda_max(T), Richardson-extrapolated in eps.
 
     The box extends BOX_KAPPA decay lengths of the bound state (or
     min_box when there is none); the grid resolves the smallest Gaussian
-    step width sigma = sqrt(2 eps) by the factor `resolve`.  The
+    step width sigma = sqrt(2 eps) by the factor GRID_RESOLVE.  The
     extrapolation order is measured from the three-point differences
     unless `order` pins it (the well-edge discontinuity makes the leading
     family eps^{3/2}).  NumericalError when MAX_GRID cells cannot give
@@ -467,9 +461,9 @@ def free_energy_density(params: ModelParams, reg: Regulator,
         x_max, shift = min_box, (math.pi / min_box) ** 2
     sigma_min = math.sqrt(2.0 * min(eps_list))
     n = 1
-    while n * sigma_min / resolve < x_max and n < MAX_GRID:
+    while n * sigma_min / GRID_RESOLVE < x_max and n < MAX_GRID:
         n *= 2
-    if n * sigma_min / resolve < x_max:
+    if n * sigma_min / GRID_RESOLVE < x_max:
         raise NumericalError(f"chain grid unresolved: a box of {x_max:.4g} needs more than "
                              f"{MAX_GRID} cells to resolve the step width {sigma_min:.4g}")
     eps_sorted = tuple(sorted(eps_list, reverse=True))

@@ -14,10 +14,13 @@ Two spectral normalizations coexist, and the distinction matters:
   l^{-1} G with no anomalous power.
 
 * "coefficient+" / "coefficient-" -- eigenfunctions divided by their
-  dominant Bessel-J coefficient near g_+ / g_- (psi_coefficient_norm),
+  dominant Bessel-J coefficient C_+ near g_+ / C_- near g_-, times
+  xi^{-nu_pm} (xi = b x0 k) to strip the power that coefficient carries:
   the convention in which the near-fixed-point coefficients are linear
-  in the reduced coupling u.  In this normalization the homogeneous law
-  picks up l^{2 nu_pm - 1}, the Callan-Symanzik-type equation
+  in the reduced coupling u.  Both use the one delta-normalized
+  eigenfunction of the closure kernel; only the spectral weight differs.
+  In this normalization the homogeneous law picks up l^{2 nu_pm - 1},
+  the Callan-Symanzik-type equation
   [b d/db -+ 2 omega u d/du + 2 nu_pm] G = 0 holds asymptotically, and
   the (b, u)-dependence collapses onto Phi(z) = z^{-nu_+} + c z^{-nu_-},
   z = b (u/u0)^{1/(2 omega)}.
@@ -42,8 +45,8 @@ import numpy as np
 
 from . import specfun as sf
 from .core import ModelParams, Regulator, fixed_points, square_well
-from .numerics import quad_gk, fit_two_powers
-from .spectrum import psi_coefficient_norm, psi_continuum
+from .numerics import NumericalError, quad_gk, fit_two_powers
+from .spectrum import exterior_eigenfunction, spectral_coefficients
 
 __all__ = [
     "PropagatorSample",
@@ -98,7 +101,9 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
 
     normalization picks the spectral convention ("closure" is the
     physical kernel, "coefficient+" / "coefficient-" the ones used by the
-    homogeneous-law checks; see the module docstring).
+    homogeneous-law checks; see the module docstring).  All three weight
+    the same product psi_E(x) psi_E(y): by 2k for closure, by
+    (2/pi) xi^{-2 nu_pm} / C_pm^2 for the coefficient conventions.
 
     In the wavenumber variable the integrand is smooth at the origin and
     oscillates on scale pi/max(x, y); panels start at that scale and the
@@ -106,7 +111,9 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
     (E_max = 40/t), so the reported error is the quadrature's own.
     extra_panels offsets the initial panel count, which decorrelates the
     abscissas of two quadratures that a scaling identity would otherwise
-    map onto each other node for node.
+    map onto each other node for node.  NumericalError when the
+    quadrature is unconverged or not finite (a coefficient convention
+    whose dominant coefficient vanishes, as C_- does at g_+ when b -> 0).
     """
     params.require_main()
     cut = reg.b * params.x0
@@ -120,22 +127,27 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
         warnings.warn("t so small the spectral cutoff is very high; "
                       "expect slow quadrature", RegimeWarning, stacklevel=2)
     if normalization == "closure":
-        psi = psi_continuum
-        weight = lambda k: 2.0 * k
+        weight = lambda k, c: 2.0 * k
     elif normalization in ("coefficient+", "coefficient-"):
-        sgn = +1 if normalization.endswith("+") else -1
-        psi = lambda pp, rr, kk, xx: psi_coefficient_norm(pp, rr, kk, xx, sgn)
-        weight = lambda k: 2.0 / math.pi * np.ones_like(k)
+        nu, lead = (params.nu_plus, 0) if normalization.endswith("+") else (params.nu_minus, 1)
+        weight = lambda k, c: 2.0 / math.pi * (cut * k) ** (-2.0 * nu) / c[lead] ** 2
     else:
         raise ValueError("normalization must be 'closure' or 'coefficient+-'")
     kmax = math.sqrt(ENERGY_CUTOFF_DECADES / t)
 
     def integrand(k):
-        return weight(k) * np.exp(-t * k * k) * psi(params, reg, k, x) \
-            * psi(params, reg, k, y)
+        c = spectral_coefficients(params, reg, k)
+        psi_x, psi_y = (exterior_eigenfunction(params, k, z, *c) for z in (x, y))
+        return weight(k, c) * np.exp(-t * k * k) * psi_x * psi_y
 
     n0 = int(min(max(kmax * (x + y) / math.pi, 8), 256)) + extra_panels
-    res = quad_gk(integrand, 1e-300, kmax, rtol=rtol, initial_panels=n0)
+    # a vanishing C_pm overflows the weight; the check below reports it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        res = quad_gk(integrand, 1e-300, kmax, rtol=rtol, initial_panels=n0)
+    if not (res.converged and math.isfinite(res.value) and math.isfinite(res.error)):
+        raise NumericalError(f"propagator quadrature ({normalization}, g={reg.g}, b={reg.b}) "
+                             f"failed: value {res.value}, error {res.error}, "
+                             f"converged {res.converged}")
     return PropagatorSample(x=x, y=y, t=t, b=reg.b, g=reg.g,
                             value=res.value, quad_error=res.error)
 

@@ -36,7 +36,7 @@ __all__ = [
     "binding_constant",
     "continuum_coefficients",
     "spectral_coefficients",
-    "psi_continuum",
+    "exterior_eigenfunction",
     "mean_position",
     "mean_position_constant",
     "interior_logderiv",
@@ -204,36 +204,15 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     return num * scale, den * scale
 
 
-def psi_continuum(params: ModelParams, reg: Regulator, k, x):
-    """Normalized exterior eigenfunction psi_E(x) for arrays k (x scalar)."""
-    cp, cm = spectral_coefficients(params, reg, k)
-    kx = np.asarray(k, dtype=float) * x
-    root = np.sqrt(kx)
-    return cp * root * sf.jv(params.omega, kx) + cm * root * sf.jv(-params.omega, kx)
+def exterior_eigenfunction(params: ModelParams, k, x, c_plus, c_minus):
+    """psi_E(x) = C_+ sqrt(kx) J_omega(kx) + C_- sqrt(kx) J_{-omega}(kx), x >= b x0.
 
-
-def psi_coefficient_norm(params: ModelParams, reg: Regulator, k, x, sign: int = +1):
-    """Eigenfunction normalized by its dominant Bessel-J coefficient.
-
-    phi = xi^{-nu_pm} sqrt(kx) [J_{pm w}(kx) + r J_{mp w}(kx)] with the
-    exact subdominant ratio r; the prefactor removes the power carried by
-    the coefficient itself.  In this convention the near-fixed-point
-    coefficients are exactly linear in the reduced coupling, which is the
-    normalization the homogeneous scaling laws and the collapse assume.
+    With (C_+, C_-) from spectral_coefficients this is the delta(E - E')
+    normalized eigenfunction; k and the coefficients broadcast, x is a scalar.
     """
-    cp, cm = spectral_coefficients(params, reg, k)
-    k = np.asarray(k, dtype=float)
-    xi = reg.b * params.x0 * k
-    w = params.omega
     kx = k * x
     root = np.sqrt(kx)
-    if sign == +1:
-        ratio = cm / cp
-        return xi ** (-params.nu_plus) * root * (sf.jv(w, kx) + ratio * sf.jv(-w, kx))
-    if sign == -1:
-        ratio = cp / cm
-        return xi ** (-params.nu_minus) * root * (sf.jv(-w, kx) + ratio * sf.jv(w, kx))
-    raise ValueError("sign must be +1 or -1")
+    return c_plus * root * sf.jv(params.omega, kx) + c_minus * root * sf.jv(-params.omega, kx)
 
 
 def continuum_coefficients(params: ModelParams, reg: Regulator, energy: float) -> ContinuumState:
@@ -243,12 +222,13 @@ def continuum_coefficients(params: ModelParams, reg: Regulator, energy: float) -
         raise ValueError("continuum requires E > 0")
     k = math.sqrt(energy)
     cp, cm = (float(v[0]) for v in spectral_coefficients(params, reg, np.array([k])))
-    xi = reg.b * params.x0 * k
+    cut = reg.b * params.x0
+    xi = cut * k
     zeta = math.sqrt(reg.g + xi * xi)
     pure_plus = cm == 0.0
     ratio = math.inf if pure_plus else cp / cm
-    a_val = (cp * math.sqrt(xi) * sf.jv(params.omega, xi)
-             + cm * math.sqrt(xi) * sf.jv(-params.omega, xi)) / math.sin(zeta)
+    # interior amplitude: psi_E at the cut over the interior sin(zeta)
+    a_val = float(exterior_eigenfunction(params, k, cut, cp, cm)) / math.sin(zeta)
     ratio_cma = cm / a_val
     b_norm = math.pi * k * a_val * a_val
     return ContinuumState(energy=energy, xi=xi, ratio_CpCm=ratio, ratio_CmA=ratio_cma,
@@ -267,10 +247,9 @@ def closure_delta(params: ModelParams, reg: Regulator, x: float, y: float, t: fl
 
     def integrand(k):
         cp, cm = spectral_coefficients(params, reg, k)
-        xi = reg.b * params.x0 * k
+        xi = cut * k
         zeta = np.sqrt(reg.g + xi * xi)
-        a_val = (cp * np.sqrt(xi) * sf.jv(params.omega, xi)
-                 + cm * np.sqrt(xi) * sf.jv(-params.omega, xi)) / np.sin(zeta)
+        a_val = exterior_eigenfunction(params, k, cut, cp, cm) / np.sin(zeta)
         w_in = zeta / cut
         return 2.0 * k * np.exp(-t * k * k) * a_val ** 2 * np.sin(w_in * x) * np.sin(w_in * y)
 
@@ -284,11 +263,9 @@ def closure_delta(params: ModelParams, reg: Regulator, x: float, y: float, t: fl
 # Mean position and its near-threshold divergence
 # ---------------------------------------------------------------------------
 
-def mean_position(params: ModelParams, reg: Regulator, g: float | None = None) -> float:
+def mean_position(params: ModelParams, reg: Regulator) -> float:
     """<x> of the unit-normalized ground state: the interior moment
     A^2 int_0^cut x sin^2(k x) dx in closed form, the K_omega tail by quadrature."""
-    if g is not None:
-        reg = Regulator(reg.kind, g, reg.b, reg.profile_x, reg.profile_f)
     st = bound_state(params, reg)
     if st is None:
         raise ValueError(f"no bound state at g={reg.g}")

@@ -155,6 +155,15 @@ def test_chain_unresolved_grid_exits_3(tmp_path, capsys):
     assert not (tmp_path / "chain.csv").exists()
 
 
+def test_propagator_unconverged_quadrature_exits_3(tmp_path, capsys):
+    code, lines, payload = run_cli(["propagator", "--alpha", "-0.1875", "--g", "1.0", "--b", "0.1",
+                                    "--x", "1", "--y", "1", "--t", "1", "--rtol", "1e-16",
+                                    "--out", str(tmp_path)], capsys)
+    assert code == 3 and len(lines) == 1
+    assert payload["error"] == "numerical" and "propagator quadrature" in payload["detail"]
+    assert not (tmp_path / "propagator.csv").exists()
+
+
 FK_ARGS = ["feynman-kac", "--alpha", "-0.1875", "--x", "1", "--y", "1", "--t", "4"]
 
 

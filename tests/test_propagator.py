@@ -8,7 +8,7 @@ import pytest
 
 from invsq import propagator as pg
 from invsq.core import square_well
-from invsq.numerics import quad_gk
+from invsq.numerics import NumericalError, quad_gk
 
 warnings.simplefilter("ignore", pg.RegimeWarning)
 
@@ -137,6 +137,55 @@ def test_unknown_normalization_rejected(params316):
     with pytest.raises(ValueError):
         pg.propagator_quadrature(params316, square_well(1.0, 1e-3), 1.0, 1.0, 1.0,
                                  normalization="nonsense")
+
+
+@pytest.mark.parametrize("norm, near", [("coefficient-", 0), ("coefficient+", 1)])
+def test_vanishing_dominant_coefficient_raises(params316, gfix, norm, near):
+    # as b -> 0, C_- vanishes at g_+ and C_+ at g_-: the weight 1/C^2 of the
+    # other convention overflows, which must raise rather than return inf
+    # (and not escape first as a RuntimeWarning under the suite's filter)
+    with pytest.raises(NumericalError, match="value inf"):
+        pg.propagator_quadrature(params316, square_well(gfix[near], 1e-4), 1.0, 1.0, 1.0,
+                                 normalization=norm)
+
+
+def test_unconverged_quadrature_raises(params316):
+    # rtol below the rounding floor of the sum cannot be met
+    with pytest.raises(NumericalError, match="converged False"):
+        pg.propagator_quadrature(params316, square_well(1.0, 0.1), 1.0, 1.0, 1.0, rtol=1e-16)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_coefficient_normalization_against_scipy(params316, gfix, sign):
+    # G = (2/pi) int e^{-t k^2} phi(x) phi(y) dk with phi = xi^{-nu} sqrt(kx)
+    # [J_{+-w}(kx) + r J_{-+w}(kx)], r the subdominant-to-dominant ratio from
+    # matching the interior sinusoid at the cut: an absolute check of the
+    # overall factor, which the ratio-based law checks cannot see
+    special = pytest.importorskip("scipy.special")
+    integrate = pytest.importorskip("scipy.integrate")
+    w = params316.omega
+    g = gfix[0] + 1e-3 if sign == +1 else gfix[1] - 1e-3
+    b, x, y, t = 1e-2, 1.0, 1.5, 1.0
+    nu, lead = (params316.nu_plus, w) if sign == +1 else (params316.nu_minus, -w)
+
+    def phi(k, z):
+        xi = b * k
+        zeta = math.sqrt(g + xi * xi)
+        mis = zeta / math.tan(zeta) - 0.5  # x psi'/psi - 1/2 of the interior at the cut
+        r = -(xi * special.jvp(lead, xi) - mis * special.jv(lead, xi)) \
+            / (xi * special.jvp(-lead, xi) - mis * special.jv(-lead, xi))
+        kz = k * z
+        return xi ** -nu * math.sqrt(kz) * (special.jv(lead, kz) + r * special.jv(-lead, kz))
+
+    def integrand(k):
+        return 2.0 / math.pi * math.exp(-t * k * k) * phi(k, x) * phi(k, y)
+
+    oracle, _ = integrate.quad(integrand, 0.0, math.sqrt(60.0 / t),
+                               epsabs=0.0, epsrel=1e-12, limit=400)
+    norm = "coefficient+" if sign == +1 else "coefficient-"
+    smp = pg.propagator_quadrature(params316, square_well(g, b), x, y, t, rtol=1e-12,
+                                   normalization=norm)
+    assert smp.value == pytest.approx(oracle, rel=1e-8)
 
 
 def test_callan_symanzik_sign_structure(params316):

@@ -148,6 +148,15 @@ def test_b_normalization_power_law(params316, gfix):
     assert vals[1] == pytest.approx(vals[2], rel=1e-3)
 
 
+def test_continuum_state_fields_are_plain_floats(params316, gfix):
+    for g, b, e in ((1.2, 0.05, 0.04), (gfix[0], 1e-6, 1.0), (0.5, 1.0, 7.0)):
+        st = sp.continuum_coefficients(params316, square_well(g, b), e)
+        for name in ("energy", "xi", "ratio_CpCm", "ratio_CmA", "B", "c_plus", "c_minus"):
+            assert type(getattr(st, name)) is float, name
+        assert type(st.pure_plus) is bool
+    assert type(sp.closure_delta(params316, square_well(0.0, 2.0), 0.8, 1.0, 0.02)) is float
+
+
 def test_closure_delta_sequence(params316):
     # windowed closure against the absorbed-wall heat kernel at small t
     from invsq.classical import absorbed_kernel
