@@ -287,14 +287,14 @@ class TransferOperator:
     T(x, x') = (4 pi eps)^{-1/2} exp(-(x-x')^2 / 4 eps) e^{-eps(V(x)+V(x'))/2},
     applied by FFT; with image=True the Gaussian is replaced by its
     absorbed-wall (image-subtracted) version, the exact free half-line
-    step.  The grid pitch divides the unit length so the well edge falls
+    step.  The grid pitch divides the cut b x0 so the well edge falls
     on a cell boundary.
     """
 
     def __init__(self, params: ModelParams, reg: Regulator, eps: float,
                  x_max: float, n_grid: int, image: bool = True):
-        cells_per_unit = max(1, round(n_grid / x_max))
-        self.h = params.x0 / cells_per_unit
+        cut = reg.b * params.x0
+        self.h = cut / max(1, round(n_grid * cut / x_max))
         self.n = n_grid
         self.x_max = self.n * self.h
         self.eps = eps
@@ -442,9 +442,11 @@ def free_energy_density(params: ModelParams, reg: Regulator,
                         threads: int = 1, order: float | None = None) -> FreeEnergyResult:
     """f = -(1/eps) log lambda_max(T), Richardson-extrapolated in eps.
 
-    The box extends BOX_KAPPA decay lengths of the bound state (or
-    min_box when there is none); the grid resolves the smallest Gaussian
-    step width sigma = sqrt(2 eps) by the factor GRID_RESOLVE.  The
+    eps_list is in units of (b x0)^2 and min_box in units of b x0, so every
+    cut gets the same discretization; eps_used holds the physical steps.
+    The box extends BOX_KAPPA decay lengths of the bound state, and at
+    least 8 b x0 (min_box when there is none); the grid resolves the
+    smallest Gaussian step width sigma = sqrt(2 eps) by GRID_RESOLVE.  The
     extrapolation order is measured from the three-point differences
     unless `order` pins it (the well-edge discontinuity makes the leading
     family eps^{3/2}).  NumericalError when MAX_GRID cells cannot give
@@ -455,18 +457,19 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     except NoBoundState:
         e0 = None
     # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}
+    cut = reg.b * params.x0
     if e0 is not None:
-        x_max, shift = max(BOX_KAPPA / math.sqrt(-e0), 4.0 * reg.b * params.x0, 8.0), -e0
+        x_max, shift = max(BOX_KAPPA / math.sqrt(-e0), 8.0 * cut), -e0
     else:
-        x_max, shift = min_box, (math.pi / min_box) ** 2
-    sigma_min = math.sqrt(2.0 * min(eps_list))
+        x_max, shift = min_box * cut, (math.pi / (min_box * cut)) ** 2
+    eps_sorted = tuple(e * cut * cut for e in sorted(eps_list, reverse=True))
+    sigma_min = math.sqrt(2.0 * eps_sorted[-1])
     n = 1
     while n * sigma_min / GRID_RESOLVE < x_max and n < MAX_GRID:
         n *= 2
     if n * sigma_min / GRID_RESOLVE < x_max:
         raise NumericalError(f"chain grid unresolved: a box of {x_max:.4g} needs more than "
                              f"{MAX_GRID} cells to resolve the step width {sigma_min:.4g}")
-    eps_sorted = tuple(sorted(eps_list, reverse=True))
 
     def f_at(eps: float):
         op = TransferOperator(params, reg, eps, x_max, n, image=True)

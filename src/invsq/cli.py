@@ -439,7 +439,8 @@ COMMANDS = {
         OUT,
         THREADS)),
     "chain": (cmd_chain, MODEL + _regulator_flags(g_required=True) + (
-        Flag("eps_list", str, "0.1,0.05,0.025"),
+        Flag("eps_list", str, "0.1,0.05,0.025", help="time steps in units of (b x0)^2; the grid "
+             "pitch divides b x0 (results for b x0 != 1 differ from earlier versions)"),
         OUT,
         THREADS)),
     # limit-cycle roots are in units of x0, so that command takes no --x0

@@ -103,7 +103,7 @@ def phase_shift_expansion(params: ModelParams, g: float, mu: float) -> float:
     w = params.omega
     gam = gamma_cot(g)
     lead = 0.25 * math.pi * (1.0 - 2.0 * w)
-    coef = math.pi / (w * (2.0 ** w * sf.gamma(w)) ** 2)
+    coef = math.pi / (w * (2.0 ** w * math.gamma(w)) ** 2)
     return lead - coef * (gam - params.nu_plus) / (gam - params.nu_minus) * mu ** (2.0 * w)
 
 

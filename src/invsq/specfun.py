@@ -1,10 +1,11 @@
-"""Self-contained special-function kernel: Gamma, Bessel J/Y/I/K.
+"""Self-contained special-function kernel: Bessel J/Y/I/K.
 
 Real fractional orders only (|nu| < 2, noninteger where the J/Y and I/K
 connection formulas require it), positive real arguments.  Strategy:
 
-* ascending power series for small and moderate argument,
-* Hankel-type asymptotic expansions (P, Q series) for large argument,
+* Gamma from `math.gamma` (every order is a scalar),
+* one ascending power series (J, I, small-x K log-derivative) for small x,
+* one Hankel-term recurrence a_k(nu)/x^k (J/Y via P, Q; I; K) for large x,
 * Y from the J_{+nu}/J_{-nu} connection formula,
 * K from pi (I_{-nu} - I_nu) / (2 sin nu pi) at small argument and an
   exponentially convergent trapezoid rule on the cosh integral
@@ -25,7 +26,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "gamma",
     "jv",
     "yv",
     "iv",
@@ -45,50 +45,6 @@ _ASYM_TERMS = 25
 
 
 # ---------------------------------------------------------------------------
-# Gamma: Lanczos approximation (g = 7, 9 coefficients), reflection for x < 1/2
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_P = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def _gamma_lanczos(x):
-    x = np.asarray(x, dtype=float)
-    a = np.full_like(x, _LANCZOS_P[0])
-    for i in range(1, 9):
-        a = a + _LANCZOS_P[i] / (x + i - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * np.exp(-t) * a
-
-
-def gamma(x):
-    """Gamma(x) for real x, poles at nonpositive integers excluded."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((x <= 0) & (x == np.floor(x))):
-        raise ValueError("gamma pole at nonpositive integer")
-    out = np.empty_like(x)
-    small = x < 0.5
-    if np.any(small):
-        xs = x[small]
-        # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1 - x))
-        out[small] = math.pi / (np.sin(math.pi * xs) * _gamma_lanczos(1.0 - xs))
-    if np.any(~small):
-        out[~small] = _gamma_lanczos(x[~small])
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
 # Ascending series
 # ---------------------------------------------------------------------------
 
@@ -97,10 +53,11 @@ def _check_order(nu: float) -> None:
         raise ValueError(f"order out of supported range: nu={nu}")
 
 
-def _series_cyl(nu: float, x: np.ndarray, sign: float):
+def _series_cyl(nu: float | np.ndarray, x: np.ndarray, sign: float):
     """sum_k (sign q)^k / (k! (nu+1)_k), q = (x/2)^2.
 
-    Shared kernel of the J (sign=-1) and I (sign=+1) ascending series.
+    Shared kernel of the J (sign=-1) and I (sign=+1) ascending series; a
+    column of orders nu gives one row per order.
     """
     q = 0.25 * x * x
     term = np.ones_like(x)
@@ -113,7 +70,7 @@ def _series_cyl(nu: float, x: np.ndarray, sign: float):
 
 def _prefactor(nu: float, x: np.ndarray) -> np.ndarray:
     """(x/2)^nu / Gamma(1+nu), stable for small x and negative nu."""
-    return np.exp(nu * np.log(0.5 * x)) / gamma(1.0 + nu)
+    return np.exp(nu * np.log(0.5 * x)) / math.gamma(1.0 + nu)
 
 
 def _jv_series(nu: float, x: np.ndarray):
@@ -128,19 +85,27 @@ def _iv_series(nu: float, x: np.ndarray):
 # Large-argument asymptotics (Hankel expansion)
 # ---------------------------------------------------------------------------
 
-def _hankel_pq(nu: float, x: np.ndarray):
-    """P, Q asymptotic sums."""
+def _hankel_terms(nu: float, x: np.ndarray):
+    """(k, a_k(nu) / x^k) for k = 1.._ASYM_TERMS, the terms of K's expansion.
+
+    a_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k), decreasing over the
+    used range (x >= 14, k <= 25); I's k-th term is exactly (-1)^k times it.
+    """
     mu = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * x)
-    # a_k = prod_{j=1..k} (mu - (2j-1)^2) / (k! 8^k), computed as scalars
-    # times x^{-k}; terms decrease over the used range (x >= 14, k <= 25).
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
     term = np.ones_like(x)
     for k in range(1, _ASYM_TERMS + 1):
         term = term * (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
-        if k % 2 == 1:
-            q = q + (-1.0) ** ((k - 1) // 2) * term
+        yield k, term
+
+
+def _hankel_pq(nu: float, x: np.ndarray):
+    """P, Q asymptotic sums."""
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    for k, term in _hankel_terms(nu, x):
+        if k % 2:
+            q = q + (-1.0) ** (k // 2) * term
         else:
             p = p + (-1.0) ** (k // 2) * term
     return p, q
@@ -157,20 +122,13 @@ def _jy_asym(nu: float, x: np.ndarray):
     return j, y
 
 
-def _iv_asym(nu: float, x: np.ndarray, scaled: bool):
-    """e^x-dominant asymptotic expansion of I_nu; optionally e^{-x}-scaled."""
-    mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
+def _iv_asym(nu: float, x: np.ndarray):
+    """e^{-x} I_nu(x) from the e^x-dominant asymptotic expansion."""
     total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, _ASYM_TERMS + 1):
-        term = term * -(mu - (2.0 * k - 1.0) ** 2) / k * inv8x
-        total = total + term
+    for k, term in _hankel_terms(nu, x):
+        total = total - term if k % 2 else total + term
     amp = 1.0 / np.sqrt(2.0 * math.pi * x)
-    val = amp * total
-    if not scaled:
-        val = val * np.exp(x)
-    return val
+    return amp * total
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +156,10 @@ def _kv_integral(nu: float, x: np.ndarray):
 
 def _kv_asym(nu: float, x: np.ndarray):
     """K_nu(x) ~ sqrt(pi/2x) e^{-x} sum_k a_k(nu) / x^k, x >= ~90."""
-    mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * x)
     total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, _ASYM_TERMS + 1):
-        term = term * (mu - (2.0 * k - 1.0) ** 2) / k * inv8x
+    for _, term in _hankel_terms(nu, x):
         total = total + term
-    amp = np.sqrt(0.5 * math.pi / x)
-    return amp * total * np.exp(-x)
+    return np.sqrt(0.5 * math.pi / x) * total * np.exp(-x)
 
 
 def _kv_mid_or_large(nu: float, x: np.ndarray):
@@ -268,13 +221,13 @@ def yv(nu, x):
 def iv(nu, x):
     """Modified Bessel I_nu(x), x > 0."""
     _check_order(nu)
-    return _dispatch(x, lambda t: _iv_series(nu, t), lambda t: _iv_asym(nu, t, False), _X_SWITCH_I)
+    return _dispatch(x, lambda t: _iv_series(nu, t), lambda t: _iv_asym(nu, t) * np.exp(t), _X_SWITCH_I)
 
 
 def iv_scaled(nu, x):
     """e^{-x} I_nu(x), overflow-safe for large x."""
     _check_order(nu)
-    return _dispatch(x, lambda t: _iv_series(nu, t) * np.exp(-t), lambda t: _iv_asym(nu, t, True),
+    return _dispatch(x, lambda t: _iv_series(nu, t) * np.exp(-t), lambda t: _iv_asym(nu, t),
                      _X_SWITCH_I)
 
 
@@ -314,6 +267,8 @@ def kv_log_derivative(nu, x):
     x d/dx counterparts,
     x K'/K = [(-nu S_- + T_-) - w (nu S_+ + T_+)] / (S_- - w S_+),
     w = (x/2)^{2 nu}, every term O(1) even where K itself overflows.
+    S_pm = series(+-nu) / Gamma(1 +- nu); x d/dx series(nu) is
+    2q/(nu+1) series(nu+1), q = (x/2)^2, so T_pm = 2q series(+-nu+1) / Gamma(2 +- nu).
     """
     _check_order(nu)
     anu = abs(nu)
@@ -323,25 +278,13 @@ def kv_log_derivative(nu, x):
     small = x <= 1.0
     if np.any(small):
         xs = x[small]
-        q = 0.25 * xs * xs
-        sm = np.zeros_like(xs)
-        sp = np.zeros_like(xs)
-        tm = np.zeros_like(xs)
-        tp = np.zeros_like(xs)
-        term_m = np.full_like(xs, 1.0 / gamma(1.0 - anu))
-        term_p = np.full_like(xs, 1.0 / gamma(1.0 + anu))
-        for k in range(0, 30):
-            if k > 0:
-                term_m = term_m * q / (k * (k - anu))
-                term_p = term_p * q / (k * (k + anu))
-            sm += term_m
-            sp += term_p
-            tm += 2.0 * k * term_m
-            tp += 2.0 * k * term_p
+        orders = (-anu, anu, 1.0 - anu, 1.0 + anu)
+        sm, sp, tm, tp = (_series_cyl(np.array(orders)[:, None], xs, 1.0)
+                          / np.array([[math.gamma(1.0 + o)] for o in orders]))
+        tm, tp = 0.5 * xs * xs * tm, 0.5 * xs * xs * tp
         w = np.exp(2.0 * anu * np.log(0.5 * xs))
         out[small] = ((-anu * sm + tm) - w * (anu * sp + tp)) / (sm - w * sp)
     if np.any(~small):
         xl = x[~small]
         out[~small] = xl * kvp(anu, xl) / kv(anu, xl)
     return float(out[0]) if scalar else out
-

@@ -102,6 +102,15 @@ class CriticalFit:
 # Ground state of every regulator: interior(g, xi^2) = 1/2 + xi K'/K
 # ---------------------------------------------------------------------------
 
+def _quad(what: str, f, a: float, b: float, **kw) -> float:
+    """quad_gk(f, a, b).value; NumericalError (CLI exit 3) when unconverged or not finite."""
+    res = quad_gk(f, a, b, **kw)
+    if not (res.converged and math.isfinite(res.value)):
+        raise NumericalError(f"{what}: quadrature unconverged (error {res.error:.3g} "
+                             f"after {res.n_evals} evaluations)")
+    return res.value
+
+
 def _interior(params: ModelParams, reg: Regulator, g, eps):
     """x psi'/psi at the cut, in units of b x0, of the interior solution that
     vanishes at 0, at energy E = -eps/(b x0)^2 (g and eps broadcast)."""
@@ -137,6 +146,12 @@ def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
     return math.exp(brent(mismatch, lo, math.log(math.sqrt(top)) - 1e-13, xtol=1e-13))
 
 
+def _k_tail(w: float, xi: float) -> float:
+    """int_xi^inf u K_w(u)^2 du = (xi^2/2) [K_{w-1} K_{w+1} - K_w^2](xi), Lommel's
+    integral (Watson, Theory of Bessel Functions, 5.11)."""
+    return 0.5 * xi * xi * (sf.kv(w - 1.0, xi) * sf.kv(w + 1.0, xi) - sf.kv(w, xi) ** 2)
+
+
 def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
     """Ground state of the square-well-regulated Hamiltonian, None below threshold.
 
@@ -157,12 +172,9 @@ def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
     # match with C = 1, then normalize
     w_in = math.sqrt(g - xi * xi) / cut
     a_raw = math.sqrt(xi) * sf.kv(params.omega, xi) / math.sin(w_in * cut)
-    l_in = cut
-    interior = a_raw ** 2 * (0.5 * l_in - math.sin(2.0 * w_in * l_in) / (4.0 * w_in))
+    interior = a_raw ** 2 * (0.5 * cut - math.sin(2.0 * w_in * cut) / (4.0 * w_in))
     kappa = xi / cut
-    tail = quad_gk(lambda u: u * sf.kv(params.omega, u) ** 2, xi, xi + 45.0,
-                   rtol=1e-11, initial_panels=8)
-    exterior = tail.value / kappa
+    exterior = _k_tail(params.omega, xi) / kappa
     norm = math.sqrt(interior + exterior)
     return BoundState(energy=energy, xi=xi, A=a_raw / norm, C=1.0 / norm, norm=norm)
 
@@ -172,7 +184,7 @@ def binding_constant(params: ModelParams) -> float:
     params.require_main()
     w = params.omega
     _, g_minus = fixed_points(params)
-    base = 2.0 ** (2.0 * w - 2.0) * (1.0 + params.alpha / g_minus) * sf.gamma(w) / sf.gamma(1.0 - w)
+    base = 2.0 ** (2.0 * w - 2.0) * (1.0 + params.alpha / g_minus) * math.gamma(w) / math.gamma(1.0 - w)
     return float(base ** (1.0 / w))
 
 
@@ -255,8 +267,8 @@ def closure_delta(params: ModelParams, reg: Regulator, x: float, y: float, t: fl
 
     kmax = math.sqrt(45.0 / t)
     panels = max(8, int(kmax * (x + y) / math.pi))
-    res = quad_gk(integrand, 1e-10, kmax, rtol=1e-9, initial_panels=min(panels, 256))
-    return res.value
+    return _quad(f"closure_delta at t={t}", integrand, 1e-10, kmax, rtol=1e-9,
+                 initial_panels=min(panels, 256))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +286,8 @@ def mean_position(params: ModelParams, reg: Regulator) -> float:
     kappa = st.xi / cut
     num_in = st.A ** 2 * (0.25 * cut * cut - cut * math.sin(2.0 * k * cut) / (4.0 * k)
                           + (math.sin(k * cut) / (2.0 * k)) ** 2)
-    num_out = quad_gk(lambda u: u * u * sf.kv(params.omega, u) ** 2, st.xi, st.xi + 45.0,
-                      rtol=1e-11, initial_panels=8).value * st.C ** 2 / kappa ** 2
+    num_out = _quad("mean_position", lambda u: u * u * sf.kv(params.omega, u) ** 2, st.xi,
+                    st.xi + 45.0, rtol=1e-11, initial_panels=8) * st.C ** 2 / kappa ** 2
     return num_in + num_out
 
 
@@ -437,7 +449,8 @@ def existence_bounds(params: ModelParams, reg: Regulator) -> tuple[float, float]
     square well).  The fitted g_* must land between them.
     """
     params.require_main()
-    moment = quad_gk(lambda x: reg.profile(x) * x * x * np.exp(-x), 0.0, 1.0, rtol=1e-11).value
+    moment = _quad("existence_bounds", lambda x: reg.profile(x) * x * x * np.exp(-x),
+                   0.0, 1.0, rtol=1e-11)
     if moment <= 0.0:
         raise ValueError("profile moment int f x^2 e^-x vanishes: no variational bound")
     g_bind = (0.5 + params.alpha / math.e) / moment

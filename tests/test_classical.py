@@ -352,6 +352,19 @@ def test_free_energy_result_is_plain_and_repeatable(params316, gfix):
     assert 0.0 < runs[0].eigen_residual <= 1e-12
 
 
+def test_free_energy_scales_with_the_cut(params316):
+    # exact b-rescaling: with the pitch dividing the cut b x0 and the ladder in
+    # units of (b x0)^2, f (b x0)^2 is the same at every b, including b = 0.35
+    # and 0.7, where a pitch dividing x0 would put the well edge mid-cell
+    scaled = []
+    for b in (1.0, 0.7, 0.5, 0.35):
+        res = cl.free_energy_density(params316, square_well(2.2, b),
+                                     eps_list=(0.05, 0.025, 0.0125))
+        assert res.f_xy / res.E0 - 1.0 == pytest.approx(2.994e-4, abs=1e-6)
+        scaled.append(res.f_xy * b * b)
+    assert scaled[1:] == pytest.approx(scaled[:1] * 3, rel=1e-9)
+
+
 @pytest.mark.parametrize("d", [1e-3, 1e-6])
 def test_free_energy_refuses_an_unresolved_grid(params316, gfix, d):
     # the bound state's box outgrows MAX_GRID cells of the resolved pitch:

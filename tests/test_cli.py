@@ -1,8 +1,10 @@
 """Command-line interface: dispatch, run specs, artifacts, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,15 @@ def test_chain_eigen_failure_exits_3(owner, name, broken, monkeypatch, tmp_path,
     assert not (tmp_path / "chain.csv").exists()
 
 
+def test_chain_at_a_short_cut_matches_the_bound_state(tmp_path, capsys):
+    # the default ladder is in units of (b x0)^2, so b = 0.35 lands where b = 1
+    # does (f/E0 - 1 = +3.6e-3)
+    code, _, payload = run_cli(["chain", "--alpha", "-0.1875", "--g", "2.2", "--b", "0.35",
+                                "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert payload["f"] / payload["E0"] == pytest.approx(1.0, abs=5e-3)
+
+
 def test_chain_unresolved_grid_exits_3(tmp_path, capsys):
     code, lines, payload = run_cli(["chain", "--alpha", "-0.1875", "--g",
                                     repr(G_MINUS_316 + 1e-6), "--out", str(tmp_path)], capsys)
@@ -274,6 +285,33 @@ def test_console_entry_point():
                            "--alpha", "-0.1875"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "g_minus" in proc.stdout
+
+
+def test_runs_on_numpy_alone():
+    # numpy is the only runtime dependency: with scipy and mpmath unimportable a
+    # fresh interpreter imports every module and runs the core solvers
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None",
+        "import importlib, pkgutil, invsq",
+        "for m in pkgutil.iter_modules(invsq.__path__):",
+        "    importlib.import_module('invsq.' + m.name)",
+        "from invsq.core import derived_constants, fixed_points, square_well",
+        "from invsq.propagator import propagator_quadrature",
+        "from invsq.spectrum import bound_state",
+        "p = derived_constants(-0.1875)",
+        "g_plus, g_minus = fixed_points(p)",
+        "assert bound_state(p, square_well(g_minus + 0.5)).energy < 0.0",
+        "assert propagator_quadrature(p, square_well(g_plus, 0.5), 1.2, 0.9, 1.0).value > 0.0",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0
 
 
 def test_determinism_repeat_runs(tmp_path, capsys):

@@ -5,12 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from invsq import specfun as sf
 
 # frozen with a 40-digit arbitrary-precision run before the build
-GAMMA_QUARTER = 3.625609908221908311930685155867672003
 J_QUARTER_1 = 0.7522313333407900569768001217417792548
 K_QUARTER_01 = 2.685156871876059265087887887806822918
 I_QUARTER_10 = 2806.435899073140374515591823258531847
@@ -22,31 +21,6 @@ XGRID = np.geomspace(1e-3, 50.0, 60)
 
 def envelope(x):
     return np.sqrt(2.0 / (math.pi * x))
-
-
-def test_gamma_closed_forms():
-    assert sf.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert sf.gamma(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert sf.gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-    assert sf.gamma(0.25) == pytest.approx(GAMMA_QUARTER, rel=1e-12)
-
-
-def test_gamma_reflection_and_poles():
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    for x in (0.25, 0.1, 0.4, 0.75):
-        assert sf.gamma(x) * sf.gamma(1.0 - x) == pytest.approx(
-            math.pi / math.sin(math.pi * x), rel=1e-12)
-    with pytest.raises(ValueError):
-        sf.gamma(0.0)
-    with pytest.raises(ValueError):
-        sf.gamma(-3.0)
-
-
-def test_gamma_relative_error_on_interval():
-    xs = np.linspace(0.05, 10.0, 400)
-    ours = sf.gamma(xs)
-    ref = np.array([math.gamma(float(x)) for x in xs])
-    assert np.max(np.abs(ours / ref - 1.0)) < 1e-12
 
 
 def test_bessel_frozen_values():
@@ -70,10 +44,10 @@ def test_half_integer_closed_forms():
 def test_small_argument_leading_terms():
     x = 1e-4
     for nu in ORDERS:
-        lead = (x / 2.0) ** nu / sf.gamma(1.0 + nu)
+        lead = (x / 2.0) ** nu / math.gamma(1.0 + nu)
         assert sf.jv(nu, x) == pytest.approx(lead, rel=1e-8)
         assert sf.iv(nu, x) == pytest.approx(lead, rel=1e-8)
-        lead_m = (x / 2.0) ** (-nu) / sf.gamma(1.0 - nu)
+        lead_m = (x / 2.0) ** (-nu) / math.gamma(1.0 - nu)
         assert sf.jv(-nu, x) == pytest.approx(lead_m, rel=1e-8)
 
 
@@ -83,7 +57,7 @@ def test_k_log_derivative_limit():
     for nu in ORDERS:
         for x in (1e-6, 1e-8):
             val = x * sf.kvp(nu, x) / sf.kv(nu, x)
-            lead = 2.0 * sf.gamma(1.0 - nu) / sf.gamma(nu) * (x / 2.0) ** (2.0 * nu)
+            lead = 2.0 * math.gamma(1.0 - nu) / math.gamma(nu) * (x / 2.0) ** (2.0 * nu)
             assert val == pytest.approx(-nu, abs=1.5 * lead + 1e-9)
         v1 = 1e-6 * sf.kvp(nu, 1e-6) / sf.kv(nu, 1e-6)
         v2 = 1e-8 * sf.kvp(nu, 1e-8) / sf.kv(nu, 1e-8)
@@ -95,7 +69,7 @@ def test_k_small_x_expansion():
     nu = 0.25
     for x in (1e-4, 1e-5):
         val = x * sf.kvp(nu, x) / sf.kv(nu, x)
-        expected = -nu - 2.0 * sf.gamma(1.0 - nu) / sf.gamma(nu) * (x / 2.0) ** (2.0 * nu)
+        expected = -nu - 2.0 * math.gamma(1.0 - nu) / math.gamma(nu) * (x / 2.0) ** (2.0 * nu)
         assert val == pytest.approx(expected, abs=1.5 * x ** (4.0 * nu) + 2 * x * x)
 
 
@@ -182,3 +156,65 @@ def test_recurrence_property(nu, x):
 def test_ki_wronskian_property(nu, x):
     w = sf.kv(nu, x) * sf.ivp(nu, x) - sf.kvp(nu, x) * sf.iv(nu, x)
     assert w * x == pytest.approx(1.0, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracle (test-only): the orders invsq uses, +-[0.05, 0.45] and the
+# same shifted by +-1, on both sides of every branch switch
+# ---------------------------------------------------------------------------
+
+ORACLE_TOL = 1e-10
+SWITCHES = (4.0, 14.0, 16.0, 90.0)
+ORACLE_NU = st.builds(lambda a, sign, shift: sign * a + shift, st.floats(0.05, 0.45),
+                      st.sampled_from((1.0, -1.0)), st.sampled_from((-1.0, 0.0, 1.0)))
+ORACLE_X = st.floats(1e-3, 200.0)
+
+
+def at_switches(test):
+    """Add explicit examples one ulp either side of each switch point."""
+    for s in SWITCHES:
+        for x in (math.nextafter(s, 0.0), math.nextafter(s, math.inf)):
+            for nu in (0.25, -0.45, 1.05, -1.45):
+                test = example(nu=nu, x=x)(test)
+    return test
+
+
+def mp_eval(f, *args):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(f(mpmath, *(mpmath.mpf(a) for a in args)))
+
+
+@at_switches
+@given(nu=ORACLE_NU, x=ORACLE_X)
+def test_jv_yv_against_mpmath(nu, x):
+    # J and Y have zeros: measure against the envelope sqrt(2/pi x)
+    env = math.sqrt(2.0 / (math.pi * x))
+    for ours, ref in ((sf.jv, lambda m, n, z: m.besselj(n, z)),
+                      (sf.yv, lambda m, n, z: m.bessely(n, z))):
+        want = mp_eval(ref, nu, x)
+        assert abs(ours(nu, x) - want) <= ORACLE_TOL * max(abs(want), env)
+
+
+@at_switches
+@given(nu=ORACLE_NU, x=ORACLE_X)
+def test_kv_iv_scaled_against_mpmath(nu, x):
+    want = mp_eval(lambda m, n, z: m.besselk(n, z), nu, x)
+    assert sf.kv(nu, x) == pytest.approx(want, rel=ORACLE_TOL, abs=0.0)
+    # I_{-nu} changes sign for 1 < nu < 2: measure against I_{|nu|} there
+    want = mp_eval(lambda m, n, z: m.besseli(n, z) * m.exp(-z), nu, x)
+    scale = max(abs(want), mp_eval(lambda m, n, z: m.besseli(n, z) * m.exp(-z), abs(nu), x))
+    assert abs(sf.iv_scaled(nu, x) - want) <= ORACLE_TOL * scale
+
+
+@at_switches
+@example(nu=0.25, x=1.0)  # the series / recurrence switch of kv_log_derivative
+@example(nu=0.25, x=math.nextafter(1.0, math.inf))
+@example(nu=0.05, x=1e-12)
+@example(nu=-1.45, x=1e-12)
+@given(nu=ORACLE_NU, x=st.one_of(ORACLE_X, st.floats(1e-12, 1e-3)))
+def test_kv_log_derivative_against_mpmath(nu, x):
+    # x K'/K with K' = -(K_{nu-1} + K_{nu+1}) / 2
+    want = mp_eval(lambda m, n, z: -z * (m.besselk(n - 1, z) + m.besselk(n + 1, z))
+                   / (2 * m.besselk(n, z)), nu, x)
+    assert sf.kv_log_derivative(nu, x) == pytest.approx(want, rel=ORACLE_TOL, abs=0.0)

@@ -88,6 +88,21 @@ def test_wavefunction_value_continuity_and_norm(params316):
     assert norm_in + norm_out == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("w", [0.1, 0.25, 0.45])
+def test_exterior_tail_closed_form_against_mpmath(w):
+    # bound_state's exterior normalization int_xi^inf u K_w(u)^2 du, in closed form
+    mpmath = pytest.importorskip("mpmath")
+    xis = np.geomspace(1e-12, 3.0, 13)
+    with mpmath.workdps(20):
+        # in s = log u, panel by panel from each xi to the next, and 10 -> 60 for the rest
+        f = lambda s: mpmath.exp(2 * s) * mpmath.besselk(w, mpmath.exp(s)) ** 2
+        edges = [mpmath.log(e) for e in (*xis, 10.0, 60.0)]
+        panels = [mpmath.quad(f, [a, b], method="gauss-legendre") for a, b in zip(edges, edges[1:])]
+        want = [float(mpmath.fsum(panels[i:])) for i in range(len(xis))]
+    for xi, ref in zip(xis, want):
+        assert sp._k_tail(w, float(xi)) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
 def test_energy_invariant_under_b_scaling(params316, gfix):
     # E is invariant when g - g_- scales as b^{2 omega}
     _, g_minus = gfix
@@ -128,7 +143,7 @@ def test_cm_over_a_matches_asymptote(params316):
     e = 1.0
     st = sp.continuum_coefficients(params316, reg, e)
     gam = gamma_cot(g)
-    gamma_minus_w = -sf.gamma(1.0 - w) / w  # Gamma(-w) by reflection of the recurrence
+    gamma_minus_w = -math.gamma(1.0 - w) / w  # Gamma(-w) by reflection of the recurrence
     asym = gamma_minus_w / 2.0 ** (1.0 + w) * math.sin(math.sqrt(g)) \
         * (gam - params316.nu_plus) / st.xi ** params316.nu_minus
     norm = st.c_minus / st.ratio_CmA  # the A-amplitude of the normalized state
@@ -164,6 +179,15 @@ def test_closure_delta_sequence(params316):
     for (x, y, t) in ((0.8, 1.0, 0.02), (0.5, 0.6, 0.01)):
         d = sp.closure_delta(params316, reg, x, y, t)
         assert d == pytest.approx(absorbed_kernel(x, y, t), rel=2e-2)
+    assert sp.closure_delta(params316, reg, 0.8, 1.0, 1e-3) == pytest.approx(
+        absorbed_kernel(0.8, 1.0, 1e-3), rel=2e-2)
+
+
+def test_closure_delta_refuses_an_unconverged_quadrature(params316):
+    # at t = 1e-4 the kernel is about 1e-42 and the quadrature stalls at an
+    # error of about 1e-9: raise instead of returning that noise as a value
+    with pytest.raises(NumericalError, match="closure_delta.*unconverged"):
+        sp.closure_delta(params316, square_well(0.0, 2.0), 0.8, 1.0, 1e-4)
 
 
 def test_mean_position_constant_and_divergence(params316, gfix):
