@@ -188,9 +188,9 @@ def cmd_exponent(ns):
 
 def cmd_propagator(ns):
     p = _params(ns)
-    smp = propagator.propagator_quadrature(p, _regulator(ns), ns.x, ns.y, ns.t,
-                                           rtol=ns.rtol)
-    g_plus, g_minus = fixed_points(p)
+    reg = _regulator(ns)
+    smp = propagator.propagator_quadrature(p, reg, ns.x, ns.y, ns.t, rtol=ns.rtol)
+    g_plus, g_minus = (spectrum.threshold(p, reg, nu) for nu in (p.nu_plus, p.nu_minus))
     sign = 1 if abs(smp.g - g_plus) <= abs(smp.g - g_minus) else -1
     u = smp.g - g_plus if sign == 1 else g_minus - smp.g
     out = _outdir(ns) / "propagator.csv"
@@ -365,7 +365,7 @@ MODEL = (ALPHA, Flag("x0", default=1.0, help="fixed length scale"))
 def _regulator_flags(g_required: bool) -> tuple:
     return (Flag("scheme", str, "square", choices=tuple(SCHEMES)),
             Flag("g", required=g_required, help="well depth"),
-            Flag("b", default=1.0, help="width factor (square well)"),
+            Flag("b", default=1.0, help="width factor: the well fills 0 < x < b x0"),
             Flag("profile", str, help="JSON file with {x: [...], f: [...]} (generic)"))
 
 

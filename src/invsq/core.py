@@ -145,10 +145,9 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Regulator:
     """Short-distance modification of alpha/x^2 below the cutoff.
 
-    Every kind realizes V = -(g/(b x0)^2) f(x/(b x0)) on 0 < x < b x0:
-    f = 1 for SquareWell (any b); LinearWell and Generic have b = 1, so
-    V = -(g/x0^2) f(x/x0), with f(s) = s for the linear well and the
-    table's monotone-cubic interpolant for Generic.
+    Every kind realizes V = -(g/(b x0)^2) f(x/(b x0)) on 0 < x < b x0, with
+    f = 1 for SquareWell, f(s) = s for LinearWell, and the table's
+    monotone-cubic interpolant for Generic.
     """
 
     kind: str
@@ -166,8 +165,6 @@ class Regulator:
             raise ValueError("width factor b must be > 0")
         if self.kind not in (KIND_SQUARE, KIND_LINEAR, KIND_GENERIC):
             raise ValueError(f"unknown regulator kind {self.kind!r}")
-        if self.kind in (KIND_LINEAR, KIND_GENERIC) and self.b != 1.0:
-            raise ValueError(f"{self.kind} is defined with b = 1")
         if self.kind == KIND_GENERIC:
             fx = np.asarray(self.profile_x, float)
             fv = np.asarray(self.profile_f, float)
@@ -203,9 +200,7 @@ class Regulator:
         return h00 * y[idx] + h10 * h * d[idx] + h01 * y[idx + 1] + h11 * h * d[idx + 1]
 
     def sup_profile(self) -> float:
-        if self.kind == KIND_SQUARE:
-            return 1.0
-        if self.kind == KIND_LINEAR:
+        if self.kind != KIND_GENERIC:
             return 1.0
         s = np.linspace(self.profile_x[0], self.profile_x[-1], 2001)
         return float(np.max(self._pchip_eval(s)))

@@ -30,23 +30,23 @@ normalization of their fixed point; everything observable (exact law,
 fixed-point forms, path-integral comparisons) runs in the closure
 normalization.
 
-Valid for couplings on the first branch with no bound-state contribution
-(g <= g_minus, enforced: above it the quadrature would miss the bound
-state); the analysis regime is g_+ < g < g_-.
+Valid for every regulator on couplings with no bound-state contribution
+(g at most the regulator's own g_minus, enforced: above it the quadrature
+would miss the bound state); the analysis regime is g_+ < g < g_-.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import specfun as sf
 from .core import ModelParams, Regulator, fixed_points, square_well
 from .numerics import NumericalError, quad_gk, fit_two_powers
-from .spectrum import exterior_eigenfunction, spectral_coefficients
+from .spectrum import exterior_eigenfunction, spectral_coefficients, threshold
 
 __all__ = [
     "PropagatorSample",
@@ -121,8 +121,9 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
         raise ValueError("propagator sampled inside the regulated region (need x, y > b x0)")
     if t <= 0.0:
         raise ValueError("require t > 0")
-    if reg.g > fixed_points(params)[1]:
-        raise ValueError(f"g={reg.g} is above g_minus: the quadrature omits the bound state")
+    if reg.g > threshold(params, reg, params.nu_minus):
+        raise ValueError(f"g={reg.g} is above the {reg.kind} regulator's g_minus: "
+                         "the quadrature omits the bound state")
     if t < 1e-4:
         warnings.warn("t so small the spectral cutoff is very high; "
                       "expect slow quadrature", RegimeWarning, stacklevel=2)
@@ -174,7 +175,7 @@ def check_exact_law(params: ModelParams, reg: Regulator,
     if lam == 1.0:
         return 0.0
     lhs = propagator_quadrature(params, reg, lam * x, lam * y, lam * lam * t, rtol)
-    shrunk = square_well(reg.g, reg.b / lam)
+    shrunk = replace(reg, b=reg.b / lam)
     rhs = propagator_quadrature(params, shrunk, x, y, t, rtol, extra_panels=5)
     return abs(lhs.value - rhs.value / lam) / abs(rhs.value / lam)
 

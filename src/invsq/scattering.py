@@ -1,11 +1,11 @@
-"""Reflection amplitude and phase shift of the square-well-regulated
-potential, and the running of g along curves of constant phase shift.
+"""Reflection amplitude and phase shift of the regulated potential, and the
+running of g along curves of constant phase shift (square well).
 
-Matching the interior sinusoid onto incoming/outgoing Hankel waves at the
-cutoff gives a pure-phase reflection amplitude r; the curves dr/dmu = 0 in
-the (mu, g)-plane, mu = k b x0, linearize at small mu onto exactly the
-beta function of the coupling flow.  The phase shift fixes the exterior
-ratio C_+/C_-, so those curves are the closed-form contours of
+Matching any regulator's interior solution onto incoming/outgoing Hankel
+waves at the cutoff gives a pure-phase reflection amplitude r; the curves
+dr/dmu = 0 in the (mu, g)-plane, mu = k b x0, linearize at small mu onto
+exactly the beta function of the coupling flow.  The phase shift fixes the
+exterior ratio C_+/C_-, so those curves are the closed-form contours of
 `rgflow.contour_coupling`; no ODE is solved.
 """
 
@@ -21,7 +21,7 @@ from . import specfun as sf
 from .core import PI_SQ, ModelParams, Regulator, gamma_cot, square_well
 from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 from .rgflow import contour_coupling
-from .spectrum import spectral_coefficients
+from .spectrum import interior, spectral_coefficients
 
 __all__ = [
     "ReflectionAmplitude",
@@ -55,14 +55,14 @@ def reflection(params: ModelParams, reg: Regulator, k: float) -> ReflectionAmpli
 
     Evaluated as i e^{-i omega pi} (D - iN)/(D + iN) with N = Y' - d Y and
     D = J' - d J, which stays finite where D crosses zero (c infinite);
-    d = (2 sqrt(mu^2+g) cot sqrt(mu^2+g) - 1)/(2 mu).  |r| = 1 identically.
+    d = (2 interior(g, -mu^2) - 1)/(2 mu).  |r| = 1 identically.
     """
     params.require_main()
     if k <= 0.0:
         raise ValueError("require k > 0")
     w = params.omega
     mu = k * reg.b * params.x0
-    d = (2.0 * gamma_cot(reg.g + mu * mu) - 1.0) / (2.0 * mu)
+    d = (2.0 * interior(params, reg, reg.g, -mu * mu) - 1.0) / (2.0 * mu)
     big_d = sf.jvp(w, mu) - d * sf.jv(w, mu)
     big_n = sf.yvp(w, mu) - d * sf.yv(w, mu)
     r = 1j * cmath.exp(-1j * w * math.pi) * (big_d - 1j * big_n) / (big_d + 1j * big_n)

@@ -2,12 +2,12 @@
 
 Every regulator's ground state comes from one matching solve in log xi,
 xi = b x0 sqrt(-E): the interior log-derivative at the cut against the
-exterior 1/2 + xi K'_omega(xi)/K_omega(xi).  The interior side is the closed
-form sqrt(g - xi^2) cot sqrt(g - xi^2) for the square well and Magnus
-shooting for every other profile.  Square-well continuum states match the
-interior sinusoid against J_{+-omega} tails.  Includes the near-threshold
-binding-energy law, the divergence of the mean position, and the
-regulator-independence (the "universality") of the exponent 1/omega.
+exterior 1/2 + xi K'_omega(xi)/K_omega(xi).  That interior side, `interior`,
+is sqrt(g - xi^2) cot sqrt(g - xi^2) for the square well and Magnus shooting
+for every other profile; continuum states (xi^2 < 0) match it against
+J_{+-omega} tails, and `threshold` solves it for g_pm.  Includes the
+near-threshold binding-energy law, the divergence of the mean position, and
+the regulator-independence (the "universality") of the exponent 1/omega.
 
 Continuum normalization: eigenfunctions are delta(E - E') normalized,
 which pins the far-region oscillation amplitude of psi_E to
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .core import KIND_GENERIC, KIND_SQUARE, PI_SQ, ModelParams, Regulator, fixed_points, gamma_cot
+from .core import KIND_GENERIC, KIND_SQUARE, PI_SQ, ModelParams, Regulator, gamma_cot, invert_gamma
 from .numerics import NumericalError, brent, quad_gk, fit_loglog
 from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 
@@ -39,8 +39,9 @@ __all__ = [
     "exterior_eigenfunction",
     "mean_position",
     "mean_position_constant",
+    "interior",
     "interior_logderiv",
-    "generic_threshold_g",
+    "threshold",
     "generic_bound_energy",
     "generic_bound_threshold",
     "existence_bounds",
@@ -111,7 +112,7 @@ def _quad(what: str, f, a: float, b: float, **kw) -> float:
     return res.value
 
 
-def _interior(params: ModelParams, reg: Regulator, g, eps):
+def interior(params: ModelParams, reg: Regulator, g, eps):
     """x psi'/psi at the cut, in units of b x0, of the interior solution that
     vanishes at 0, at energy E = -eps/(b x0)^2 (g and eps broadcast)."""
     if reg.kind == KIND_SQUARE:
@@ -139,7 +140,7 @@ def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
 
     def mismatch(s: float) -> float:
         xi = math.exp(s)
-        return _interior(params, reg, g, xi * xi) - (0.5 + sf.kv_log_derivative(w, xi))
+        return interior(params, reg, g, xi * xi) - (0.5 + sf.kv_log_derivative(w, xi))
 
     if not (top > 0.0 and mismatch(lo) < 0.0):
         raise NoBoundState(f"no bound state at g={g}")
@@ -162,9 +163,8 @@ def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
     params.require_main()
     if reg.kind != KIND_SQUARE:
         raise ValueError("bound_state: square-well regulator required (use the generic path otherwise)")
-    _, g_minus = fixed_points(params)
     g = reg.g
-    if g <= g_minus:
+    if g <= threshold(params, reg, params.nu_minus):
         return None
     xi = _ground_xi(params, reg, g)
     cut = reg.b * params.x0
@@ -183,7 +183,7 @@ def binding_constant(params: ModelParams) -> float:
     """C in E ~ -C (g - g_minus)^{1/omega} / (b x0)^2 near threshold."""
     params.require_main()
     w = params.omega
-    _, g_minus = fixed_points(params)
+    g_minus = invert_gamma(params.nu_minus)
     base = 2.0 ** (2.0 * w - 2.0) * (1.0 + params.alpha / g_minus) * math.gamma(w) / math.gamma(1.0 - w)
     return float(base ** (1.0 / w))
 
@@ -196,17 +196,15 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     """Normalized (C_plus, C_minus) of psi_E for wavenumbers k (vectorized).
 
     psi_E(x) = C_+ sqrt(kx) J_omega(kx) + C_- sqrt(kx) J_{-omega}(kx) for
-    x > b x0, with the far-field amplitude pinned to (pi k)^{-1/2} so that
-    closure holds.  Works at and across the C_- = 0 / C_+ = 0 boundaries
-    because the pair is built from the matching numerator/denominator
-    rather than their ratio.
+    x > b x0, matched to `interior` at xi^2 = -(b x0 k)^2, with the far-field
+    amplitude pinned to (pi k)^{-1/2} so that closure holds.  Works at and
+    across the C_- = 0 / C_+ = 0 boundaries because the pair is built from
+    the matching numerator/denominator rather than their ratio.
     """
-    if reg.kind != KIND_SQUARE:
-        raise ValueError("continuum coefficients implemented for the square well")
     w = params.omega
     k = np.asarray(k, dtype=float)
     xi = reg.b * params.x0 * k
-    gt = gamma_cot(reg.g + xi * xi) - 0.5
+    gt = interior(params, reg, reg.g, -xi * xi) - 0.5
     jw = sf.jv(w, xi)
     jmw = sf.jv(-w, xi)
     num = -xi * sf.jvp(-w, xi) + jmw * gt
@@ -232,6 +230,8 @@ def continuum_coefficients(params: ModelParams, reg: Regulator, energy: float) -
     params.require_main()
     if energy <= 0.0:
         raise ValueError("continuum requires E > 0")
+    if reg.kind != KIND_SQUARE:  # the interior amplitude is read off sin(zeta)
+        raise ValueError("continuum_coefficients: square-well regulator required")
     k = math.sqrt(energy)
     cp, cm = (float(v[0]) for v in spectral_coefficients(params, reg, np.array([k])))
     cut = reg.b * params.x0
@@ -253,6 +253,8 @@ def closure_delta(params: ModelParams, reg: Regulator, x: float, y: float, t: fl
     x, y must sit inside the well (x, y < b x0); for small t this is a
     delta sequence matching the absorbed-wall heat kernel.
     """
+    if reg.kind != KIND_SQUARE:  # the interior amplitude is read off sin(zeta)
+        raise ValueError("closure_delta: square-well regulator required")
     cut = reg.b * params.x0
     if not (0.0 < x < cut and 0.0 < y < cut):
         raise ValueError("closure window requires interior points")
@@ -384,32 +386,32 @@ def interior_logderiv(params: ModelParams, reg: Regulator, g, eps):
     return float(out) if out.ndim == 0 else out
 
 
-def generic_threshold_g(params: ModelParams, reg: Regulator) -> float:
-    """Critical depth g_* where a zero-energy state first matches.
+def threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
+    """Depth g with interior(g, 0) = nu: reg's own g_+ for nu_+, g_- for nu_-.
 
-    The scan is geometric and dense enough not to step over the first
-    matching even for strongly peaked profiles, whose ground threshold
-    sits at g ~ 1/sup f.  The whole scan is one batched interior pass;
-    brent then refines the first crossing.
+    Square well: the closed form `invert_gamma(nu)`.  Otherwise interior(g, 0)
+    falls with g from above nu below the comparison bound invert_gamma(nu) /
+    sup f, and the variational binding depth bounds g_- (so g_+) from above;
+    one batched interior pass scans geometrically between them, densely
+    enough for peaked profiles, and brent refines the first crossing.
     """
     params.require_main()
+    if reg.kind == KIND_SQUARE:
+        return invert_gamma(nu)
 
     def f(g):
-        return _interior(params, reg, g, 0.0) - params.nu_minus
+        return interior(params, reg, g, 0.0) - nu
 
-    # the variational bounds bracket the threshold, so the scan stays on
-    # the ground-state crossing even for strongly peaked profiles
-    g_bind, g_nobind = existence_bounds(params, reg)
-    lo = 0.5 * g_nobind
+    g_bind, _ = existence_bounds(params, reg)
+    g_nobind = invert_gamma(nu) / reg.sup_profile()
     hi = min(1.05 * g_bind, SCAN_G_MAX)
-    gs = np.concatenate([[lo], np.geomspace(g_nobind, hi, 24)])
+    gs = np.concatenate([[0.5 * g_nobind], np.geomspace(g_nobind, hi, 24)])
     fs = f(gs)
     if fs[0] < 0.0:
         raise NumericalError("profile binds below its comparison bound?")
-    # <= 0: for the square well g_nobind is g_minus itself, where f may be exactly 0
     cross = np.flatnonzero(fs[:-1] * fs[1:] <= 0.0)
     if cross.size == 0:
-        raise NumericalError(f"no binding threshold found below g={hi}")
+        raise NumericalError(f"no threshold for nu={nu} found below g={hi}")
     i = cross[0]
     return brent(f, float(gs[i]), float(gs[i + 1]), xtol=1e-13)
 
@@ -434,7 +436,7 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
     any bounded integrable profile.
     """
     du = np.geomspace(window[0], window[1], n_points)
-    g_star = generic_threshold_g(params, reg)
+    g_star = threshold(params, reg, params.nu_minus)
     eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
     slope, amplitude, resid = fit_loglog(du, eps)
     return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
@@ -454,6 +456,5 @@ def existence_bounds(params: ModelParams, reg: Regulator) -> tuple[float, float]
     if moment <= 0.0:
         raise ValueError("profile moment int f x^2 e^-x vanishes: no variational bound")
     g_bind = (0.5 + params.alpha / math.e) / moment
-    _, g_minus = fixed_points(params)
-    g_nobind = g_minus / reg.sup_profile()
+    g_nobind = invert_gamma(params.nu_minus) / reg.sup_profile()
     return g_bind, g_nobind

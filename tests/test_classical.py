@@ -365,6 +365,18 @@ def test_free_energy_scales_with_the_cut(params316):
     assert scaled[1:] == pytest.approx(scaled[:1] * 3, rel=1e-9)
 
 
+def test_free_energy_of_the_linear_well_scales_with_the_cut(params316, wells):
+    # the same law off the square well, which once took b = 1 only
+    g = sp.threshold(params316, wells["linear"](1.0), params316.nu_minus) + 0.5
+    scaled = []
+    for b in (1.0, 0.5, 0.1):
+        res = cl.free_energy_density(params316, wells["linear"](g, b),
+                                     eps_list=(0.05, 0.025, 0.0125))
+        assert res.f_xy == pytest.approx(res.E0, rel=5e-3)
+        scaled.append(res.f_xy * b * b)
+    assert scaled[1:] == pytest.approx(scaled[:1] * 2, rel=1e-9)
+
+
 @pytest.mark.parametrize("d", [1e-3, 1e-6])
 def test_free_energy_refuses_an_unresolved_grid(params316, gfix, d):
     # the bound state's box outgrows MAX_GRID cells of the resolved pitch:

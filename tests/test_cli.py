@@ -103,6 +103,36 @@ def test_phase_curve_leaving_the_branch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "phase_curve.csv").exists()
 
 
+def test_phase_shift_reads_the_regulator(tmp_path, capsys):
+    deltas = {}
+    for scheme in ("square", "linear"):
+        code, _, _ = run_cli(["phase-shift", "--alpha", "-0.1875", "--scheme", scheme,
+                              "--g", "1.5", "--k-min", "0.5", "--k-max", "0.5", "--n-k", "1",
+                              "--out", str(tmp_path)], capsys)
+        assert code == 0
+        deltas[scheme] = (tmp_path / "phase_shift.csv").read_text().splitlines()[-1]
+    assert deltas["square"].endswith(",0.74995752918282999")
+    assert deltas["linear"].split(",")[-1] != deltas["square"].split(",")[-1]
+
+
+def test_propagator_on_the_linear_well_between_its_fixed_points(tmp_path, capsys):
+    # g = 2.0 is above the square well's g_- but below the linear well's 2.698969
+    code, _, payload = run_cli(["propagator", "--alpha", "-0.1875", "--scheme", "linear",
+                                "--g", "2.0", "--x", "1.2", "--y", "1.5", "--t", "1",
+                                "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert payload["G"] == pytest.approx(0.337489, abs=5e-7)
+    row = (tmp_path / "propagator.csv").read_text().splitlines()[-1].split(",")
+    assert int(row[1]) == -1 and float(row[3]) == pytest.approx(0.698969, abs=5e-7)
+
+
+def test_scaling_check_exact_on_the_linear_well(capsys):
+    code, _, payload = run_cli(["scaling-check", "--alpha", "-0.1875", "--law", "exact",
+                                "--scheme", "linear", "--g", "1.0", "--b", "0.1"], capsys)
+    assert code == 0
+    assert payload["residual"] <= 1e-6
+
+
 def test_propagator_above_g_minus_exits_2(tmp_path, capsys):
     code, lines, payload = run_cli(["propagator", "--alpha", "-0.1875", "--g", "2.4411",
                                     "--b", "0.5", "--x", "1.2", "--y", "0.9", "--t", "1",
@@ -407,14 +437,18 @@ def test_non_object_spec_value_exits_2(field, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme", ["linear", "generic"])
-def test_b_other_than_1_rejected_for_b1_schemes(scheme, tmp_path, capsys):
+def test_non_square_schemes_take_any_b(scheme, tmp_path, capsys):
+    # g_* is where interior(g, 0) = nu_-, in units of b x0: the same at every b
     (tmp_path / "profile.json").write_text(json.dumps({"x": [0.0, 1.0], "f": [1.0, 0.5]}))
-    code, lines, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", scheme,
-                                    "--g", "1.0", "--b", "0.5",
+    g_stars = []
+    for b in ("1.0", "0.5"):
+        code, _, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", scheme,
+                                    "--g", "1.0", "--b", b, "--n-points", "4",
                                     "--profile", str(tmp_path / "profile.json"),
                                     "--out", str(tmp_path)], capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and "b = 1" in payload["detail"]
+        assert code == 0
+        g_stars.append(payload["g_star"])
+    assert g_stars[1] == g_stars[0]
 
 
 def test_threads_and_out_only_where_read(capsys):

@@ -104,8 +104,11 @@ def test_linear_well_profile(params316):
     v = reg.potential(np.array([0.25, 2.0]), params316)
     assert v[0] == pytest.approx(-1.5 * 0.25)
     assert v[1] == pytest.approx(params316.alpha / 4.0)
-    with pytest.raises(ValueError):
-        Regulator("LinearWell", 1.0, b=0.5)
+    # every b: V = -(g/(b x0)^2) f(x/(b x0)) inside the cut, alpha/x^2 outside
+    half = Regulator("LinearWell", 1.5, b=0.5)
+    v = half.potential(np.array([0.125, 0.75]), params316)
+    assert v[0] == pytest.approx(-1.5 / 0.25 * 0.25)
+    assert v[1] == pytest.approx(params316.alpha / 0.5625)
 
 
 def test_generic_profile_pchip():

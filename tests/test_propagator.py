@@ -6,21 +6,26 @@ import warnings
 import numpy as np
 import pytest
 
+from invsq import classical as cl
 from invsq import propagator as pg
 from invsq.core import square_well
 from invsq.numerics import NumericalError, quad_gk
+from invsq.spectrum import threshold
 
 warnings.simplefilter("ignore", pg.RegimeWarning)
 
 
-def test_quadrature_matches_fixed_point_closed_form(params316, gfix):
-    g_plus, g_minus = gfix
-    for sign, g in ((+1, g_plus), (-1, g_minus)):
-        for (x, t) in ((1.0, 1.0), (2.0, 10.0)):
-            smp = pg.propagator_quadrature(params316, square_well(g, 1e-4), x, x, t)
-            closed = pg.fixed_point_propagator(params316, sign, x, x, t)
-            assert smp.value == pytest.approx(closed, rel=1e-3)
-            assert smp.quad_error / smp.value <= 1e-8
+def test_quadrature_matches_fixed_point_closed_form(params316, wells):
+    # universality: on each regulator's own fixed points the b -> 0 kernel is
+    # the same closed form
+    for make in wells.values():
+        for sign, nu in ((+1, params316.nu_plus), (-1, params316.nu_minus)):
+            g = threshold(params316, make(1.0), nu)
+            for (x, t) in ((1.0, 1.0), (2.0, 10.0)):
+                smp = pg.propagator_quadrature(params316, make(g, 1e-4), x, x, t)
+                closed = pg.fixed_point_propagator(params316, sign, x, x, t)
+                assert smp.value == pytest.approx(closed, rel=1e-3)
+                assert smp.quad_error / smp.value <= 1e-8
 
 
 def test_quadrature_error_reported(params316):
@@ -51,16 +56,30 @@ def test_domain_validation(params316):
         pg.fixed_point_propagator(params316, 0, 1.0, 1.0, 1.0)
 
 
-def test_quadrature_refuses_couplings_with_a_bound_state(params316, gfix):
-    # above g_minus the continuum is only part of the kernel (full: 0.50281)
-    _, g_minus = gfix
-    with pytest.raises(ValueError, match="g_minus"):
-        pg.propagator_quadrature(params316, square_well(2.4411, 0.5), 1.2, 0.9, 1.0)
-    with pytest.raises(ValueError, match="g_minus"):
-        pg.propagator_quadrature(params316, square_well(math.nextafter(g_minus, 3.0), 0.5),
-                                 1.2, 0.9, 1.0)
-    assert pg.propagator_quadrature(params316, square_well(g_minus, 0.5),
-                                    1.2, 0.9, 1.0).value > 0.0
+def test_quadrature_refuses_couplings_with_a_bound_state(params316, wells):
+    # above the regulator's own g_minus the continuum is only part of the
+    # kernel (square well at g_minus + 0.5 = 2.4411: full 0.50281)
+    for make in wells.values():
+        g_minus = threshold(params316, make(1.0), params316.nu_minus)
+        for g in (g_minus + 0.5, math.nextafter(g_minus, 3.0)):
+            with pytest.raises(ValueError, match="g_minus"):
+                pg.propagator_quadrature(params316, make(g, 0.5), 1.2, 0.9, 1.0)
+        assert pg.propagator_quadrature(params316, make(g_minus, 0.5),
+                                        1.2, 0.9, 1.0).value > 0.0
+
+
+@pytest.mark.parametrize("kind, g", [("linear", 2.0), ("pchip", 1.6)])
+def test_quadrature_matches_the_image_chain_off_the_square_well(params316, wells, kind, g):
+    # the continuum of a non-square well against the chain's own eps
+    # convergence: the gap halves with eps, and the Richardson value lands on G
+    reg = wells[kind](g)
+    ref = pg.propagator_quadrature(params316, reg, 1.2, 1.5, 1.0).value
+    zs = [cl.chain_partition(params316, reg,
+                             cl.ChainSpec(y=1.5, x=1.2, n_links=round(1.0 / eps), epsilon=eps,
+                                          x_max=15.0, n_grid=8192), image=True)
+          for eps in (0.01, 0.005)]
+    assert (zs[0] - ref) / (zs[1] - ref) == pytest.approx(2.0, rel=0.05)
+    assert 2.0 * zs[1] - zs[0] == pytest.approx(ref, rel=1e-3)
 
 
 def test_fixed_point_short_time_free(params316):
@@ -85,11 +104,12 @@ def test_fixed_point_long_time_power_law(params316):
         assert g2 == pytest.approx(amp * t2 ** -0.5 * (1.0 / t2) ** nu, rel=1e-2)
 
 
-def test_exact_law_residuals(params316):
-    reg = square_well(1.0, 0.1)
-    assert pg.check_exact_law(params316, reg, 1.0, 1.0, 1.0, 1.0) == 0.0
-    for lam in (2.0, 5.0):
-        assert pg.check_exact_law(params316, reg, 1.0, 1.0, 1.0, lam) <= 1e-7
+def test_exact_law_residuals(params316, wells):
+    for make in wells.values():
+        reg = make(1.0, 0.1)
+        assert pg.check_exact_law(params316, reg, 1.0, 1.0, 1.0, 1.0) == 0.0
+        for lam in (2.0, 5.0):
+            assert pg.check_exact_law(params316, reg, 1.0, 1.0, 1.0, lam) <= 1e-7
 
 
 def test_dimensional_form_invariance(params316):

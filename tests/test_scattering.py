@@ -12,14 +12,15 @@ from invsq import rgflow as rg
 from invsq.core import derived_constants, gamma_cot, square_well
 
 
-def test_unitarity_random_points(params316):
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        g = rng.uniform(0.05, 9.0)
-        k = 10.0 ** rng.uniform(-3.0, 1.2)
-        b = 10.0 ** rng.uniform(-2.0, 0.5)
-        ra = sc.reflection(params316, square_well(g, b), k)
-        assert abs(abs(ra.r) - 1.0) < 1e-12
+def test_unitarity_random_points(params316, wells):
+    for make in wells.values():
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            g = rng.uniform(0.05, 9.0)
+            k = 10.0 ** rng.uniform(-3.0, 1.2)
+            b = 10.0 ** rng.uniform(-2.0, 0.5)
+            ra = sc.reflection(params316, make(g, b), k)
+            assert abs(abs(ra.r) - 1.0) < 1e-12
 
 
 @given(g=st.floats(0.1, 9.0), logk=st.floats(-4.0, 1.0))
@@ -29,27 +30,32 @@ def test_unitarity_property(g, logk):
     assert abs(abs(ra.r) - 1.0) < 1e-12
 
 
-def test_leading_phase_constant(params316):
+def test_leading_phase_constant(params316, wells):
     # delta -> (pi/4)(1 - 2w) = pi/8 at alpha = -3/16 for any g between
-    # the fixed points; the correction is O(mu^{2w})
-    for g in (1.0, 1.5):
-        ps = sc.phase_shift(params316, square_well(g, 1.0), 1e-13)
-        assert ps.delta == pytest.approx(math.pi / 8.0, abs=1e-6)
+    # the regulator's fixed points; the correction is O(mu^{2w})
+    for make in wells.values():
+        for g in (1.0, 1.5):
+            ps = sc.phase_shift(params316, make(g, 1.0), 1e-13)
+            assert ps.delta == pytest.approx(math.pi / 8.0, abs=1e-6)
 
 
-def test_phase_expansion_coefficient(params316):
-    # measured mu^{2w} coefficient against the closed form, 1% at mu = 1e-3
+def test_phase_expansion_coefficient(params316, wells):
+    # measured mu^{2w} coefficient against the closed form, 1% at mu = 1e-3,
+    # with the regulator's interior(g, 0) in place of gamma(g)
     g = 1.0
     mu = 1e-3
     lead = math.pi / 8.0
-    emp = (sc.phase_shift(params316, square_well(g, 1.0), mu).delta - lead) / mu ** 0.5
     w = params316.omega
-    gam = gamma_cot(g)
-    theory = -math.pi / (w * (2.0 ** w * math.gamma(w)) ** 2) \
-        * (gam - params316.nu_plus) / (gam - params316.nu_minus)
-    assert emp == pytest.approx(theory, rel=1e-2)
+    theory = {}
+    for name, make in wells.items():
+        emp = (sc.phase_shift(params316, make(g, 1.0), mu).delta - lead) / mu ** 0.5
+        gam = sp.interior(params316, make(g, 1.0), g, 0.0)
+        theory[name] = -math.pi / (w * (2.0 ** w * math.gamma(w)) ** 2) \
+            * (gam - params316.nu_plus) / (gam - params316.nu_minus)
+        assert emp == pytest.approx(theory[name], rel=1e-2)
+    assert gamma_cot(g) == sp.interior(params316, square_well(g), g, 0.0)
     assert sc.phase_shift_expansion(params316, g, mu) == pytest.approx(
-        lead + theory * mu ** 0.5, rel=1e-12)
+        lead + theory["square"] * mu ** 0.5, rel=1e-12)
 
 
 def test_remainder_scales_like_sqrt_mu(params316):

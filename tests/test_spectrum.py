@@ -236,7 +236,7 @@ def test_mean_position_requires_bound_state(params316, gfix):
 
 def test_generic_path_reproduces_square_well_threshold(params316, gfix):
     _, g_minus = gfix
-    g_star = sp.generic_threshold_g(params316, square_well(1.0))
+    g_star = sp.threshold(params316, square_well(1.0), params316.nu_minus)
     assert g_star == pytest.approx(g_minus, abs=1e-9)
     # Magnus shooting on the flat profile against the closed form's threshold
     shot = brent(lambda g: sp.interior_logderiv(params316, square_well(1.0), g, 0.0)
@@ -279,6 +279,24 @@ def test_linear_well_scales_with_x0():
     fit2 = sp.generic_bound_threshold(p2, reg, n_points=3)
     assert fit2.g_star == fit1.g_star
     assert fit2.eps == tuple(0.25 * e for e in fit1.eps)
+
+
+def test_non_square_wells_scale_with_the_cut(params316, wells):
+    # the interior is shot in units of b x0, so E b^2 does not depend on b
+    for kind in ("linear", "pchip"):
+        g = sp.threshold(params316, wells[kind](1.0), params316.nu_minus) + 0.5
+        energies = [sp.generic_bound_energy(params316, wells[kind](g, b), g) * b * b
+                    for b in (1.0, 0.5, 0.1)]
+        assert energies[1:] == energies[:1] * 2
+
+
+def test_continuum_amplitude_refuses_non_square_wells(params316, wells):
+    # both read the interior amplitude off the square well's sin(zeta)
+    reg = wells["linear"](1.0, 2.0)
+    with pytest.raises(ValueError, match="square-well"):
+        sp.continuum_coefficients(params316, reg, 1.0)
+    with pytest.raises(ValueError, match="square-well"):
+        sp.closure_delta(params316, reg, 0.8, 1.0, 0.02)
 
 
 def test_deep_non_square_wells_are_refused(params316):
@@ -356,7 +374,9 @@ def _airy_logderiv(g, eps):
 
 
 @pytest.mark.parametrize("g", [1.5, 2.5, 3.0])
-@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3])
+# eps < 0 is the continuum, out to xi = 20; beyond it scipy's Airy drifts
+# past 1e-11 before the shooter does
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3, -0.25, -2.25, -36.0, -400.0])
 def test_interior_logderiv_matches_airy(params316, g, eps):
     got = sp.interior_logderiv(params316, linear_well(1.0), g, eps)
     assert isinstance(got, float)
@@ -379,7 +399,13 @@ def test_linear_threshold_matches_airy(params316):
     g_airy = optimize.brentq(lambda g: _airy_logderiv(g, 0.0) - params316.nu_minus,
                              2.0, 3.5, xtol=1e-15, rtol=1e-15)
     assert g_airy == pytest.approx(AIRY_G_STAR, rel=1e-13)
-    assert sp.generic_threshold_g(params316, linear_well(1.0)) == pytest.approx(g_airy, rel=1e-11)
+    assert sp.threshold(params316, linear_well(1.0), params316.nu_minus) == pytest.approx(
+        g_airy, rel=1e-11)
+    # and the linear well's own g_+
+    g_airy_plus = optimize.brentq(lambda g: _airy_logderiv(g, 0.0) - params316.nu_plus,
+                                  0.5, 2.0, xtol=1e-15, rtol=1e-15)
+    assert sp.threshold(params316, linear_well(1.0), params316.nu_plus) == pytest.approx(
+        g_airy_plus, rel=1e-11)
 
 
 def test_airy_threshold_constant_at_high_precision(params316):
