@@ -209,16 +209,18 @@ def cmd_propagator(ns):
 
 def cmd_scaling_check(ns):
     p = _params(ns)
+    if ns.law != "exact" and (ns.scheme != "square" or ns.g is not None):
+        # the (b, u) laws build square wells of their own from --b and --u
+        raise ValueError(f"the {ns.law} law takes --b and --u on the square well, "
+                         "not --scheme, --g or a regulator")
     if ns.law == "exact":
         r = propagator.check_exact_law(p, _regulator(ns), ns.x, ns.y, ns.t, ns.lam)
     elif ns.law == "asymptotic":
         r = propagator.check_asymptotic_law(p, ns.b, ns.u, ns.sign, ns.x, ns.y, ns.t, ns.lam)
     elif ns.law == "scaling":
         r = propagator.check_scaling_relation(p, ns.b, ns.u, ns.sign, ns.lam, ns.x, ns.y, ns.t)
-    elif ns.law == "callan-symanzik":
+    else:  # callan-symanzik, the last of the flag's choices
         r = propagator.callan_symanzik_residual(p, ns.b, ns.u, ns.sign, ns.x, ns.y, ns.t)
-    else:
-        raise ValueError(f"unknown law {ns.law!r}")
     return f"{ns.law} residual = {r:.3e}", {"law": ns.law, "residual": r}
 
 
@@ -244,10 +246,8 @@ def cmd_phase_shift(ns):
     reg = _regulator(ns)
     ks = np.geomspace(ns.k_min, ns.k_max, ns.n_k)
     deltas = scattering.phase_shift_sweep(p, reg, ks)
-    rows = []
-    for k, d in zip(ks, deltas):
-        ra = scattering.reflection(p, reg, float(k))
-        rows.append((ra.mu, reg.g, ra.r.real, ra.r.imag, d))
+    r = -np.exp(2j * deltas)
+    rows = list(zip(ks * reg.b * p.x0, [reg.g] * len(ks), r.real, r.imag, deltas))
     out = _outdir(ns) / "phase_shift.csv"
     write_csv(out, _provenance(ns, g=reg.g, b=reg.b),
               ["mu (k b x0, dimensionless)", "g (dimensionless)",

@@ -1,27 +1,25 @@
 """Reflection amplitude and phase shift of the regulated potential, and the
 running of g along curves of constant phase shift (square well).
 
-Matching any regulator's interior solution onto incoming/outgoing Hankel
-waves at the cutoff gives a pure-phase reflection amplitude r; the curves
-dr/dmu = 0 in the (mu, g)-plane, mu = k b x0, linearize at small mu onto
-exactly the beta function of the coupling flow.  The phase shift fixes the
-exterior ratio C_+/C_-, so those curves are the closed-form contours of
-`rgflow.contour_coupling`; no ODE is solved.
+Far from the cutoff every continuum state is a combination of
+sqrt(kx) J_{+-omega}(kx); the phase shift is the argument of the exterior pair
+C_+ + C_- e^{i omega pi} from `spectrum.spectral_coefficients`, so one matching
+serves every regulator.  The curves of constant phase in the (mu, g)-plane,
+mu = k b x0, are the closed-form contours of `rgflow.contour_coupling`; at
+small mu they linearize onto exactly the beta function of the coupling flow.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun as sf
 from .core import PI_SQ, ModelParams, Regulator, gamma_cot, square_well
 from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 from .rgflow import contour_coupling
-from .spectrum import interior, spectral_coefficients
+from .spectrum import spectral_coefficients
 
 __all__ = [
     "ReflectionAmplitude",
@@ -50,33 +48,29 @@ class PhaseShift:
     mu: float
 
 
-def reflection(params: ModelParams, reg: Regulator, k: float) -> ReflectionAmplitude:
-    """r = i e^{-i omega pi} (1 - ic)/(1 + ic) with the matching constant c.
+def phase_shift(params: ModelParams, reg: Regulator, k) -> PhaseShift:
+    """delta in (-pi/2, pi/2] at wavenumbers k (vectorized), from the exterior pair.
 
-    Evaluated as i e^{-i omega pi} (D - iN)/(D + iN) with N = Y' - d Y and
-    D = J' - d J, which stays finite where D crosses zero (c infinite);
-    d = (2 interior(g, -mu^2) - 1)/(2 mu).  |r| = 1 identically.
+    Far out psi_E ~ C_+ cos(kx - (2w + 1) pi/4) + C_- cos(kx + (2w - 1) pi/4)
+    = |C_+ + C_- e^{i w pi}| sin(kx + delta): delta is (1 - 2w) pi/4 plus the
+    argument of C_+ + C_- e^{i w pi}.
     """
     params.require_main()
-    if k <= 0.0:
+    kk = np.asarray(k, dtype=float)
+    if np.any(kk <= 0.0):
         raise ValueError("require k > 0")
     w = params.omega
-    mu = k * reg.b * params.x0
-    d = (2.0 * interior(params, reg, reg.g, -mu * mu) - 1.0) / (2.0 * mu)
-    big_d = sf.jvp(w, mu) - d * sf.jv(w, mu)
-    big_n = sf.yvp(w, mu) - d * sf.yv(w, mu)
-    r = 1j * cmath.exp(-1j * w * math.pi) * (big_d - 1j * big_n) / (big_d + 1j * big_n)
-    return ReflectionAmplitude(r=r, k=k, mu=mu, g=reg.g)
+    c_plus, c_minus = spectral_coefficients(params, reg, kk)
+    delta = 0.25 * math.pi * (1.0 - 2.0 * w) + np.arctan2(
+        c_minus * math.sin(w * math.pi), c_plus + c_minus * math.cos(w * math.pi))
+    delta = delta - math.pi * np.round(delta / math.pi)
+    return PhaseShift(delta=delta, k=k, mu=kk * reg.b * params.x0)
 
 
-def _delta_principal(r: complex) -> float:
-    """delta in (-pi/2, pi/2] from r = -e^{2 i delta}."""
-    return 0.5 * cmath.phase(-r)
-
-
-def phase_shift(params: ModelParams, reg: Regulator, k: float) -> PhaseShift:
-    ra = reflection(params, reg, k)
-    return PhaseShift(delta=_delta_principal(ra.r), k=k, mu=ra.mu)
+def reflection(params: ModelParams, reg: Regulator, k) -> ReflectionAmplitude:
+    """r = -e^{2 i delta}, delta from the exterior pair (`phase_shift`); k may be an array."""
+    ps = phase_shift(params, reg, k)
+    return ReflectionAmplitude(r=-np.exp(2j * ps.delta), k=k, mu=ps.mu, g=reg.g)
 
 
 def phase_shift_sweep(params: ModelParams, reg: Regulator, ks) -> np.ndarray:
@@ -85,16 +79,9 @@ def phase_shift_sweep(params: ModelParams, reg: Regulator, ks) -> np.ndarray:
     The principal value is taken at the first k; each subsequent delta is
     shifted by the multiple of pi closest to its predecessor.
     """
-    ks = np.asarray(ks, dtype=float)
-    out = np.empty_like(ks)
-    prev = None
-    for i, k in enumerate(ks):
-        d = _delta_principal(reflection(params, reg, k).r)
-        if prev is not None:
-            d += math.pi * round((prev - d) / math.pi)
-        out[i] = d
-        prev = d
-    return out
+    delta = phase_shift(params, reg, np.asarray(ks, dtype=float)).delta
+    turns = np.round(-np.diff(delta, prepend=delta[:1]) / math.pi)
+    return delta + math.pi * np.cumsum(turns)
 
 
 def phase_shift_expansion(params: ModelParams, g: float, mu: float) -> float:

@@ -1,12 +1,11 @@
-"""Self-contained special-function kernel: Bessel J/Y/I/K.
+"""Self-contained special-function kernel: Bessel J/I/K.
 
-Real fractional orders only (|nu| < 2, noninteger where the J/Y and I/K
-connection formulas require it), positive real arguments.  Strategy:
+Real fractional orders only (|nu| < 2, noninteger where the I/K connection
+formula requires it), positive real arguments.  Strategy:
 
 * Gamma from `math.gamma` (every order is a scalar),
 * one ascending power series (J, I, small-x K log-derivative) for small x,
-* one Hankel-term recurrence a_k(nu)/x^k (J/Y via P, Q; I; K) for large x,
-* Y from the J_{+nu}/J_{-nu} connection formula,
+* one Hankel-term recurrence a_k(nu)/x^k (J via P, Q; I; K) for large x,
 * K from pi (I_{-nu} - I_nu) / (2 sin nu pi) at small argument and an
   exponentially convergent trapezoid rule on the cosh integral
   representation beyond,
@@ -27,13 +26,9 @@ import numpy as np
 
 __all__ = [
     "jv",
-    "yv",
-    "iv",
     "kv",
     "iv_scaled",
     "jvp",
-    "yvp",
-    "ivp",
     "kvp",
 ]
 
@@ -111,15 +106,12 @@ def _hankel_pq(nu: float, x: np.ndarray):
     return p, q
 
 
-def _jy_asym(nu: float, x: np.ndarray):
-    """(J, Y) for large x from the Hankel expansion."""
+def _jv_asym(nu: float, x: np.ndarray):
+    """J for large x from the Hankel expansion."""
     p, q = _hankel_pq(nu, x)
     chi = x - (0.5 * nu + 0.25) * math.pi
     amp = np.sqrt(2.0 / (math.pi * x))
-    c, s = np.cos(chi), np.sin(chi)
-    j = amp * (c * p - s * q)
-    y = amp * (s * p + c * q)
-    return j, y
+    return amp * (np.cos(chi) * p - np.sin(chi) * q)
 
 
 def _iv_asym(nu: float, x: np.ndarray):
@@ -202,26 +194,7 @@ def _dispatch(x, small_fn, large_fn, switch):
 def jv(nu, x):
     """Bessel J_nu(x), x > 0."""
     _check_order(nu)
-    return _dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jy_asym(nu, t)[0], _X_SWITCH_J)
-
-
-def yv(nu, x):
-    """Bessel Y_nu(x) for noninteger nu, x > 0."""
-    _check_order(nu)
-    if abs(nu - round(nu)) < 1e-9:
-        raise ValueError("yv requires noninteger order")
-
-    def small(t):
-        s, c = math.sin(math.pi * nu), math.cos(math.pi * nu)
-        return (_jv_series(nu, t) * c - _jv_series(-nu, t)) / s
-
-    return _dispatch(x, small, lambda t: _jy_asym(nu, t)[1], _X_SWITCH_J)
-
-
-def iv(nu, x):
-    """Modified Bessel I_nu(x), x > 0."""
-    _check_order(nu)
-    return _dispatch(x, lambda t: _iv_series(nu, t), lambda t: _iv_asym(nu, t) * np.exp(t), _X_SWITCH_I)
+    return _dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jv_asym(nu, t), _X_SWITCH_J)
 
 
 def iv_scaled(nu, x):
@@ -242,16 +215,6 @@ def kv(nu, x):
 def jvp(nu, x):
     """J'_nu(x) = (J_{nu-1} - J_{nu+1}) / 2."""
     return 0.5 * (jv(nu - 1.0, x) - jv(nu + 1.0, x))
-
-
-def yvp(nu, x):
-    """Y'_nu(x) = (Y_{nu-1} - Y_{nu+1}) / 2."""
-    return 0.5 * (yv(nu - 1.0, x) - yv(nu + 1.0, x))
-
-
-def ivp(nu, x):
-    """I'_nu(x) = (I_{nu-1} + I_{nu+1}) / 2."""
-    return 0.5 * (iv(nu - 1.0, x) + iv(nu + 1.0, x))
 
 
 def kvp(nu, x):

@@ -17,8 +17,9 @@ All spectral coefficients returned here carry that normalization.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -396,6 +397,12 @@ def threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
     enough for peaked profiles, and brent refines the first crossing.
     """
     params.require_main()
+    return _threshold(params, replace(reg, g=0.0, b=1.0), nu)
+
+
+@functools.lru_cache(maxsize=None)
+def _threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
+    """threshold's solve, once per profile: g and b do not enter the interior at the cut."""
     if reg.kind == KIND_SQUARE:
         return invert_gamma(nu)
 

@@ -80,11 +80,43 @@ def test_scaling_check_exact(capsys):
     assert payload["residual"] < 1e-6
 
 
+@pytest.mark.parametrize("law, args", [
+    ("asymptotic", ["--scheme", "linear", "--b", "0.01", "--u", "0.001"]),
+    ("callan-symanzik", ["--scheme", "linear", "--g", "5"]),
+    ("scaling", ["--g", "1.0"])])
+def test_scaling_check_refuses_a_regulator_its_law_ignores(law, args, tmp_path, capsys):
+    # the (b, u) laws build square wells from --u; a scheme or depth would be ignored
+    code, lines, payload = run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
+                                   + args, capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and law in payload["detail"]
+    spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": law,
+            "regulator": {"kind": "SquareWell", "g": 1.0, "b": 0.01}}
+    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code == 2 and payload["error"] == "validation"
+
+
 def test_phase_shift_csv(tmp_path, capsys):
     code, _, _ = run_cli(["phase-shift", "--alpha", "-0.1875", "--g", "1.0",
                           "--n-k", "5", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert (tmp_path / "phase_shift.csv").exists()
+
+
+def test_phase_shift_solves_the_sweep_once(tmp_path, capsys, monkeypatch):
+    from invsq import scattering
+    calls = []
+    orig = scattering.spectral_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(scattering, "spectral_coefficients", counted)
+    code, _, payload = run_cli(["phase-shift", "--alpha", "-0.1875", "--g", "1.0",
+                                "--n-k", "50", "--out", str(tmp_path)], capsys)
+    assert code == 0 and payload["rows"] == 50
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n_xi", [0, 1])

@@ -152,3 +152,53 @@ def test_field_linearizes_to_beta_function(params316):
 def test_reflection_domain(params316):
     with pytest.raises(ValueError):
         sc.reflection(params316, square_well(1.0), 0.0)
+    with pytest.raises(ValueError):
+        sc.reflection(params316, square_well(1.0), np.array([0.5, -1.0]))
+
+
+def test_reflection_matches_hankel_matching(params316, wells):
+    # oracle: the interior matched onto Hankel waves at the cut with scipy's
+    # J and Y, r = i e^{-i w pi} (D - iN)/(D + iN), D = J' - d J, N = Y' - d Y
+    special = pytest.importorskip("scipy.special")
+    w = params316.omega
+    worst = 0.0
+    for make in wells.values():
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            g = rng.uniform(0.05, 9.0)
+            b = 10.0 ** rng.uniform(-2.0, 0.5)
+            reg = make(g, b)
+            for k in 10.0 ** rng.uniform(-3.0, 1.2, size=3):
+                mu = k * b
+                d = (2.0 * sp.interior(params316, reg, g, -mu * mu) - 1.0) / (2.0 * mu)
+                big_d = special.jvp(w, mu) - d * special.jv(w, mu)
+                big_n = special.yvp(w, mu) - d * special.yv(w, mu)
+                want = 1j * np.exp(-1j * w * math.pi) * (big_d - 1j * big_n) / (big_d + 1j * big_n)
+                worst = max(worst, abs(sc.reflection(params316, reg, k).r - want))
+    assert worst <= 1e-10
+
+
+def test_reflection_of_an_array_is_its_scalar_calls(params316, wells):
+    ks = np.geomspace(1e-3, 20.0, 37)
+    for make in wells.values():
+        for g, b in ((1.0, 1.0), (3.0, 0.5), (8.0, 0.05)):
+            ra = sc.reflection(params316, make(g, b), ks)
+            assert np.array_equal(ra.mu, ks * b)
+            assert np.array_equal(ra.r, [sc.reflection(params316, make(g, b), k).r for k in ks])
+
+
+def test_sweep_is_the_tracked_principal_phase(params316):
+    # square g = 30 at b = 0.5 crosses two branches between k = 1e-3 and 20;
+    # the oracle shifts each principal delta by the multiple of pi nearest
+    # its predecessor
+    reg = square_well(30.0, 0.5)
+    ks = np.geomspace(1e-3, 20.0, 400)
+    want, prev = [], None
+    for k in ks:
+        d = sc.phase_shift(params316, reg, k).delta
+        if prev is not None:
+            d += math.pi * round((prev - d) / math.pi)
+        want.append(d)
+        prev = d
+    assert abs(want[-1] - want[0]) > 1.5 * math.pi
+    assert np.array_equal(sc.phase_shift_sweep(params316, reg, ks), want)

@@ -13,7 +13,6 @@ from invsq import specfun as sf
 J_QUARTER_1 = 0.7522313333407900569768001217417792548
 K_QUARTER_01 = 2.685156871876059265087887887806822918
 I_QUARTER_10 = 2806.435899073140374515591823258531847
-Y_QUARTER_2 = 0.3927383996153850553154168601646658605
 
 ORDERS = (0.1, 0.25, 0.4)
 XGRID = np.geomspace(1e-3, 50.0, 60)
@@ -23,22 +22,28 @@ def envelope(x):
     return np.sqrt(2.0 / (math.pi * x))
 
 
+def iv(nu, x):
+    return sf.iv_scaled(nu, x) * np.exp(x)
+
+
+def ivp(nu, x):
+    return 0.5 * (iv(nu - 1.0, x) + iv(nu + 1.0, x))
+
+
 def test_bessel_frozen_values():
     assert sf.jv(0.25, 1.0) == pytest.approx(J_QUARTER_1, rel=1e-12)
     assert sf.kv(0.25, 0.1) == pytest.approx(K_QUARTER_01, rel=1e-12)
-    assert sf.iv(0.25, 10.0) == pytest.approx(I_QUARTER_10, rel=1e-12)
-    assert sf.yv(0.25, 2.0) == pytest.approx(Y_QUARTER_2, rel=1e-11)
+    assert iv(0.25, 10.0) == pytest.approx(I_QUARTER_10, rel=1e-12)
 
 
 def test_half_integer_closed_forms():
     x = math.pi / 2.0
     assert sf.jv(0.5, x) == pytest.approx(2.0 / math.pi, rel=1e-12)
     assert sf.kv(0.5, 1.0) == pytest.approx(math.sqrt(math.pi / 2.0) / math.e, rel=1e-12)
-    assert sf.iv(0.5, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi) * math.sinh(1.0), rel=1e-12)
-    # J_{1/2}(x) = sqrt(2/pi x) sin x, Y_{1/2}(x) = -sqrt(2/pi x) cos x
+    assert iv(0.5, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi) * math.sinh(1.0), rel=1e-12)
+    # J_{1/2}(x) = sqrt(2/pi x) sin x
     amp = math.sqrt(2.0 / (math.pi * 1.3))
     assert sf.jv(0.5, 1.3) == pytest.approx(amp * math.sin(1.3), rel=1e-11)
-    assert sf.yv(0.5, 1.3) == pytest.approx(-amp * math.cos(1.3), rel=1e-11)
 
 
 def test_small_argument_leading_terms():
@@ -46,7 +51,7 @@ def test_small_argument_leading_terms():
     for nu in ORDERS:
         lead = (x / 2.0) ** nu / math.gamma(1.0 + nu)
         assert sf.jv(nu, x) == pytest.approx(lead, rel=1e-8)
-        assert sf.iv(nu, x) == pytest.approx(lead, rel=1e-8)
+        assert iv(nu, x) == pytest.approx(lead, rel=1e-8)
         lead_m = (x / 2.0) ** (-nu) / math.gamma(1.0 - nu)
         assert sf.jv(-nu, x) == pytest.approx(lead_m, rel=1e-8)
 
@@ -76,24 +81,17 @@ def test_k_small_x_expansion():
 def test_i_large_argument_asymptote():
     # leading form carries a (4 nu^2 - 1)/8x correction, ~1% at x = 10
     x = 10.0
-    assert sf.iv(0.25, x) == pytest.approx(math.exp(x) / math.sqrt(2.0 * math.pi * x),
-                                           rel=1e-2)
+    assert iv(0.25, x) == pytest.approx(math.exp(x) / math.sqrt(2.0 * math.pi * x), rel=1e-2)
     for nu in ORDERS:
         corr = 1.0 - (4.0 * nu * nu - 1.0) / (8.0 * x)
-        assert sf.iv(nu, x) == pytest.approx(
+        assert iv(nu, x) == pytest.approx(
             math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr, rel=2e-3)
-
-
-def test_wronskian_j_y():
-    for nu in ORDERS:
-        w = sf.jv(nu, XGRID) * sf.yvp(nu, XGRID) - sf.jvp(nu, XGRID) * sf.yv(nu, XGRID)
-        assert np.max(np.abs(w / (2.0 / (math.pi * XGRID)) - 1.0)) < 1e-9
 
 
 def test_wronskian_k_i():
     xs = np.geomspace(1e-3, 50.0, 60)
     for nu in ORDERS:
-        w = sf.kv(nu, xs) * sf.ivp(nu, xs) - sf.kvp(nu, xs) * sf.iv(nu, xs)
+        w = sf.kv(nu, xs) * ivp(nu, xs) - sf.kvp(nu, xs) * iv(nu, xs)
         assert np.max(np.abs(w * xs - 1.0)) < 1e-9
 
 
@@ -105,27 +103,13 @@ def test_recurrence_j():
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-9
 
 
-def test_y_connection_formula_consistency():
-    # evaluate both sides independently at nu = 0.25, x = 2
-    nu, x = 0.25, 2.0
-    lhs = sf.yv(nu, x)
-    rhs = (sf.jv(nu, x) * math.cos(nu * math.pi) - sf.jv(-nu, x)) / math.sin(nu * math.pi)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
 def test_derivatives_match_central_differences():
     h = 1e-6
     for nu in ORDERS:
         for x in (0.5, 3.0, 20.0):
-            for f, fp in ((sf.jv, sf.jvp), (sf.yv, sf.yvp), (sf.iv, sf.ivp), (sf.kv, sf.kvp)):
+            for f, fp in ((sf.jv, sf.jvp), (iv, ivp), (sf.kv, sf.kvp)):
                 num = (f(nu, x + h) - f(nu, x - h)) / (2.0 * h)
                 assert fp(nu, x) == pytest.approx(num, rel=1e-6, abs=1e-9)
-
-
-def test_scaled_variants_track_unscaled():
-    xs = np.geomspace(0.5, 60.0, 40)
-    for nu in ORDERS:
-        assert np.allclose(sf.iv_scaled(nu, xs), sf.iv(nu, xs) * np.exp(-xs), rtol=1e-11)
 
 
 def test_scaled_i_no_overflow():
@@ -140,8 +124,6 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         sf.jv(0.25, 0.0)
     with pytest.raises(ValueError):
-        sf.yv(1.0, 2.0)  # integer order unsupported
-    with pytest.raises(ValueError):
         sf.jv(3.5, 1.0)  # outside supported order range
 
 
@@ -154,7 +136,7 @@ def test_recurrence_property(nu, x):
 
 @given(nu=st.floats(0.05, 0.45), x=st.floats(0.05, 30.0))
 def test_ki_wronskian_property(nu, x):
-    w = sf.kv(nu, x) * sf.ivp(nu, x) - sf.kvp(nu, x) * sf.iv(nu, x)
+    w = sf.kv(nu, x) * ivp(nu, x) - sf.kvp(nu, x) * iv(nu, x)
     assert w * x == pytest.approx(1.0, rel=1e-9)
 
 
@@ -187,13 +169,10 @@ def mp_eval(f, *args):
 
 @at_switches
 @given(nu=ORACLE_NU, x=ORACLE_X)
-def test_jv_yv_against_mpmath(nu, x):
-    # J and Y have zeros: measure against the envelope sqrt(2/pi x)
-    env = math.sqrt(2.0 / (math.pi * x))
-    for ours, ref in ((sf.jv, lambda m, n, z: m.besselj(n, z)),
-                      (sf.yv, lambda m, n, z: m.bessely(n, z))):
-        want = mp_eval(ref, nu, x)
-        assert abs(ours(nu, x) - want) <= ORACLE_TOL * max(abs(want), env)
+def test_jv_against_mpmath(nu, x):
+    # J has zeros: measure against the envelope sqrt(2/pi x)
+    want = mp_eval(lambda m, n, z: m.besselj(n, z), nu, x)
+    assert abs(sf.jv(nu, x) - want) <= ORACLE_TOL * max(abs(want), math.sqrt(2.0 / (math.pi * x)))
 
 
 @at_switches

@@ -1,6 +1,7 @@
 """Bound states, continuum coefficients, threshold scaling, universality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,26 @@ def test_threshold_independent_of_b(params316, gfix):
     for b in (0.25, 2.0):
         assert sp.bound_state(params316, square_well(g_minus - 1e-5, b)) is None
         assert sp.bound_state(params316, square_well(g_minus + 1e-4, b)) is not None
+
+
+def test_threshold_is_solved_once_per_profile(params316, monkeypatch):
+    # g and b do not enter the interior at the cut: another depth or width of
+    # the same profile reuses the solve
+    calls = []
+    orig = sp.interior_logderiv
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(sp, "interior_logderiv", counted)
+    xs = np.linspace(0.0, 1.0, 11)
+    first = sp.threshold(params316, generic_well(1.0, xs, 1.0 - 0.15 * xs), params316.nu_minus)
+    assert calls
+    calls.clear()
+    other = replace(generic_well(2.5, xs, 1.0 - 0.15 * xs), b=0.3)
+    again = sp.threshold(params316, other, params316.nu_minus)
+    assert again == first and not calls
 
 
 def test_near_threshold_energy_matches_binding_law(params316, gfix):
