@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Regulator, fixed_points, square_well
+from .core import ModelParams, Regulator, square_well
 from .numerics import NumericalError
-from .spectrum import NoBoundState, generic_bound_energy
+from .spectrum import NoBoundState, generic_bound_energy, threshold
 from .spectrum import bound_state  # noqa: F401  (bench/tracing.py looks bound_state up here)
 
 __all__ = [
@@ -262,10 +262,8 @@ def scaling_check_W(params: ModelParams, b: float, sign: int,
     long times the ratio tends to the target, and lam' = 1/lam gives
     asymptotic equivalence (target 1).
     """
-    g_plus, g_minus = fixed_points(params)
-    g = g_plus if sign == +1 else g_minus
     nu = params.nu_plus if sign == +1 else params.nu_minus
-    reg = square_well(g, b)
+    reg = square_well(threshold(params, square_well(0.0), nu), b)
     num_spec = PathEnsembleSpec(y=lam_prime * y, x=lam * x, t=t, n_steps=n_steps,
                                 n_samples=n_samples, seed=seed)
     den_spec = PathEnsembleSpec(y=y, x=x, t=t, n_steps=n_steps,

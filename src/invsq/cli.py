@@ -209,18 +209,26 @@ def cmd_propagator(ns):
 
 def cmd_scaling_check(ns):
     p = _params(ns)
-    if ns.law != "exact" and (ns.scheme != "square" or ns.g is not None):
+    if ns.law != "exact" and (ns.scheme != "square" or ns.g is not None
+                              or ns.profile is not None):
         # the (b, u) laws build square wells of their own from --b and --u
         raise ValueError(f"the {ns.law} law takes --b and --u on the square well, "
-                         "not --scheme, --g or a regulator")
+                         "not --scheme, --g, --profile or a regulator")
+    unread = {"exact": ("u", "sign"), "callan-symanzik": ("lam",)}.get(ns.law, ())
+    given = [name for name in unread if getattr(ns, name) is not None]
+    if given:
+        raise ValueError(f"the {ns.law} law does not read {', '.join(given)}")
+    u = 1e-3 if ns.u is None else ns.u
+    sign = 1 if ns.sign is None else ns.sign
+    lam = 2.0 if ns.lam is None else ns.lam
     if ns.law == "exact":
-        r = propagator.check_exact_law(p, _regulator(ns), ns.x, ns.y, ns.t, ns.lam)
+        r = propagator.check_exact_law(p, _regulator(ns), ns.x, ns.y, ns.t, lam)
     elif ns.law == "asymptotic":
-        r = propagator.check_asymptotic_law(p, ns.b, ns.u, ns.sign, ns.x, ns.y, ns.t, ns.lam)
+        r = propagator.check_asymptotic_law(p, ns.b, u, sign, ns.x, ns.y, ns.t, lam)
     elif ns.law == "scaling":
-        r = propagator.check_scaling_relation(p, ns.b, ns.u, ns.sign, ns.lam, ns.x, ns.y, ns.t)
+        r = propagator.check_scaling_relation(p, ns.b, u, sign, lam, ns.x, ns.y, ns.t)
     else:  # callan-symanzik, the last of the flag's choices
-        r = propagator.callan_symanzik_residual(p, ns.b, ns.u, ns.sign, ns.x, ns.y, ns.t)
+        r = propagator.callan_symanzik_residual(p, ns.b, u, sign, ns.x, ns.y, ns.t)
     return f"{ns.law} residual = {r:.3e}", {"law": ns.law, "residual": r}
 
 
@@ -403,9 +411,10 @@ COMMANDS = {
     "scaling-check": (cmd_scaling_check, MODEL + _regulator_flags(g_required=False) + (
         Flag("law", str, required=True,
              choices=("exact", "asymptotic", "scaling", "callan-symanzik")),
-        Flag("u", default=1e-3),
-        Flag("sign", int, 1, choices=(1, -1)),
-        Flag("lam", default=2.0),
+        Flag("u", help="reduced coupling, default 1e-3 (not read by the exact law)"),
+        Flag("sign", int, choices=(1, -1),
+             help="fixed point g_+ (1, default) or g_- (-1) (not read by the exact law)"),
+        Flag("lam", help="rescaling factor, default 2 (not read by callan-symanzik)"),
         Flag("x", default=1.0),
         Flag("y", default=1.0),
         Flag("t", default=1.0))),

@@ -36,9 +36,8 @@ QUAD_MAX_PANELS = 4096  # quad_gk stops refining at this many panels
 # Root finding
 # ---------------------------------------------------------------------------
 
-def brent(f: Callable[[float], float], a: float, b: float,
-          xtol: float = 1e-13, rtol: float = 4e-16) -> float:
-    """Brent's method on a sign-changing bracket [a, b]."""
+def brent(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-13) -> float:
+    """Brent's method on a sign-changing bracket [a, b], to xtol plus 8e-16 relative."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -55,7 +54,7 @@ def brent(f: Callable[[float], float], a: float, b: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * rtol * abs(b) + 0.5 * xtol
+        tol = 8e-16 * abs(b) + 0.5 * xtol
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -135,8 +134,7 @@ def _panel_rule(f, a: np.ndarray, b: np.ndarray):
 
 
 def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-            rtol: float = 1e-9, atol: float = 0.0,
-            initial_panels: int = 1) -> QuadResult:
+            rtol: float = 1e-9, initial_panels: int = 1) -> QuadResult:
     """Adaptive panel-bisection Gauss-Kronrod integration of f on [a, b].
 
     f must accept a 1-D array of abscissas and return the integrand values;
@@ -151,7 +149,7 @@ def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     for _ in range(64):
         total = float(np.sum(vals))
         tot_err = float(np.sum(errs))
-        tol = max(rtol * abs(total), atol)
+        tol = rtol * abs(total)
         if tot_err <= tol:
             return QuadResult(total, tot_err, n_evals, True)
         if len(pa) >= QUAD_MAX_PANELS:
@@ -174,7 +172,7 @@ def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         pa, pb, vals, errs = new_a, new_b, new_vals, new_errs
     total = float(np.sum(vals))
     tot_err = float(np.sum(errs))
-    return QuadResult(total, tot_err, n_evals, tot_err <= max(rtol * abs(total), atol))
+    return QuadResult(total, tot_err, n_evals, tot_err <= rtol * abs(total))
 
 
 # ---------------------------------------------------------------------------

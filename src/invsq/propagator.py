@@ -7,8 +7,10 @@ Two spectral normalizations coexist, and the distinction matters:
 * "closure" -- eigenfunctions delta(E - E') normalized.  This is the
   physical heat kernel: it satisfies the boundary condition, the
   semigroup property, the exact rescaling law, and the b = 0 closed
-  forms, and it is what Brownian-motion expectations estimate.  Because
-  the interior-amplitude factor B(g, xi) vanishes like xi^{2 nu_pm} as
+  forms, and it is what Brownian-motion expectations estimate.  Its
+  weight inside the well is B(g, xi) = pi k A^2, where A is the interior
+  amplitude of psi_E (psi_E = A sin(sqrt(g + xi^2) x/(b x0)) in a square
+  well).  Because B vanishes like xi^{2 nu_pm} as
   xi -> 0, the physical kernel is asymptotically blind to (b, u) at
   fixed (x, y, t): its near-fixed-point law is G(l x, -i l^2 t; l y) ~
   l^{-1} G with no anomalous power.
@@ -44,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun as sf
-from .core import ModelParams, Regulator, fixed_points, square_well
+from .core import ModelParams, Regulator, square_well
 from .numerics import NumericalError, quad_gk, fit_two_powers
 from .spectrum import exterior_eigenfunction, spectral_coefficients, threshold
 
@@ -161,7 +163,7 @@ def fixed_point_propagator(params: ModelParams, sign: int,
     """
     params.require_main()
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 (UV, I_{+omega}) or -1 (IR, I_{-omega})")
+        raise ValueError("sign must be +1 (g_+, I_{+omega}) or -1 (g_-, I_{-omega})")
     nu = sign * params.omega
     z = x * y / (2.0 * t)
     return (math.sqrt(x * y) / (2.0 * t)) * math.exp(-((x - y) ** 2) / (4.0 * t)) \
@@ -182,11 +184,10 @@ def check_exact_law(params: ModelParams, reg: Regulator,
 
 def _g_of_u(params: ModelParams, sign: int, u: float) -> float:
     """Coupling at reduced coupling u = g - g_+ (sign=+1) or g_- - g (sign=-1)."""
-    g_plus, g_minus = fixed_points(params)
     if sign == +1:
-        return g_plus + u
+        return threshold(params, square_well(0.0), params.nu_plus) + u
     if sign == -1:
-        return g_minus - u
+        return threshold(params, square_well(0.0), params.nu_minus) - u
     raise ValueError("sign must be +1 (near g_+) or -1 (near g_-)")
 
 

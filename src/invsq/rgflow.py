@@ -27,28 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .core import MODE_LIMIT_CYCLE, ModelParams, PI_SQ, fixed_points, invert_gamma
+from .core import MODE_LIMIT_CYCLE, ModelParams, PI_SQ, invert_gamma
 from .numerics import NumericalError
 from .numerics import brent, rk45  # noqa: F401  (bench/tracing.py looks both up here)
 
 __all__ = [
     "FlowState",
-    "FixedPointInfo",
     "LimitCycleState",
     "beta",
-    "beta_prime",
-    "fixed_point_info",
     "flow",
     "invert_gamma",
     "contour_coupling",
     "contour_constant_ratio",
-    "scaling_variable_step",
     "limit_cycle_phase",
     "limit_cycle",
 ]
-
-IR = "IR-attractive"
-UV = "UV-attractive"
 
 
 @dataclass(frozen=True)
@@ -58,14 +51,6 @@ class FlowState:
     g: float
     u: float
     exited: bool = False
-
-
-@dataclass(frozen=True)
-class FixedPointInfo:
-    gamma_star: float
-    g_star: float
-    rg_eigenvalue: float
-    stability: str
 
 
 @dataclass(frozen=True)
@@ -81,22 +66,6 @@ def beta(params: ModelParams, gamma: float) -> float:
     """b dgamma/db = -(gamma - nu_-)(gamma - nu_+)."""
     params.require_main()
     return -(gamma - params.nu_minus) * (gamma - params.nu_plus)
-
-
-def beta_prime(params: ModelParams, gamma: float) -> float:
-    """Slope 1 - 2 gamma of the beta function."""
-    params.require_main()
-    return 1.0 - 2.0 * gamma
-
-
-def fixed_point_info(params: ModelParams, which: str) -> FixedPointInfo:
-    """which = 'IR' (gamma = nu_-, g = g_minus) or 'UV' (gamma = nu_+, g = g_plus)."""
-    g_plus, g_minus = fixed_points(params)
-    if which.upper().startswith("IR"):
-        return FixedPointInfo(params.nu_minus, g_minus, 2.0 * params.omega, IR)
-    if which.upper().startswith("UV"):
-        return FixedPointInfo(params.nu_plus, g_plus, -2.0 * params.omega, UV)
-    raise ValueError("which must be 'IR' or 'UV'")
 
 
 def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:
@@ -126,11 +95,6 @@ def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:
         g1 = math.nan
     # reduced coupling in the infrared convention u = gamma - nu_-
     return FlowState(b1, gamma1, g1, gamma1 - nm, exited)
-
-
-def scaling_variable_step(u: float, epsilon: float, fp: FixedPointInfo) -> float:
-    """One infinitesimal cutoff reduction b -> b(1 - epsilon): u' = u (1-eps)^y."""
-    return u * (1.0 - epsilon) ** fp.rg_eigenvalue
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "phase_shift",
     "phase_shift_sweep",
     "phase_shift_expansion",
-    "pole_energy_estimate",
     "constant_phase_curve",
 ]
 
@@ -92,19 +91,6 @@ def phase_shift_expansion(params: ModelParams, g: float, mu: float) -> float:
     lead = 0.25 * math.pi * (1.0 - 2.0 * w)
     coef = math.pi / (w * (2.0 ** w * math.gamma(w)) ** 2)
     return lead - coef * (gam - params.nu_plus) / (gam - params.nu_minus) * mu ** (2.0 * w)
-
-
-def pole_energy_estimate(params: ModelParams, reg: Regulator, k: float) -> float:
-    """E = -s^2 from the Mobius form r = (s - ik)/(s + ik) of the amplitude.
-
-    With the hard-wall phase convention r = -e^{2 i delta} this reads
-    s = -k cot delta.  Near threshold the phase crosses -pi/4 at
-    k = kappa_bound, where s equals the bound-state wavenumber and the
-    pole at k = is reproduces the ground-state energy.
-    """
-    ps = phase_shift(params, reg, k)
-    s = -k / math.tan(ps.delta)
-    return -(s * s)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "kv",
     "iv_scaled",
     "jvp",
-    "kvp",
 ]
 
 _SERIES_TERMS = 48
@@ -217,11 +216,6 @@ def jvp(nu, x):
     return 0.5 * (jv(nu - 1.0, x) - jv(nu + 1.0, x))
 
 
-def kvp(nu, x):
-    """K'_nu(x) = -(K_{nu-1} + K_{nu+1}) / 2."""
-    return -0.5 * (kv(nu - 1.0, x) + kv(nu + 1.0, x))
-
-
 def kv_log_derivative(nu, x):
     """x K'_nu(x) / K_nu(x), stable down to arbitrarily small x.
 
@@ -232,6 +226,7 @@ def kv_log_derivative(nu, x):
     w = (x/2)^{2 nu}, every term O(1) even where K itself overflows.
     S_pm = series(+-nu) / Gamma(1 +- nu); x d/dx series(nu) is
     2q/(nu+1) series(nu+1), q = (x/2)^2, so T_pm = 2q series(+-nu+1) / Gamma(2 +- nu).
+    For x > 1 the recurrence x K'_nu = -nu K_nu - x K_{nu-1} needs two K's.
     """
     _check_order(nu)
     anu = abs(nu)
@@ -249,5 +244,5 @@ def kv_log_derivative(nu, x):
         out[small] = ((-anu * sm + tm) - w * (anu * sp + tp)) / (sm - w * sp)
     if np.any(~small):
         xl = x[~small]
-        out[~small] = xl * kvp(anu, xl) / kv(anu, xl)
+        out[~small] = -anu - xl * kv(anu - 1.0, xl) / kv(anu, xl)
     return float(out[0]) if scalar else out

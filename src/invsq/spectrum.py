@@ -24,18 +24,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun as sf
-from .core import KIND_GENERIC, KIND_SQUARE, PI_SQ, ModelParams, Regulator, gamma_cot, invert_gamma
+from .core import (KIND_GENERIC, KIND_SQUARE, PI_SQ, ModelParams, Regulator, gamma_cot,
+                   invert_gamma, square_well)
 from .numerics import NumericalError, brent, quad_gk, fit_loglog
 from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 
 __all__ = [
     "NoBoundState",
     "BoundState",
-    "ContinuumState",
     "CriticalFit",
     "bound_state",
     "binding_constant",
-    "continuum_coefficients",
     "spectral_coefficients",
     "exterior_eigenfunction",
     "mean_position",
@@ -46,7 +45,6 @@ __all__ = [
     "generic_bound_energy",
     "generic_bound_threshold",
     "existence_bounds",
-    "closure_delta",
 ]
 
 
@@ -68,25 +66,6 @@ class BoundState:
     A: float
     C: float
     norm: float
-
-
-@dataclass(frozen=True)
-class ContinuumState:
-    """Scattering eigenstate data at energy E > 0.
-
-    ratio_CpCm may be +-inf (pure J_omega eigenfunction: the C_- = 0
-    boundary); pure_plus flags that case.  B is the closure-normalization
-    factor A^2 pi sqrt(E) of the interior amplitude.
-    """
-
-    energy: float
-    xi: float
-    ratio_CpCm: float
-    ratio_CmA: float
-    B: float
-    c_plus: float
-    c_minus: float
-    pure_plus: bool = False
 
 
 @dataclass(frozen=True)
@@ -130,7 +109,9 @@ def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
     positive.  A square well deeper than pi^2 starts the bracket above the
     last cotangent pole; other profiles need g sup f < pi^2, where Sturm
     comparison with the square well keeps the interior solution free of
-    zeros, hence its log-derivative free of poles.
+    zeros, hence its log-derivative free of poles.  Callers first check
+    that g is above reg's own g_minus, which makes the mismatch negative at
+    the bottom (there it tends to interior(g, 0) - nu_minus).
     """
     top = g * reg.sup_profile()
     if reg.kind != KIND_SQUARE and top >= PI_SQ:
@@ -143,8 +124,6 @@ def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
         xi = math.exp(s)
         return interior(params, reg, g, xi * xi) - (0.5 + sf.kv_log_derivative(w, xi))
 
-    if not (top > 0.0 and mismatch(lo) < 0.0):
-        raise NoBoundState(f"no bound state at g={g}")
     return math.exp(brent(mismatch, lo, math.log(math.sqrt(top)) - 1e-13, xtol=1e-13))
 
 
@@ -224,54 +203,6 @@ def exterior_eigenfunction(params: ModelParams, k, x, c_plus, c_minus):
     kx = k * x
     root = np.sqrt(kx)
     return c_plus * root * sf.jv(params.omega, kx) + c_minus * root * sf.jv(-params.omega, kx)
-
-
-def continuum_coefficients(params: ModelParams, reg: Regulator, energy: float) -> ContinuumState:
-    """Exact coefficient data of the continuum eigenstate at E > 0."""
-    params.require_main()
-    if energy <= 0.0:
-        raise ValueError("continuum requires E > 0")
-    if reg.kind != KIND_SQUARE:  # the interior amplitude is read off sin(zeta)
-        raise ValueError("continuum_coefficients: square-well regulator required")
-    k = math.sqrt(energy)
-    cp, cm = (float(v[0]) for v in spectral_coefficients(params, reg, np.array([k])))
-    cut = reg.b * params.x0
-    xi = cut * k
-    zeta = math.sqrt(reg.g + xi * xi)
-    pure_plus = cm == 0.0
-    ratio = math.inf if pure_plus else cp / cm
-    # interior amplitude: psi_E at the cut over the interior sin(zeta)
-    a_val = float(exterior_eigenfunction(params, k, cut, cp, cm)) / math.sin(zeta)
-    ratio_cma = cm / a_val
-    b_norm = math.pi * k * a_val * a_val
-    return ContinuumState(energy=energy, xi=xi, ratio_CpCm=ratio, ratio_CmA=ratio_cma,
-                          B=b_norm, c_plus=cp, c_minus=cm, pure_plus=pure_plus)
-
-
-def closure_delta(params: ModelParams, reg: Regulator, x: float, y: float, t: float) -> float:
-    """Windowed closure integral int A^2 sin(w x) sin(w y) e^{-tE} dE.
-
-    x, y must sit inside the well (x, y < b x0); for small t this is a
-    delta sequence matching the absorbed-wall heat kernel.
-    """
-    if reg.kind != KIND_SQUARE:  # the interior amplitude is read off sin(zeta)
-        raise ValueError("closure_delta: square-well regulator required")
-    cut = reg.b * params.x0
-    if not (0.0 < x < cut and 0.0 < y < cut):
-        raise ValueError("closure window requires interior points")
-
-    def integrand(k):
-        cp, cm = spectral_coefficients(params, reg, k)
-        xi = cut * k
-        zeta = np.sqrt(reg.g + xi * xi)
-        a_val = exterior_eigenfunction(params, k, cut, cp, cm) / np.sin(zeta)
-        w_in = zeta / cut
-        return 2.0 * k * np.exp(-t * k * k) * a_val ** 2 * np.sin(w_in * x) * np.sin(w_in * y)
-
-    kmax = math.sqrt(45.0 / t)
-    panels = max(8, int(kmax * (x + y) / math.pi))
-    return _quad(f"closure_delta at t={t}", integrand, 1e-10, kmax, rtol=1e-9,
-                 initial_panels=min(panels, 256))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +341,7 @@ def _threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
         return interior(params, reg, g, 0.0) - nu
 
     g_bind, _ = existence_bounds(params, reg)
-    g_nobind = invert_gamma(nu) / reg.sup_profile()
+    g_nobind = threshold(params, square_well(0.0), nu) / reg.sup_profile()
     hi = min(1.05 * g_bind, SCAN_G_MAX)
     gs = np.concatenate([[0.5 * g_nobind], np.geomspace(g_nobind, hi, 24)])
     fs = f(gs)
@@ -431,6 +362,8 @@ def generic_bound_energy(params: ModelParams, reg: Regulator, g: float) -> float
     non-square well with g sup f >= pi^2, where that solve does not apply.
     """
     params.require_main()
+    if g <= threshold(params, reg, params.nu_minus):
+        raise NoBoundState(f"no bound state at g={g}")
     return (_ground_xi(params, reg, g) / (reg.b * params.x0)) ** 2
 
 
@@ -463,5 +396,4 @@ def existence_bounds(params: ModelParams, reg: Regulator) -> tuple[float, float]
     if moment <= 0.0:
         raise ValueError("profile moment int f x^2 e^-x vanishes: no variational bound")
     g_bind = (0.5 + params.alpha / math.e) / moment
-    g_nobind = invert_gamma(params.nu_minus) / reg.sup_profile()
-    return g_bind, g_nobind
+    return g_bind, threshold(params, square_well(0.0), params.nu_minus) / reg.sup_profile()

@@ -83,9 +83,10 @@ def test_scaling_check_exact(capsys):
 @pytest.mark.parametrize("law, args", [
     ("asymptotic", ["--scheme", "linear", "--b", "0.01", "--u", "0.001"]),
     ("callan-symanzik", ["--scheme", "linear", "--g", "5"]),
-    ("scaling", ["--g", "1.0"])])
+    ("scaling", ["--g", "1.0"]),
+    ("asymptotic", ["--profile", "profile.json"])])
 def test_scaling_check_refuses_a_regulator_its_law_ignores(law, args, tmp_path, capsys):
-    # the (b, u) laws build square wells from --u; a scheme or depth would be ignored
+    # the (b, u) laws build square wells from --u; a scheme, depth or profile would be ignored
     code, lines, payload = run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
                                    + args, capsys)
     assert code == 2 and len(lines) == 1
@@ -94,6 +95,36 @@ def test_scaling_check_refuses_a_regulator_its_law_ignores(law, args, tmp_path, 
             "regulator": {"kind": "SquareWell", "g": 1.0, "b": 0.01}}
     code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
     assert code == 2 and payload["error"] == "validation"
+
+
+@pytest.mark.parametrize("law, args, field", [
+    ("exact", ["--g", "1.0", "--b", "0.1", "--u", "0.5"], ("u", 0.5)),
+    ("exact", ["--g", "1.0", "--b", "0.1", "--sign", "-1"], ("sign", -1)),
+    ("callan-symanzik", ["--b", "0.01", "--lam", "3"], ("lam", 3.0))])
+def test_scaling_check_refuses_a_flag_its_law_ignores(law, args, field, tmp_path, capsys):
+    # the exact law reads neither --u nor --sign, callan-symanzik no --lam
+    code, lines, payload = run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
+                                   + args, capsys)
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and field[0] in payload["detail"]
+    spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": law,
+            "b": 0.1, field[0]: field[1]}
+    if law == "exact":
+        spec["g"] = 1.0
+    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
+    assert code == 2 and payload["error"] == "validation"
+
+
+@pytest.mark.parametrize("law, defaults", [
+    ("asymptotic", ["--u", "1e-3", "--sign", "1", "--lam", "2"]),
+    ("callan-symanzik", ["--u", "1e-3", "--sign", "1"]),
+    ("exact", ["--g", "1.0", "--lam", "2"])])
+def test_scaling_check_defaults_are_the_flags_values(law, defaults, capsys):
+    base = ["scaling-check", "--alpha", "-0.1875", "--law", law, "--b", "0.01"]
+    code, _, implied = run_cli(base + (["--g", "1.0"] if law == "exact" else []), capsys)
+    assert code == 0
+    code, _, explicit = run_cli(base + defaults, capsys)
+    assert code == 0 and explicit["residual"] == implied["residual"]
 
 
 def test_phase_shift_csv(tmp_path, capsys):

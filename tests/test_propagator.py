@@ -239,6 +239,25 @@ def test_callan_symanzik_trend(params316):
     assert r_fine < r_coarse
 
 
+def test_near_fixed_point_laws_reuse_the_fixed_points(params316, monkeypatch):
+    # g_pm come from the cached square-well threshold: after a warm-up the
+    # (b, u) laws make no root solve
+    from invsq import core, spectrum
+    for sign in (+1, -1):
+        pg.check_asymptotic_law(params316, 1e-2, 1e-3, sign, 1.0, 1.0, 1.0, 2.0)
+    calls = []
+
+    def counted(orig):
+        return lambda *args, **kw: calls.append(args) or orig(*args, **kw)
+
+    for mod in (core, spectrum):
+        monkeypatch.setattr(mod, "brent", counted(mod.brent))
+    for sign in (+1, -1):
+        pg.check_asymptotic_law(params316, 1e-2, 1e-3, sign, 1.0, 1.0, 1.0, 2.0)
+        pg.callan_symanzik_residual(params316, 1e-2, 1e-3, sign, 1.0, 1.0, 1.0)
+    assert calls == []
+
+
 def test_u0_row_matches_power_law(params316, gfix):
     # G(b, 0) ~ t^{-1/2} (xy/b^2)^{nu_+}: in xy at fixed b, and in b at fixed xy
     g_plus, _ = gfix

@@ -25,14 +25,12 @@ def test_beta_zeros_and_signs(params316):
 
 
 def test_rg_eigenvalues(params316):
+    # y = beta'(gamma_*) = 1 - 2 gamma_*: +2 omega = 0.5 at nu_-, -2 omega at nu_+
     p = params316
     h = 1e-6
-    for which, nu, y in (("IR", p.nu_minus, 0.5), ("UV", p.nu_plus, -0.5)):
-        fp = rg.fixed_point_info(p, which)
+    for nu, y in ((p.nu_minus, 0.5), (p.nu_plus, -0.5)):
         slope = (rg.beta(p, nu + h) - rg.beta(p, nu - h)) / (2.0 * h)
         assert slope == pytest.approx(y, abs=1e-10)
-        assert fp.rg_eigenvalue == pytest.approx(y, abs=1e-15)
-        assert rg.beta_prime(p, nu) == pytest.approx(y, abs=1e-15)
 
 
 def test_g_frame_eigenvalue_matches(params316, gfix):
@@ -40,13 +38,13 @@ def test_g_frame_eigenvalue_matches(params316, gfix):
     from invsq.core import gamma_cot
     p = params316
     h = 1e-5
-    for g_star, gamma_star in zip(gfix, (p.nu_plus, p.nu_minus)):
+    for g_star, y in zip(gfix, (-2.0 * p.omega, 2.0 * p.omega)):
         def beta_g(g):
             # beta(g) = beta(gamma(g)) / gamma'(g)
             gp = (gamma_cot(g + h) - gamma_cot(g - h)) / (2.0 * h)
             return rg.beta(p, float(gamma_cot(g))) / gp
         slope = (beta_g(g_star + h) - beta_g(g_star - h)) / (2.0 * h)
-        assert slope == pytest.approx(rg.beta_prime(p, gamma_star), abs=1e-6)
+        assert slope == pytest.approx(y, abs=1e-6)
 
 
 def test_flow_fixed_point_constant(params316):
@@ -64,10 +62,11 @@ def test_flow_infinitesimal_step_matches_scaling_variable(params316):
     stt = rg.flow(p, p.nu_minus + u0, 1.0, 1.0 - eps)
     expected = u0 * (1.0 - eps) ** (2.0 * p.omega)
     assert stt.u == pytest.approx(expected, rel=1e-6)
-    fp = rg.fixed_point_info(p, "IR")
-    assert rg.scaling_variable_step(u0, eps, fp) == pytest.approx(expected, rel=1e-15)
-    fp_uv = rg.fixed_point_info(p, "UV")
-    assert rg.scaling_variable_step(u0, eps, fp_uv) > u0  # relevant grows
+    # at the UV fixed point u = nu_+ - gamma is relevant: the same step grows it
+    # as (1 - eps)^{-2 omega}
+    u_uv = p.nu_plus - rg.flow(p, p.nu_plus - u0, 1.0, 1.0 - eps).gamma
+    assert u_uv > u0
+    assert u_uv == pytest.approx(u0 * (1.0 - eps) ** (-2.0 * p.omega), rel=1e-6)
 
 
 def test_flow_closed_form_vs_ode(params316):
@@ -110,8 +109,8 @@ def test_contour_point_reproduces_exact_ratio(params316):
     xi = 0.07
     ratio = 1.0
     (xi_out, g) = rg.contour_constant_ratio(params316, ratio, [xi])[0]
-    st = sp.continuum_coefficients(params316, square_well(g, xi), 1.0)  # k = 1, b = xi
-    assert st.ratio_CpCm == pytest.approx(ratio, rel=1e-10)
+    cp, cm = sp.spectral_coefficients(params316, square_well(g, xi), 1.0)  # k = 1, b = xi
+    assert cp / cm == pytest.approx(ratio, rel=1e-10)
 
 
 def test_contour_transport_under_flow(params316):
@@ -122,11 +121,11 @@ def test_contour_transport_under_flow(params316):
     k = math.sqrt(e_small)
     g0 = 1.2
     from invsq.core import gamma_cot
-    st0 = sp.continuum_coefficients(p, square_well(g0, b0), e_small)
+    cp0, cm0 = sp.spectral_coefficients(p, square_well(g0, b0), k)
     stt = rg.flow(p, float(gamma_cot(g0)), b0, b1)
-    st1 = sp.continuum_coefficients(p, square_well(stt.g, b1), e_small)
+    cp1, cm1 = sp.spectral_coefficients(p, square_well(stt.g, b1), k)
     # C+/C- is the invariant the flow was built to preserve
-    assert st1.ratio_CpCm / st0.ratio_CpCm == pytest.approx(1.0, abs=1e-6)
+    assert (cp1 / cm1) / (cp0 / cm0) == pytest.approx(1.0, abs=1e-6)
 
 
 @given(st.floats(0.3, 0.7), st.floats(0.05, 0.95))

@@ -90,8 +90,11 @@ def test_pole_reproduces_bound_energy(params316, gfix):
         g = g_minus + dg
         st = sp.bound_state(params316, square_well(g))
         k_b = math.sqrt(-st.energy)
-        e_pole = sc.pole_energy_estimate(params316, square_well(g), k_b)
-        assert e_pole == pytest.approx(st.energy, rel=1e-2)
+        # the Mobius form r = (s - ik)/(s + ik) of r = -e^{2 i delta} puts the
+        # pole at k = is, s = -k cot delta: E = -s^2 there
+        delta = sc.phase_shift(params316, square_well(g), k_b).delta
+        s = -k_b / math.tan(delta)
+        assert -(s * s) == pytest.approx(st.energy, rel=1e-2)
 
 
 def test_constant_phase_curve_conserves_delta(params316):

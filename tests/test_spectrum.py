@@ -17,6 +17,20 @@ MEAN_X_C_316 = 0.5890486225480862   # pi (1/4 - w^2) tan(pi w)/(4 w) at w = 1/4
 E0_GM_PLUS_01 = -5.84430194146e-05  # arbitrary-precision matching root, g = g_- + 0.1
 
 
+def kvp(nu, x):
+    return -0.5 * (sf.kv(nu - 1.0, x) + sf.kv(nu + 1.0, x))
+
+
+def square_continuum(params, reg, k):
+    """(C_+, C_-, A, zeta) of the delta-normalized psi_E at wavenumbers k on a square
+    well.  Inside, psi_E = A sin(zeta x/(b x0)) with zeta = sqrt(g + xi^2), so A
+    is psi_E at the cut over sin(zeta); B = pi k A^2 is its closure weight."""
+    cp, cm = sp.spectral_coefficients(params, reg, k)
+    cut = reg.b * params.x0
+    zeta = np.sqrt(reg.g + (cut * k) ** 2)
+    return cp, cm, sp.exterior_eigenfunction(params, k, cut, cp, cm) / np.sin(zeta), zeta
+
+
 def test_threshold_none_below(params316, gfix):
     _, g_minus = gfix
     assert sp.bound_state(params316, square_well(g_minus)) is None
@@ -90,7 +104,7 @@ def test_deep_well_state_and_matching(params316):
     kappa = st.xi
     u = lambda z: math.sqrt(z) * sf.kv(params316.omega, z)
     up = 0.5 / math.sqrt(st.xi) * sf.kv(params316.omega, st.xi) \
-        + math.sqrt(st.xi) * sf.kvp(params316.omega, st.xi)
+        + math.sqrt(st.xi) * kvp(params316.omega, st.xi)
     right = kappa * up / u(st.xi)
     assert left == pytest.approx(right, rel=1e-9)
 
@@ -139,76 +153,78 @@ def test_energy_invariant_under_b_scaling(params316, gfix):
 def test_continuum_ratio_limits(params316, gfix):
     g_plus, g_minus = gfix
     # small b: pure J_omega at g_+ (ratio diverges), pure J_-omega at g_- (ratio -> 0)
-    st_plus = sp.continuum_coefficients(params316, square_well(g_plus, 1e-6), 1.0)
-    st_minus = sp.continuum_coefficients(params316, square_well(g_minus, 1e-6), 1.0)
-    assert abs(st_plus.ratio_CpCm) > 1e6
-    assert abs(st_minus.ratio_CpCm) < 1e-6
-    assert st_plus.B > 0.0 and st_minus.B > 0.0
+    cp_plus, cm_plus, a_plus, _ = square_continuum(params316, square_well(g_plus, 1e-6), 1.0)
+    cp_minus, cm_minus, a_minus, _ = square_continuum(params316, square_well(g_minus, 1e-6), 1.0)
+    assert abs(cp_plus / cm_plus) > 1e6
+    assert abs(cp_minus / cm_minus) < 1e-6
+    assert math.pi * a_plus ** 2 > 0.0 and math.pi * a_minus ** 2 > 0.0  # B at k = 1
 
 
 def test_continuum_ratio_scales_as_E_to_minus_omega(params316):
     # C+/C- at E and 4E: ratio of ratios = 4^{-omega}
     reg = square_well(1.2, 0.05)
     e = 0.04
-    r1 = sp.continuum_coefficients(params316, reg, e).ratio_CpCm
-    r2 = sp.continuum_coefficients(params316, reg, 4.0 * e).ratio_CpCm
+    cp, cm = sp.spectral_coefficients(params316, reg, np.sqrt([e, 4.0 * e]))
+    r1, r2 = cp / cm
     assert r2 / r1 == pytest.approx(4.0 ** -params316.omega, rel=1e-3)
 
 
 def test_cm_over_a_matches_asymptote(params316):
     # C-/A ~ Gamma(-w)/2^{1+w} sin(sqrt g)(gamma - nu_+)/xi^{nu_-} as xi -> 0
-    from invsq.core import gamma_cot
     g = 1.2
     w = params316.omega
-    reg = square_well(g, 1e-5)
-    e = 1.0
-    st = sp.continuum_coefficients(params316, reg, e)
+    b = 1e-5  # xi = b x0 k with k = 1
+    _, cm, a, _ = square_continuum(params316, square_well(g, b), 1.0)
     gam = gamma_cot(g)
     gamma_minus_w = -math.gamma(1.0 - w) / w  # Gamma(-w) by reflection of the recurrence
     asym = gamma_minus_w / 2.0 ** (1.0 + w) * math.sin(math.sqrt(g)) \
-        * (gam - params316.nu_plus) / st.xi ** params316.nu_minus
-    norm = st.c_minus / st.ratio_CmA  # the A-amplitude of the normalized state
-    assert st.ratio_CmA / norm == pytest.approx(asym / norm, rel=2e-3)
+        * (gam - params316.nu_plus) / b ** params316.nu_minus
+    assert cm / a == pytest.approx(asym, rel=2e-3)
 
 
 def test_b_normalization_power_law(params316, gfix):
-    # B(g, xi) vanishes like xi^{2 nu_pm} at the fixed points; the
-    # combination B xi^{-2 nu} tends to a finite constant
+    # B(g, xi) = pi k A^2 vanishes like xi^{2 nu_pm} at the fixed points; the
+    # combination B xi^{-2 nu} tends to a finite constant (k = 1, xi = b)
     g_plus, _ = gfix
     nu = 2.0 * params316.nu_plus
     vals = []
     for b in (1e-4, 1e-5, 1e-6):
-        st = sp.continuum_coefficients(params316, square_well(g_plus, b), 1.0)
-        vals.append(st.B / st.xi ** nu)
+        _, _, a, _ = square_continuum(params316, square_well(g_plus, b), 1.0)
+        vals.append(math.pi * a ** 2 / b ** nu)
     assert vals[0] == pytest.approx(vals[1], rel=1e-3)
     assert vals[1] == pytest.approx(vals[2], rel=1e-3)
 
 
-def test_continuum_state_fields_are_plain_floats(params316, gfix):
-    for g, b, e in ((1.2, 0.05, 0.04), (gfix[0], 1e-6, 1.0), (0.5, 1.0, 7.0)):
-        st = sp.continuum_coefficients(params316, square_well(g, b), e)
-        for name in ("energy", "xi", "ratio_CpCm", "ratio_CmA", "B", "c_plus", "c_minus"):
-            assert type(getattr(st, name)) is float, name
-        assert type(st.pure_plus) is bool
-    assert type(sp.closure_delta(params316, square_well(0.0, 2.0), 0.8, 1.0, 0.02)) is float
-
-
 def test_closure_delta_sequence(params316):
-    # windowed closure against the absorbed-wall heat kernel at small t
+    # the windowed closure int A^2 sin(zeta x/b) sin(zeta y/b) e^{-tE} dE over the
+    # interior amplitudes of the delta-normalized continuum is a delta sequence:
+    # at small t it matches the absorbed-wall heat kernel
     from invsq.classical import absorbed_kernel
     reg = square_well(0.0, 2.0)
-    for (x, y, t) in ((0.8, 1.0, 0.02), (0.5, 0.6, 0.01)):
-        d = sp.closure_delta(params316, reg, x, y, t)
-        assert d == pytest.approx(absorbed_kernel(x, y, t), rel=2e-2)
-    assert sp.closure_delta(params316, reg, 0.8, 1.0, 1e-3) == pytest.approx(
-        absorbed_kernel(0.8, 1.0, 1e-3), rel=2e-2)
+
+    def closure(x, y, t):
+        def integrand(k):
+            _, _, a, zeta = square_continuum(params316, reg, k)
+            return 2.0 * k * np.exp(-t * k * k) * a ** 2 * np.sin(zeta / 2.0 * x) \
+                * np.sin(zeta / 2.0 * y)
+
+        kmax = math.sqrt(45.0 / t)
+        panels = min(max(8, int(kmax * (x + y) / math.pi)), 256)
+        res = quad_gk(integrand, 1e-10, kmax, rtol=1e-9, initial_panels=panels)
+        assert res.converged
+        return res.value
+
+    for (x, y, t) in ((0.8, 1.0, 0.02), (0.5, 0.6, 0.01), (0.8, 1.0, 1e-3)):
+        assert closure(x, y, t) == pytest.approx(absorbed_kernel(x, y, t), rel=2e-2)
 
 
-def test_closure_delta_refuses_an_unconverged_quadrature(params316):
-    # at t = 1e-4 the kernel is about 1e-42 and the quadrature stalls at an
-    # error of about 1e-9: raise instead of returning that noise as a value
-    with pytest.raises(NumericalError, match="closure_delta.*unconverged"):
-        sp.closure_delta(params316, square_well(0.0, 2.0), 0.8, 1.0, 1e-4)
+def test_quad_refuses_an_unconverged_result():
+    # mean_position and existence_bounds read their integrals through _quad:
+    # a quadrature that stops at its panel cap is an error, not a value
+    fast = lambda x: np.sin(1e6 * x)
+    assert not quad_gk(fast, 0.0, 1.0).converged
+    with pytest.raises(NumericalError, match="oscillation: quadrature unconverged"):
+        sp._quad("oscillation", fast, 0.0, 1.0)
 
 
 def test_mean_position_constant_and_divergence(params316, gfix):
@@ -288,6 +304,39 @@ def test_small_omega_exponents_on_every_regulator(alpha):
         assert fit.exponent == pytest.approx(1.0 / p.omega, rel=2e-2)
 
 
+def test_generic_bound_energy_shoots_once_per_solver_evaluation(params316, monkeypatch):
+    # the bracket's lower end is evaluated by brent alone; the threshold
+    # test in front of the solve is the cached g_minus
+    reg = linear_well(1.0)
+    g = sp.threshold(params316, reg, params316.nu_minus) + 0.1
+    shots, evals = [], []
+    shoot, solve = sp.interior_logderiv, sp.brent
+
+    def counted_shoot(*args):
+        shots.append(args)
+        return shoot(*args)
+
+    def counted_solve(f, a, b, **kw):
+        return solve(lambda s: evals.append(s) or f(s), a, b, **kw)
+
+    monkeypatch.setattr(sp, "interior_logderiv", counted_shoot)
+    monkeypatch.setattr(sp, "brent", counted_solve)
+    sp.generic_bound_energy(params316, reg, g)
+    assert evals and len(shots) == len(evals)
+
+
+def test_threshold_solves_the_comparison_bound_once(params316, monkeypatch):
+    # both the comparison bound and existence_bounds read the square well's
+    # cached g_minus, so a fresh non-square threshold inverts gamma once
+    calls = []
+    orig = sp.invert_gamma
+    monkeypatch.setattr(sp, "invert_gamma", lambda nu: calls.append(nu) or orig(nu))
+    sp._threshold.cache_clear()
+    g_star = sp.threshold(params316, linear_well(1.0), params316.nu_minus)
+    assert calls == [params316.nu_minus]
+    assert g_star == pytest.approx(2.6989686016, abs=1e-10)
+
+
 def test_linear_well_scales_with_x0():
     # V = -(g/x0^2) f(x/x0): doubling x0 quarters every energy and the potential
     p1, p2 = derived_constants(-0.1875), derived_constants(-0.1875, x0=2.0)
@@ -309,15 +358,6 @@ def test_non_square_wells_scale_with_the_cut(params316, wells):
         energies = [sp.generic_bound_energy(params316, wells[kind](g, b), g) * b * b
                     for b in (1.0, 0.5, 0.1)]
         assert energies[1:] == energies[:1] * 2
-
-
-def test_continuum_amplitude_refuses_non_square_wells(params316, wells):
-    # both read the interior amplitude off the square well's sin(zeta)
-    reg = wells["linear"](1.0, 2.0)
-    with pytest.raises(ValueError, match="square-well"):
-        sp.continuum_coefficients(params316, reg, 1.0)
-    with pytest.raises(ValueError, match="square-well"):
-        sp.closure_delta(params316, reg, 0.8, 1.0, 0.02)
 
 
 def test_deep_non_square_wells_are_refused(params316):
