@@ -6,7 +6,7 @@ Brownian-motion / chain correspondences."""
 __version__ = "0.1.0"
 
 from .core import (ModelParams, Regulator, derived_constants, fixed_points,
-                   gamma_of_g, generic_well, linear_well, square_well)
+                   generic_well, linear_well, square_well)
 
 __all__ = [
     "__version__",
@@ -14,7 +14,6 @@ __all__ = [
     "Regulator",
     "derived_constants",
     "fixed_points",
-    "gamma_of_g",
     "square_well",
     "linear_well",
     "generic_well",

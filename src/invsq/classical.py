@@ -41,19 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Regulator, square_well
+from .core import ModelParams, Regulator
 from .numerics import NumericalError
-from .spectrum import NoBoundState, generic_bound_energy, threshold
+from .spectrum import NoBoundState, generic_bound_energy
 from .spectrum import bound_state  # noqa: F401  (bench/tracing.py looks bound_state up here)
 
 __all__ = [
     "PathEnsembleSpec",
-    "ChainSpec",
     "FreeEnergyResult",
     "feynman_kac",
     "feynman_kac_batch",
-    "scaling_check_W",
-    "chain_partition",
     "free_energy_density",
     "free_kernel",
 ]
@@ -85,18 +82,6 @@ class PathEnsembleSpec:
             raise ValueError("endpoints must be positive")
         if self.t <= 0.0 or self.n_steps < 2 or self.n_samples < 1:
             raise ValueError("bad ensemble shape")
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Finite chain: N inner coordinates, coupling eps, ends pinned to (y, x)."""
-
-    y: float
-    x: float
-    n_links: int
-    epsilon: float
-    x_max: float
-    n_grid: int
 
 
 @dataclass(frozen=True)
@@ -252,29 +237,6 @@ def feynman_kac(params: ModelParams, reg: Regulator, spec: PathEnsembleSpec,
     return feynman_kac_batch(params, [reg], spec, mode, threads)[0]
 
 
-def scaling_check_W(params: ModelParams, b: float, sign: int,
-                    x: float, y: float, t: float, lam: float, lam_prime: float,
-                    n_steps: int = 4096, n_samples: int = 100000, seed: int = 20260808,
-                    threads: int = 1):
-    """Measured ratio W(lam x, t; lam' y)/W(x, t; y) at the fixed-point coupling.
-
-    Returns (ratio, stderr, target) with target (lam lam')^{nu_pm}; at
-    long times the ratio tends to the target, and lam' = 1/lam gives
-    asymptotic equivalence (target 1).
-    """
-    nu = params.nu_plus if sign == +1 else params.nu_minus
-    reg = square_well(threshold(params, square_well(0.0), nu), b)
-    num_spec = PathEnsembleSpec(y=lam_prime * y, x=lam * x, t=t, n_steps=n_steps,
-                                n_samples=n_samples, seed=seed)
-    den_spec = PathEnsembleSpec(y=y, x=x, t=t, n_steps=n_steps,
-                                n_samples=n_samples, seed=seed + 1)
-    w_num, e_num = feynman_kac(params, reg, num_spec, threads=threads)
-    w_den, e_den = feynman_kac(params, reg, den_spec, threads=threads)
-    ratio = w_num / w_den
-    rel = math.sqrt((e_num / w_num) ** 2 + (e_den / w_den) ** 2)
-    return ratio, abs(ratio) * rel, (lam * lam_prime) ** nu
-
-
 # ---------------------------------------------------------------------------
 # Transfer matrix
 # ---------------------------------------------------------------------------
@@ -408,31 +370,6 @@ def lanczos_lambda_max(apply_op, x0: np.ndarray, precond, max_iter: int = 100,
         norm = math.sqrt(_dot(x, x))
         x /= norm
         tx /= norm
-
-
-def chain_partition(params: ModelParams, reg: Regulator, spec: ChainSpec,
-                    image: bool = False) -> float:
-    """Z as the N-fold composition of the transfer kernel from y to x.
-
-    Normalized with the (4 pi eps)^{-1/2} Gaussian factor per link, so Z
-    approximates W(x, t=N eps; y) in the double-scaling limit.  image
-    defaults to the literal chain (absorption only at the sites).
-    """
-    op = TransferOperator(params, reg, spec.epsilon, spec.x_max, spec.n_grid, image=image)
-    pref = 1.0 / math.sqrt(4.0 * math.pi * spec.epsilon)
-
-    def end_link(z: float) -> np.ndarray:
-        """The link from the pinned end z to every grid site."""
-        vz = reg.potential(z, params)
-        col = pref * np.exp(-(op.x - z) ** 2 / (4.0 * spec.epsilon))
-        if image:
-            col = col - pref * np.exp(-(op.x + z) ** 2 / (4.0 * spec.epsilon))
-        return col * math.exp(-0.5 * spec.epsilon * vz) * op.halfweight
-
-    u = end_link(spec.y)
-    for _ in range(spec.n_links - 1):
-        u = op.apply(u)  # each application carries one grid weight h
-    return float(np.sum(u * end_link(spec.x)) * op.h)
 
 
 def free_energy_density(params: ModelParams, reg: Regulator,

@@ -72,6 +72,8 @@ def _regulator(ns) -> Regulator:
         if ns.profile is None:
             raise ValueError("the generic scheme needs --profile")
         reg["profile"] = json.loads(Path(ns.profile).read_text())
+    elif ns.profile is not None:
+        raise ValueError(f"--profile is read by the generic scheme only, not {ns.scheme}")
     return _from_json(regulator_from_json, reg)
 
 
@@ -139,7 +141,9 @@ def cmd_bound_state(ns):
     if ns.g is None and not ns.g_list:
         raise ValueError("bound-state needs --g or --g-list")
     if ns.g_list:
-        if ns.scheme != "square":
+        if ns.g is not None:
+            raise ValueError("give --g or --g-list, not both")
+        if ns.scheme != "square" or ns.profile is not None:
             raise ValueError("--g-list sweeps the square well only")
         rows = []
         for g in (float(v) for v in ns.g_list.split(",")):

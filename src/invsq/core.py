@@ -26,7 +26,6 @@ __all__ = [
     "linear_well",
     "generic_well",
     "derived_constants",
-    "gamma_of_g",
     "gamma_cot",
     "invert_gamma",
     "fixed_points",
@@ -89,13 +88,6 @@ def gamma_cot(z):
     r = np.sqrt(z[rest].astype(complex))
     out[rest] = np.real(r / np.tan(r))
     return float(out[0]) if scalar else out
-
-
-def gamma_of_g(g: float) -> float:
-    """The coupling transform gamma(g) = sqrt(g) cot sqrt(g) on 0 < g < pi^2."""
-    if not (0.0 < g < PI_SQ):
-        raise ValueError(f"g={g} outside the first branch (0, pi^2)")
-    return float(gamma_cot(g))
 
 
 def invert_gamma(gamma_value: float) -> float:
@@ -232,17 +224,6 @@ def generic_well(g: float, profile_x, profile_f) -> Regulator:
 # JSON wire formats (run-spec files)
 # ---------------------------------------------------------------------------
 
-def params_to_json(p: ModelParams) -> dict:
-    return {
-        "alpha": p.alpha,
-        "omega": p.omega,
-        "nu_plus": p.nu_plus,
-        "nu_minus": p.nu_minus,
-        "x0": p.x0,
-        "mode": p.mode,
-    }
-
-
 def params_from_json(d: dict) -> ModelParams:
     extra = set(d) - {"alpha", "omega", "nu_plus", "nu_minus", "x0", "mode"}
     if extra:
@@ -255,13 +236,6 @@ def params_from_json(d: dict) -> ModelParams:
             if abs(float(d[key]) - getattr(p, key)) > 1e-9:
                 raise ValueError(f"inconsistent {key} in run spec")
     return p
-
-
-def regulator_to_json(r: Regulator) -> dict:
-    out = {"kind": r.kind, "b": r.b, "g": r.g}
-    if r.kind == KIND_GENERIC:
-        out["profile"] = {"x": list(r.profile_x), "f": list(r.profile_f)}
-    return out
 
 
 def regulator_from_json(d: dict) -> Regulator:

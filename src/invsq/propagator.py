@@ -182,13 +182,18 @@ def check_exact_law(params: ModelParams, reg: Regulator,
     return abs(lhs.value - rhs.value / lam) / abs(rhs.value / lam)
 
 
-def _g_of_u(params: ModelParams, sign: int, u: float) -> float:
-    """Coupling at reduced coupling u = g - g_+ (sign=+1) or g_- - g (sign=-1)."""
-    if sign == +1:
-        return threshold(params, square_well(0.0), params.nu_plus) + u
-    if sign == -1:
-        return threshold(params, square_well(0.0), params.nu_minus) - u
-    raise ValueError("sign must be +1 (near g_+) or -1 (near g_-)")
+def _coefficient_g(params: ModelParams, sign: int, b: float, u: float,
+                   x: float, y: float, t: float, rtol: float) -> float:
+    """G in the coefficient normalization of the fixed point g_pm that sign
+    picks, on the square well of width b at g = g_pm + sign u: the reduced
+    coupling is u = g - g_+ near g_+ (sign = +1) and u = g_- - g near g_- (-1).
+    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 (near g_+) or -1 (near g_-)")
+    g_pm = threshold(params, square_well(0.0), 0.5 + sign * params.omega)
+    norm = "coefficient+" if sign == +1 else "coefficient-"
+    return propagator_quadrature(params, square_well(g_pm + sign * u, b), x, y, t, rtol,
+                                 normalization=norm).value
 
 
 def _warn_regime(b: float, u: float, t: float) -> None:
@@ -207,16 +212,12 @@ def check_asymptotic_law(params: ModelParams, b: float, u: float, sign: int,
     if lam == 1.0:
         return 0.0
     _warn_regime(b, u, t)
-    nu = params.nu_plus if sign == +1 else params.nu_minus
-    u_prime = u * lam ** (-sign * 2.0 * params.omega)
-    norm = "coefficient+" if sign == +1 else "coefficient-"
-    lhs = propagator_quadrature(params, square_well(_g_of_u(params, sign, u), b),
-                                lam * x, lam * y, lam * lam * t, rtol,
-                                normalization=norm)
-    rhs = propagator_quadrature(params, square_well(_g_of_u(params, sign, u_prime), b),
-                                x, y, t, rtol, normalization=norm)
-    scaled = lam ** (2.0 * nu - 1.0) * rhs.value
-    return abs(lhs.value - scaled) / abs(scaled)
+    nu = 0.5 + sign * params.omega
+    lhs = _coefficient_g(params, sign, b, u, lam * x, lam * y, lam * lam * t, rtol)
+    rhs = _coefficient_g(params, sign, b, u * lam ** (-sign * 2.0 * params.omega),
+                         x, y, t, rtol)
+    scaled = lam ** (2.0 * nu - 1.0) * rhs
+    return abs(lhs - scaled) / abs(scaled)
 
 
 def check_scaling_relation(params: ModelParams, b: float, u: float, sign: int,
@@ -226,15 +227,12 @@ def check_scaling_relation(params: ModelParams, b: float, u: float, sign: int,
     if lam == 1.0:
         return 0.0
     _warn_regime(b, u, t)
-    nu = params.nu_plus if sign == +1 else params.nu_minus
-    u_prime = u * lam ** (sign * 2.0 * params.omega)
-    norm = "coefficient+" if sign == +1 else "coefficient-"
-    lhs = propagator_quadrature(params, square_well(_g_of_u(params, sign, u), b),
-                                x, y, t, rtol, normalization=norm)
-    rhs = propagator_quadrature(params, square_well(_g_of_u(params, sign, u_prime), b / lam),
-                                x, y, t, rtol, normalization=norm)
-    scaled = lam ** (-2.0 * nu) * rhs.value
-    return abs(lhs.value - scaled) / abs(scaled)
+    nu = 0.5 + sign * params.omega
+    lhs = _coefficient_g(params, sign, b, u, x, y, t, rtol)
+    rhs = _coefficient_g(params, sign, b / lam, u * lam ** (sign * 2.0 * params.omega),
+                         x, y, t, rtol)
+    scaled = lam ** (-2.0 * nu) * rhs
+    return abs(lhs - scaled) / abs(scaled)
 
 
 def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
@@ -243,23 +241,17 @@ def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
     by 2 nu_pm G; central differences with relative steps CS_REL_STEP in b and u.
     """
     _warn_regime(b, u, t)
-    nu = params.nu_plus if sign == +1 else params.nu_minus
     w = params.omega
 
-    norm = "coefficient+" if sign == +1 else "coefficient-"
-
     def g_at(bb, uu):
-        return propagator_quadrature(params, square_well(_g_of_u(params, sign, uu), bb),
-                                     x, y, t, rtol, normalization=norm).value
+        return _coefficient_g(params, sign, bb, uu, x, y, t, rtol)
 
     g0 = g_at(b, u)
     db = CS_REL_STEP * b
     d_b = (g_at(b + db, u) - g_at(b - db, u)) / (2.0 * db)
-    du = CS_REL_STEP * u if u != 0.0 else 0.0
-    if du:
-        d_u = (g_at(b, u + du) - g_at(b, u - du)) / (2.0 * du)
-    else:
-        d_u = 0.0
+    du = CS_REL_STEP * u
+    d_u = (g_at(b, u + du) - g_at(b, u - du)) / (2.0 * du) if du else 0.0
+    nu = 0.5 + sign * w
     resid = b * d_b - sign * 2.0 * w * u * d_u + 2.0 * nu * g0
     return abs(resid) / abs(2.0 * nu * g0)
 
@@ -283,16 +275,13 @@ def scaling_collapse(params: ModelParams, sign: int = +1,
     if x != y:
         raise ValueError("the collapse extraction takes the bracket root at x = y")
     w = params.omega
-    norm = "coefficient+" if sign == +1 else "coefficient-"
-    pref_exp = (params.nu_plus if sign == +1 else params.nu_minus) / w
+    pref_exp = (0.5 + sign * w) / w
     entries: dict[int, list] = {}
     for m in range(n_u):
         u = u0 * 2.0 ** (2.0 * w * m)
-        g = _g_of_u(params, sign, u)
         for j in range(n_b):
             b = b0 * 2.0 ** (-j)
-            val = propagator_quadrature(params, square_well(g, b), x, y, t, rtol,
-                                        normalization=norm).value
+            val = _coefficient_g(params, sign, b, u, x, y, t, rtol)
             phi = math.sqrt(val * (u / u0) ** (-pref_exp))
             entries.setdefault(m - j, []).append(phi)
     zs, phis, spread = [], [], 0.0

@@ -36,7 +36,6 @@ __all__ = [
     "LimitCycleState",
     "beta",
     "flow",
-    "invert_gamma",
     "contour_coupling",
     "contour_constant_ratio",
     "limit_cycle_phase",

@@ -163,7 +163,7 @@ def binding_constant(params: ModelParams) -> float:
     """C in E ~ -C (g - g_minus)^{1/omega} / (b x0)^2 near threshold."""
     params.require_main()
     w = params.omega
-    g_minus = invert_gamma(params.nu_minus)
+    g_minus = threshold(params, square_well(0.0), params.nu_minus)
     base = 2.0 ** (2.0 * w - 2.0) * (1.0 + params.alpha / g_minus) * math.gamma(w) / math.gamma(1.0 - w)
     return float(base ** (1.0 / w))
 

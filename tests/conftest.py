@@ -1,6 +1,9 @@
+import math
 import os
 import sys
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -34,3 +37,48 @@ def wells():
     return {"square": square_well,
             "linear": lambda g, b=1.0: replace(linear_well(g), b=b),
             "pchip": lambda g, b=1.0: replace(generic_well(g, xs, 1.0 - 0.2 * xs ** 2), b=b)}
+
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """Finite chain: N inner coordinates, coupling eps, ends pinned to (y, x)."""
+
+    y: float
+    x: float
+    n_links: int
+    epsilon: float
+    x_max: float
+    n_grid: int
+
+
+def _chain_partition(params, reg, spec: ChainSpec, image: bool = False) -> float:
+    """Z as the N-fold composition of the transfer kernel from y to x.
+
+    Normalized with the (4 pi eps)^{-1/2} Gaussian factor per link, so Z
+    approximates W(x, t=N eps; y) in the double-scaling limit.  image
+    defaults to the literal chain (absorption only at the sites).
+    """
+    from invsq.classical import TransferOperator
+    op = TransferOperator(params, reg, spec.epsilon, spec.x_max, spec.n_grid, image=image)
+    pref = 1.0 / math.sqrt(4.0 * math.pi * spec.epsilon)
+
+    def end_link(z: float) -> np.ndarray:
+        """The link from the pinned end z to every grid site."""
+        vz = reg.potential(z, params)
+        col = pref * np.exp(-(op.x - z) ** 2 / (4.0 * spec.epsilon))
+        if image:
+            col = col - pref * np.exp(-(op.x + z) ** 2 / (4.0 * spec.epsilon))
+        return col * math.exp(-0.5 * spec.epsilon * vz) * op.halfweight
+
+    u = end_link(spec.y)
+    for _ in range(spec.n_links - 1):
+        u = op.apply(u)  # each application carries one grid weight h
+    return float(np.sum(u * end_link(spec.x)) * op.h)
+
+
+@pytest.fixture(scope="session")
+def chain_partition():
+    """(params, reg, image=False, **ChainSpec fields) -> Z: the chain read
+    literally, an oracle for the propagator and the free energy."""
+    return lambda params, reg, image=False, **spec: _chain_partition(
+        params, reg, ChainSpec(**spec), image)

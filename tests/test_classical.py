@@ -191,9 +191,32 @@ def test_path_spec_validation():
         cl.PathEnsembleSpec(y=1.0, x=1.0, t=0.0, n_steps=16, n_samples=10, seed=1)
 
 
+def scaling_check_W(params, b: float, sign: int,
+                    x: float, y: float, t: float, lam: float, lam_prime: float,
+                    n_steps: int = 4096, n_samples: int = 100000, seed: int = 20260808,
+                    threads: int = 1):
+    """Measured ratio W(lam x, t; lam' y)/W(x, t; y) at the fixed-point coupling.
+
+    Returns (ratio, stderr, target) with target (lam lam')^{nu_pm}; at
+    long times the ratio tends to the target, and lam' = 1/lam gives
+    asymptotic equivalence (target 1).
+    """
+    nu = params.nu_plus if sign == +1 else params.nu_minus
+    reg = square_well(sp.threshold(params, square_well(0.0), nu), b)
+    num_spec = cl.PathEnsembleSpec(y=lam_prime * y, x=lam * x, t=t, n_steps=n_steps,
+                                   n_samples=n_samples, seed=seed)
+    den_spec = cl.PathEnsembleSpec(y=y, x=x, t=t, n_steps=n_steps,
+                                   n_samples=n_samples, seed=seed + 1)
+    w_num, e_num = cl.feynman_kac(params, reg, num_spec, threads=threads)
+    w_den, e_den = cl.feynman_kac(params, reg, den_spec, threads=threads)
+    ratio = w_num / w_den
+    rel = math.sqrt((e_num / w_num) ** 2 + (e_den / w_den) ** 2)
+    return ratio, abs(ratio) * rel, (lam * lam_prime) ** nu
+
+
 def test_scaling_check_identity(params316):
-    r, err, target = cl.scaling_check_W(params316, 0.3, +1, 1.0, 1.0, 10.0, 1.0, 1.0,
-                                        n_steps=256, n_samples=2000)
+    r, err, target = scaling_check_W(params316, 0.3, +1, 1.0, 1.0, 10.0, 1.0, 1.0,
+                                     n_steps=256, n_samples=2000)
     assert target == 1.0
     assert r == pytest.approx(1.0, abs=3.0 * max(err, 1e-12) + 1e-12)
 
@@ -201,9 +224,9 @@ def test_scaling_check_identity(params316):
 def test_scaling_check_reciprocal_lambdas(params316):
     # lam' = 1/lam: asymptotic equivalence; compare against the exact
     # finite-t quadrature ratio and the t -> inf target loosely
-    r, err, target = cl.scaling_check_W(params316, 0.3, +1, 1.0, 1.0, 100.0,
-                                        2.0, 0.5, n_steps=4096, n_samples=60000,
-                                        threads=2)
+    r, err, target = scaling_check_W(params316, 0.3, +1, 1.0, 1.0, 100.0,
+                                     2.0, 0.5, n_steps=4096, n_samples=60000,
+                                     threads=2)
     assert target == 1.0
     g_plus, _ = fixed_points(params316)
     reg = square_well(g_plus, 0.3)
@@ -213,12 +236,12 @@ def test_scaling_check_reciprocal_lambdas(params316):
     assert r == pytest.approx(1.0, abs=3.0 * err + 0.12)
 
 
-def test_chain_partition_n1_against_direct_quadrature(params316):
+def test_chain_partition_n1_against_direct_quadrature(params316, chain_partition):
     # N = 1: a single integral of two kernel factors
     reg = square_well(1.2, 0.5)
     eps = 0.05
-    spec = cl.ChainSpec(y=0.8, x=1.1, n_links=1, epsilon=eps, x_max=12.0, n_grid=4096)
-    z = cl.chain_partition(params316, reg, spec)
+    z = chain_partition(params316, reg, y=0.8, x=1.1, n_links=1, epsilon=eps, x_max=12.0,
+                        n_grid=4096)
 
     def integrand(s):
         v_s = reg.potential(s, params316)
@@ -234,18 +257,16 @@ def test_chain_partition_n1_against_direct_quadrature(params316):
     assert z == pytest.approx(direct, rel=5e-4)
 
 
-def test_chain_partition_symmetric(params316):
+def test_chain_partition_symmetric(params316, chain_partition):
     reg = square_well(1.2, 0.5)
-    a = cl.chain_partition(params316, reg,
-                           cl.ChainSpec(y=0.8, x=1.4, n_links=40, epsilon=0.02,
-                                        x_max=15.0, n_grid=4096))
-    b = cl.chain_partition(params316, reg,
-                           cl.ChainSpec(y=1.4, x=0.8, n_links=40, epsilon=0.02,
-                                        x_max=15.0, n_grid=4096))
+    a = chain_partition(params316, reg, y=0.8, x=1.4, n_links=40, epsilon=0.02,
+                        x_max=15.0, n_grid=4096)
+    b = chain_partition(params316, reg, y=1.4, x=0.8, n_links=40, epsilon=0.02,
+                        x_max=15.0, n_grid=4096)
     assert a == pytest.approx(b, rel=1e-11)
 
 
-def test_chain_double_scaling_approaches_propagator(params316):
+def test_chain_double_scaling_approaches_propagator(params316, chain_partition):
     # N eps = t fixed, eps -> 0: Z -> W; the literal chain has an
     # O(sqrt(eps)) absorption bias, so check the decreasing trend and
     # the Richardson-style extrapolation
@@ -254,9 +275,8 @@ def test_chain_double_scaling_approaches_propagator(params316):
     ref = pg.propagator_quadrature(params316, reg, 1.2, 0.9, t).value
     zs = []
     for eps in (0.02, 0.01, 0.005):
-        spec = cl.ChainSpec(y=0.9, x=1.2, n_links=round(t / eps), epsilon=eps,
-                            x_max=15.0, n_grid=8192)
-        zs.append(cl.chain_partition(params316, reg, spec))
+        zs.append(chain_partition(params316, reg, y=0.9, x=1.2, n_links=round(t / eps),
+                                  epsilon=eps, x_max=15.0, n_grid=8192))
     errs = [abs(z - ref) / ref for z in zs]
     assert errs[2] < errs[1] < errs[0]
     # sqrt(eps) family: two-point extrapolation cuts the error
@@ -264,13 +284,12 @@ def test_chain_double_scaling_approaches_propagator(params316):
     assert abs(extrap - ref) / ref < 0.5 * errs[2]
 
 
-def test_chain_image_kernel_converges_fast(params316):
+def test_chain_image_kernel_converges_fast(params316, chain_partition):
     reg = square_well(1.2, 0.5)
     t = 1.0
     ref = pg.propagator_quadrature(params316, reg, 1.2, 0.9, t).value
-    spec = cl.ChainSpec(y=0.9, x=1.2, n_links=100, epsilon=0.01, x_max=15.0,
-                        n_grid=8192)
-    z = cl.chain_partition(params316, reg, spec, image=True)
+    z = chain_partition(params316, reg, y=0.9, x=1.2, n_links=100, epsilon=0.01, x_max=15.0,
+                        n_grid=8192, image=True)
     assert z == pytest.approx(ref, rel=1.5e-2)
 
 
@@ -297,7 +316,7 @@ def test_free_energy_vanishes_without_bound_state(params316, gfix):
     assert abs(fine.f_xy) < 5e-3
 
 
-def test_free_energy_slope_route_consistent(params316, gfix):
+def test_free_energy_slope_route_consistent(params316, gfix, chain_partition):
     # -(1/t) log Z over a long chain approaches the eigenvalue route;
     # a deep state keeps the excited-state contamination e^{-t gap} small
     _, g_minus = gfix
@@ -306,18 +325,14 @@ def test_free_energy_slope_route_consistent(params316, gfix):
                                  threads=2)
     eps = 0.025
     n1, n2 = 1600, 3200
-    z1 = cl.chain_partition(params316, reg,
-                            cl.ChainSpec(y=1.0, x=1.0, n_links=n1, epsilon=eps,
-                                         x_max=30.0, n_grid=4096), image=True)
-    z2 = cl.chain_partition(params316, reg,
-                            cl.ChainSpec(y=1.0, x=1.0, n_links=n2, epsilon=eps,
-                                         x_max=30.0, n_grid=4096), image=True)
+    z1, z2 = (chain_partition(params316, reg, y=1.0, x=1.0, n_links=n, epsilon=eps,
+                              x_max=30.0, n_grid=4096, image=True) for n in (n1, n2))
     slope = -(math.log(z2) - math.log(z1)) / (eps * (n2 - n1))
     assert slope == pytest.approx(res.f_raw[1], rel=2e-3)
     assert slope == pytest.approx(res.E0, rel=2e-2)
 
 
-def test_free_energy_endpoint_independent(params316, gfix):
+def test_free_energy_endpoint_independent(params316, gfix, chain_partition):
     # the eigenvalue route has no (x, y); the slope route loses its
     # endpoint dependence in the long-chain limit
     _, g_minus = gfix
@@ -325,12 +340,8 @@ def test_free_energy_endpoint_independent(params316, gfix):
     eps = 0.025
     slopes = []
     for (x, y) in ((1.0, 1.0), (2.0, 0.7)):
-        z1 = cl.chain_partition(params316, reg,
-                                cl.ChainSpec(y=y, x=x, n_links=1600, epsilon=eps,
-                                             x_max=30.0, n_grid=4096), image=True)
-        z2 = cl.chain_partition(params316, reg,
-                                cl.ChainSpec(y=y, x=x, n_links=3200, epsilon=eps,
-                                             x_max=30.0, n_grid=4096), image=True)
+        z1, z2 = (chain_partition(params316, reg, y=y, x=x, n_links=n, epsilon=eps,
+                                  x_max=30.0, n_grid=4096, image=True) for n in (1600, 3200))
         slopes.append(-(math.log(z2) - math.log(z1)) / (eps * 1600))
     assert slopes[0] == pytest.approx(slopes[1], rel=1e-3)
 

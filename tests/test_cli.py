@@ -34,6 +34,13 @@ def json_lines(lines):
     return found
 
 
+def assert_refused(result, detail=""):
+    """Exit 2 with one JSON validation-error line whose detail contains detail."""
+    code, lines, payload = result
+    assert code == 2 and len(lines) == 1
+    assert payload["error"] == "validation" and detail in payload["detail"]
+
+
 def run_spec(spec, path, capsys):
     path.write_text(json.dumps(spec))
     return run_cli(["--spec", str(path)], capsys)
@@ -87,14 +94,11 @@ def test_scaling_check_exact(capsys):
     ("asymptotic", ["--profile", "profile.json"])])
 def test_scaling_check_refuses_a_regulator_its_law_ignores(law, args, tmp_path, capsys):
     # the (b, u) laws build square wells from --u; a scheme, depth or profile would be ignored
-    code, lines, payload = run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
-                                   + args, capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and law in payload["detail"]
+    assert_refused(run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
+                           + args, capsys), law)
     spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": law,
             "regulator": {"kind": "SquareWell", "g": 1.0, "b": 0.01}}
-    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
-    assert code == 2 and payload["error"] == "validation"
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
 
 
 @pytest.mark.parametrize("law, args, field", [
@@ -103,16 +107,13 @@ def test_scaling_check_refuses_a_regulator_its_law_ignores(law, args, tmp_path, 
     ("callan-symanzik", ["--b", "0.01", "--lam", "3"], ("lam", 3.0))])
 def test_scaling_check_refuses_a_flag_its_law_ignores(law, args, field, tmp_path, capsys):
     # the exact law reads neither --u nor --sign, callan-symanzik no --lam
-    code, lines, payload = run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
-                                   + args, capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and field[0] in payload["detail"]
+    assert_refused(run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
+                           + args, capsys), field[0])
     spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": law,
             "b": 0.1, field[0]: field[1]}
     if law == "exact":
         spec["g"] = 1.0
-    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
-    assert code == 2 and payload["error"] == "validation"
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
 
 
 @pytest.mark.parametrize("law, defaults", [
@@ -158,11 +159,9 @@ def test_contours_with_no_or_one_xi(n_xi, tmp_path, capsys):
 
 
 def test_phase_curve_leaving_the_branch_exits_2(tmp_path, capsys):
-    code, lines, payload = run_cli(["phase-curve", "--alpha", "-0.1875", "--mu0", "0.5",
-                                    "--g0", "0.5", "--mu1", "1e-6", "--out", str(tmp_path)],
-                                   capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and "first branch" in payload["detail"]
+    assert_refused(run_cli(["phase-curve", "--alpha", "-0.1875", "--mu0", "0.5",
+                            "--g0", "0.5", "--mu1", "1e-6", "--out", str(tmp_path)],
+                           capsys), "first branch")
     assert not (tmp_path / "phase_curve.csv").exists()
 
 
@@ -197,11 +196,9 @@ def test_scaling_check_exact_on_the_linear_well(capsys):
 
 
 def test_propagator_above_g_minus_exits_2(tmp_path, capsys):
-    code, lines, payload = run_cli(["propagator", "--alpha", "-0.1875", "--g", "2.4411",
-                                    "--b", "0.5", "--x", "1.2", "--y", "0.9", "--t", "1",
-                                    "--out", str(tmp_path)], capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and "g_minus" in payload["detail"]
+    assert_refused(run_cli(["propagator", "--alpha", "-0.1875", "--g", "2.4411",
+                            "--b", "0.5", "--x", "1.2", "--y", "0.9", "--t", "1",
+                            "--out", str(tmp_path)], capsys), "g_minus")
     assert not (tmp_path / "propagator.csv").exists()
 
 
@@ -292,11 +289,9 @@ def test_feynman_kac_rejects_non_square_wells_before_drawing(threads, monkeypatc
         raise AssertionError("paths drawn before the regulator was checked")
 
     monkeypatch.setattr(classical, "_chunk_weights", no_draws)
-    code, lines, payload = run_cli(FK_ARGS + ["--scheme", "linear", "--g", "1",
-                                              "--threads", threads, "--out", str(tmp_path)],
-                                   capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and "common width" in payload["detail"]
+    assert_refused(run_cli(FK_ARGS + ["--scheme", "linear", "--g", "1",
+                                      "--threads", threads, "--out", str(tmp_path)],
+                           capsys), "common width")
 
 
 def test_limit_cycle(tmp_path, capsys):
@@ -309,15 +304,11 @@ def test_limit_cycle(tmp_path, capsys):
 
 def test_limit_cycle_rejects_x0(tmp_path, capsys):
     # its roots are in units of x0, so the command has no --x0 to ignore
-    code, lines, payload = run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
-                                    "--x0", "5", "--out", str(tmp_path)], capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation"
+    assert_refused(run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
+                            "--x0", "5", "--out", str(tmp_path)], capsys))
     spec = {"command": "limit-cycle", "params": {"alpha": -0.30, "x0": 5.0}, "eps": 1e-6,
             "out": str(tmp_path)}
-    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation" and "x0" in payload["detail"]
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "x0")
     assert not (tmp_path / "limit_cycle.csv").exists()
 
 
@@ -473,20 +464,36 @@ def test_unknown_spec_field_exits_2_with_one_json_line(tmp_path, capsys):
 
 
 def test_g_list_rejects_non_square_scheme(tmp_path, capsys):
-    code, lines, payload = run_cli(["bound-state", "--alpha", "-0.1875", "--scheme", "linear",
-                                    "--g-list", "3,4", "--out", str(tmp_path)], capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation"
+    assert_refused(run_cli(["bound-state", "--alpha", "-0.1875", "--scheme", "linear",
+                            "--g-list", "3,4", "--out", str(tmp_path)], capsys))
     assert not (tmp_path / "bound_state_sweep.csv").exists()
+
+
+def test_g_list_refuses_g(tmp_path, capsys):
+    # the sweep would run at the --g-list depths alone
+    assert_refused(run_cli(["bound-state", "--alpha", "-0.1875", "--g-list", "2.0",
+                            "--g", "5.0", "--out", str(tmp_path)], capsys))
+    assert not (tmp_path / "bound_state_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("exponent", ["--scheme", "square", "--n-points", "3"]),
+    ("phase-shift", ["--scheme", "linear", "--n-k", "3"]),
+    ("bound-state", [])])
+def test_profile_outside_the_generic_scheme_exits_2(command, args, tmp_path, capsys):
+    # only the generic scheme reads the profile file; elsewhere it would be ignored
+    missing = str(tmp_path / "missing.json")
+    assert_refused(run_cli([command, "--alpha", "-0.1875", "--g", "1.0", "--profile",
+                            missing, "--out", str(tmp_path)] + args, capsys), "profile")
+    spec = {"command": command, "params": {"alpha": -0.1875}, "g": 1.0, "profile": missing}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
 
 
 def test_malformed_profile_file_exits_2(tmp_path, capsys):
     (tmp_path / "profile.json").write_text("[1, 2]")
-    code, lines, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "generic",
-                                    "--g", "1.0", "--profile", str(tmp_path / "profile.json"),
-                                    "--out", str(tmp_path)], capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation"
+    assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "generic",
+                            "--g", "1.0", "--profile", str(tmp_path / "profile.json"),
+                            "--out", str(tmp_path)], capsys))
 
 
 @pytest.mark.parametrize("field, value", [("regulator", []), ("regulator", "g"),
@@ -494,9 +501,7 @@ def test_malformed_profile_file_exits_2(tmp_path, capsys):
 def test_non_object_spec_value_exits_2(field, value, tmp_path, capsys):
     spec = {"command": "bound-state", "params": {"alpha": -0.1875},
             "regulator": {"kind": "SquareWell", "g": 3.0}, field: value}
-    code, lines, payload = run_spec(spec, tmp_path / "spec.json", capsys)
-    assert code == 2 and len(lines) == 1
-    assert payload["error"] == "validation"
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
 
 
 @pytest.mark.parametrize("scheme", ["linear", "generic"])
@@ -505,10 +510,10 @@ def test_non_square_schemes_take_any_b(scheme, tmp_path, capsys):
     (tmp_path / "profile.json").write_text(json.dumps({"x": [0.0, 1.0], "f": [1.0, 0.5]}))
     g_stars = []
     for b in ("1.0", "0.5"):
+        profile = ["--profile", str(tmp_path / "profile.json")] if scheme == "generic" else []
         code, _, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", scheme,
                                     "--g", "1.0", "--b", b, "--n-points", "4",
-                                    "--profile", str(tmp_path / "profile.json"),
-                                    "--out", str(tmp_path)], capsys)
+                                    "--out", str(tmp_path)] + profile, capsys)
         assert code == 0
         g_stars.append(payload["g_star"])
     assert g_stars[1] == g_stars[0]

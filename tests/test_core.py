@@ -1,16 +1,18 @@
 """Model parameters, coupling transform, fixed points, regulators."""
 
+import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from invsq.core import (MODE_LIMIT_CYCLE, MODE_MAIN, PI_SQ, Regulator,
-                        derived_constants, fixed_points, gamma_cot, gamma_of_g,
-                        generic_well, linear_well, params_from_json,
-                        params_to_json, regulator_from_json, regulator_to_json,
-                        square_well)
+                        derived_constants, fixed_points, gamma_cot, generic_well,
+                        invert_gamma, linear_well, params_from_json,
+                        regulator_from_json, square_well)
 
 G_PLUS_316 = 0.7135701978897408  # alpha = -3/16, frozen from the root solve
 G_MINUS_316 = 1.9411429858956074
@@ -50,13 +52,13 @@ def test_derived_constants_domain():
 
 def test_gamma_of_g_values():
     # g -> 0+ gives 1; cot(pi/2) = 0 at g = pi^2/4
-    assert gamma_of_g(1e-12) == pytest.approx(1.0, abs=1e-9)
-    assert gamma_of_g(PI_SQ / 4.0) == pytest.approx(0.0, abs=1e-14)
-    assert gamma_of_g(1.9411) == pytest.approx(0.25, abs=1e-4)
+    assert gamma_cot(1e-12) == pytest.approx(1.0, abs=1e-9)
+    assert gamma_cot(PI_SQ / 4.0) == pytest.approx(0.0, abs=1e-14)
+    assert gamma_cot(1.9411) == pytest.approx(0.25, abs=1e-4)
+    # the first branch (0, pi^2) never reaches gamma = 1, its value at g = 0
+    assert gamma_cot(0.0) == 1.0
     with pytest.raises(ValueError):
-        gamma_of_g(PI_SQ)
-    with pytest.raises(ValueError):
-        gamma_of_g(0.0)
+        invert_gamma(1.0)
 
 
 @given(st.floats(1e-6, PI_SQ - 1e-6), st.floats(1e-6, PI_SQ - 1e-6))
@@ -77,8 +79,8 @@ def test_fixed_points_paper_values(params316, gfix):
 
 def test_fixed_points_defining_property(params316, gfix):
     g_plus, g_minus = gfix
-    assert gamma_of_g(g_plus) == pytest.approx(params316.nu_plus, abs=1e-10)
-    assert gamma_of_g(g_minus) == pytest.approx(params316.nu_minus, abs=1e-10)
+    assert gamma_cot(g_plus) == pytest.approx(params316.nu_plus, abs=1e-10)
+    assert gamma_cot(g_minus) == pytest.approx(params316.nu_minus, abs=1e-10)
 
 
 def test_fixed_points_ordered_across_alpha():
@@ -136,12 +138,13 @@ def test_generic_profile_validation():
 
 
 def test_json_round_trip(params316):
-    d = params_to_json(params316)
-    assert params_from_json(d) == params316
+    # every ModelParams field, and the regulator object a run spec carries
+    assert params_from_json(dataclasses.asdict(params316)) == params316
     reg = square_well(1.25, 0.1)
-    assert regulator_from_json(regulator_to_json(reg)) == reg
+    assert regulator_from_json({"kind": "SquareWell", "b": 0.1, "g": 1.25}) == reg
     gen = generic_well(0.7, [0.0, 0.5, 1.0], [1.0, 0.9, 0.4])
-    assert regulator_from_json(regulator_to_json(gen)) == gen
+    assert regulator_from_json({"kind": "Generic", "b": 1.0, "g": 0.7, "profile": {
+        "x": [0.0, 0.5, 1.0], "f": [1.0, 0.9, 0.4]}}) == gen
 
 
 def test_json_rejects_unknown_fields():
@@ -151,3 +154,13 @@ def test_json_rejects_unknown_fields():
         regulator_from_json({"g": 1.0, "width": 2.0})
     with pytest.raises(ValueError):
         params_from_json({"alpha": -0.1875, "omega": 0.3})  # inconsistent
+
+
+def test_no_module_reexports_a_callable():
+    # one entry point per job: a public callable is listed where it is defined
+    import invsq
+    for info in pkgutil.iter_modules(invsq.__path__):
+        mod = importlib.import_module(f"invsq.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            assert not callable(obj) or obj.__module__ == mod.__name__, f"{mod.__name__}.{name}"

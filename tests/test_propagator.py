@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from invsq import classical as cl
 from invsq import propagator as pg
 from invsq.core import square_well
 from invsq.numerics import NumericalError, quad_gk
@@ -69,14 +68,14 @@ def test_quadrature_refuses_couplings_with_a_bound_state(params316, wells):
 
 
 @pytest.mark.parametrize("kind, g", [("linear", 2.0), ("pchip", 1.6)])
-def test_quadrature_matches_the_image_chain_off_the_square_well(params316, wells, kind, g):
+def test_quadrature_matches_the_image_chain_off_the_square_well(params316, wells,
+                                                                chain_partition, kind, g):
     # the continuum of a non-square well against the chain's own eps
     # convergence: the gap halves with eps, and the Richardson value lands on G
     reg = wells[kind](g)
     ref = pg.propagator_quadrature(params316, reg, 1.2, 1.5, 1.0).value
-    zs = [cl.chain_partition(params316, reg,
-                             cl.ChainSpec(y=1.5, x=1.2, n_links=round(1.0 / eps), epsilon=eps,
-                                          x_max=15.0, n_grid=8192), image=True)
+    zs = [chain_partition(params316, reg, y=1.5, x=1.2, n_links=round(1.0 / eps), epsilon=eps,
+                          x_max=15.0, n_grid=8192, image=True)
           for eps in (0.01, 0.005)]
     assert (zs[0] - ref) / (zs[1] - ref) == pytest.approx(2.0, rel=0.05)
     assert 2.0 * zs[1] - zs[0] == pytest.approx(ref, rel=1e-3)
@@ -215,15 +214,11 @@ def test_callan_symanzik_sign_structure(params316):
     good = pg.callan_symanzik_residual(params316, b, u, +1, 1.0, 1.0, 1.0)
     assert good < 1e-4
 
-    import invsq.propagator as module
-
     def wrong_sign_residual():
         nu = params316.nu_plus
         w = params316.omega
         def g_at(bb, uu):
-            return pg.propagator_quadrature(
-                params316, square_well(module._g_of_u(params316, +1, uu), bb),
-                1.0, 1.0, 1.0, 1e-10, normalization="coefficient+").value
+            return pg._coefficient_g(params316, +1, bb, uu, 1.0, 1.0, 1.0, 1e-10)
         g0 = g_at(b, u)
         db, du = 1e-3 * b, 1e-3 * u
         d_b = (g_at(b + db, u) - g_at(b - db, u)) / (2.0 * db)

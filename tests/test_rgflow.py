@@ -178,6 +178,31 @@ def test_limit_cycle_concrete_roots():
     assert gamma_cot(g) == pytest.approx(0.5 - p.omega * math.tan(theta), abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [-0.3, -0.5])
+def test_limit_cycle_roots_approach_the_square_well_bound_state(alpha):
+    # criterion 12 tied to the Hamiltonian: at b = x0 = 1 a square-well bound
+    # state at E = -eps solves gamma_cot(g - xi^2) = 1/2 + xi K'_{i|w|}(xi)/K_{i|w|}(xi),
+    # xi = sqrt(eps); limit_cycle is its small-xi limit, so the root gap falls
+    # like eps (mpmath is the oracle, 30 digits)
+    mpmath = pytest.importorskip("mpmath")
+    p = derived_constants(alpha)
+    eps_list, gaps = (1e-4, 1e-6, 1e-8), {}
+    with mpmath.workdps(30):
+        def k(x):
+            return mpmath.besselk(1j * mpmath.mpf(p.omega), x).real
+
+        for eps in eps_list:
+            for g in rg.limit_cycle(p, 1.0, eps).g_branches:  # none at -0.5, 1e-4
+                xi = mpmath.sqrt(mpmath.mpf(eps))
+                rhs = 0.5 + xi * mpmath.diff(k, xi) / k(xi)
+                z = mpmath.findroot(lambda z: mpmath.sqrt(z) * mpmath.cot(mpmath.sqrt(z)) - rhs,
+                                    g - eps)
+                gaps[eps] = float(abs(g - (z + eps)))
+    assert len(gaps) >= 2 and gaps[1e-8] < 1e-8
+    for coarse, fine in zip(eps_list, eps_list[1:]):
+        assert coarse not in gaps or gaps[coarse] >= 50.0 * gaps[fine]
+
+
 def test_limit_cycle_requires_limit_cycle_mode(params316):
     with pytest.raises(ValueError):
         rg.limit_cycle(params316, 1.0, 1e-6)

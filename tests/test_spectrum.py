@@ -337,6 +337,17 @@ def test_threshold_solves_the_comparison_bound_once(params316, monkeypatch):
     assert g_star == pytest.approx(2.6989686016, abs=1e-10)
 
 
+def test_binding_constant_reads_the_cached_threshold(params316, monkeypatch):
+    # g_minus comes from the square well's cached threshold, not a fresh solve
+    sp.threshold(params316, square_well(0.0), params316.nu_minus)
+    calls = []
+    orig = sp.invert_gamma
+    monkeypatch.setattr(sp, "invert_gamma", lambda nu: calls.append(nu) or orig(nu))
+    c = sp.binding_constant(params316)
+    assert calls == []
+    assert c == pytest.approx(BINDING_C_316, rel=1e-12)
+
+
 def test_linear_well_scales_with_x0():
     # V = -(g/x0^2) f(x/x0): doubling x0 quarters every energy and the potential
     p1, p2 = derived_constants(-0.1875), derived_constants(-0.1875, x0=2.0)
