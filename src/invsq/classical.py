@@ -49,7 +49,6 @@ from .spectrum import bound_state  # noqa: F401  (bench/tracing.py looks bound_s
 __all__ = [
     "PathEnsembleSpec",
     "FreeEnergyResult",
-    "feynman_kac",
     "feynman_kac_batch",
     "free_energy_density",
     "free_kernel",
@@ -102,9 +101,14 @@ def free_kernel(x: float, y: float, t: float) -> float:
     return math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
-def absorbed_kernel(x: float, y: float, t: float) -> float:
-    """Heat kernel with an absorbing wall at the origin (method of images)."""
-    return free_kernel(x, y, t) - free_kernel(x, -y, t)
+def _map_in_order(work, items, threads: int) -> list:
+    """[work(i) for i in items], on a pool of `threads` workers when threads > 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
+        return [work(i) for i in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, items))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index:
     frac = (np.arange(1, n + 1) / n).astype(np.float32)
     line = np.float32(spec.y) + np.float32(spec.x - spec.y) * frac
     step = np.float32(math.sqrt(2.0 * eps))
-    cut = regs[0].b * params.x0 if mode == "regulated" else 0.0
+    cut = regs[0].b if mode == "regulated" else 0.0
     trapz_w = np.ones(n + 1, dtype=np.float32)
     trapz_w[0] = trapz_w[-1] = 0.5
     rows = min(TILE_ROWS, n_in_chunk)
@@ -182,8 +186,12 @@ def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index:
 def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
                       mode: str = "regulated", threads: int = 1, *,
                       stats: dict | None = None):
-    """(W, stderr) per regulator, all regulators sharing one path ensemble.
+    """Monte Carlo estimates (W, stderr) of the absorbed path expectation,
+    one per regulator, all regulators sharing one path ensemble.
 
+    mode "regulated" weighs paths by exp(-int V) with the full regulated
+    potential; "barrier" keeps only absorption (V = 0 on x > 0); "free"
+    turns absorption off too (returns the free kernel, a pipeline check).
     Deterministic for fixed seed regardless of thread count: chunking is
     fixed at CHUNK_SAMPLES and the reduction runs in chunk order.  With
     `stats`, puts per-regulator lists of the effective-sample fraction
@@ -199,14 +207,8 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
 
-    def work(chunk):
-        return _chunk_weights(params, regs, spec, mode, *chunk)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
+    results = _map_in_order(lambda chunk: _chunk_weights(params, regs, spec, mode, *chunk),
+                            chunks, threads)
     kern = free_kernel(spec.x, spec.y, spec.t)
     n = spec.n_samples
     out, ess, share = [], [], []
@@ -226,17 +228,6 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     return out
 
 
-def feynman_kac(params: ModelParams, reg: Regulator, spec: PathEnsembleSpec,
-                mode: str = "regulated", threads: int = 1):
-    """Monte Carlo estimate (W, stderr) of the absorbed path expectation.
-
-    mode "regulated" weighs paths by exp(-int V) with the full regulated
-    potential; "barrier" keeps only absorption (V = 0 on x > 0); "free"
-    turns absorption off too (returns the free kernel, a pipeline check).
-    """
-    return feynman_kac_batch(params, [reg], spec, mode, threads)[0]
-
-
 # ---------------------------------------------------------------------------
 # Transfer matrix
 # ---------------------------------------------------------------------------
@@ -253,7 +244,7 @@ class TransferOperator:
 
     def __init__(self, params: ModelParams, reg: Regulator, eps: float,
                  x_max: float, n_grid: int, image: bool = True):
-        cut = reg.b * params.x0
+        cut = reg.b
         self.h = cut / max(1, round(n_grid * cut / x_max))
         self.n = n_grid
         self.x_max = self.n * self.h
@@ -392,7 +383,7 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     except NoBoundState:
         e0 = None
     # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}
-    cut = reg.b * params.x0
+    cut = reg.b
     if e0 is not None:
         x_max, shift = max(BOX_KAPPA / math.sqrt(-e0), 8.0 * cut), -e0
     else:
@@ -416,11 +407,7 @@ def free_energy_density(params: ModelParams, reg: Regulator,
             raise NumericalError("transfer matrix lost positivity")
         return -math.log(lam) / eps, iters, stats["residual"]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solves = list(pool.map(f_at, eps_sorted))
-    else:
-        solves = [f_at(e) for e in eps_sorted]
+    solves = _map_in_order(f_at, eps_sorted, threads)
     fs = [f for f, _, _ in solves]
     ratio = eps_sorted[-2] / eps_sorted[-1] if len(eps_sorted) >= 2 else 2.0
     if order is None and len(fs) >= 3:

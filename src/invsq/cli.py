@@ -1,14 +1,16 @@
 """Command-line front end: subcommand dispatch, JSON run specs, CSV/JSON
 artifacts, and golden-data regeneration.
 
-One table, COMMANDS, gives each command's handler and flags; both the
-argument parser and the run-spec loader are built from it.  Every flag
-mirrors a run-spec field one to one (the field is the flag's name with
-'_' for '-'), so `invsq fixed-points --alpha -0.1875` and
+One table, COMMANDS, gives each command's handler and flags, and the one
+argument parser is built from it.  A run spec is turned into the command
+line it stands for and goes through that same parser: each field is the
+flag of its name with '_' for '-' (flags are never abbreviated), "params"
+gives --alpha, and a "regulator" object in the core JSON format gives
+--scheme, --g and --b.  So `invsq fixed-points --alpha -0.1875` and
 `invsq --spec spec.json` (with {"command": "fixed-points", "params":
-{"alpha": -0.1875}}) are interchangeable; a spec may also carry a
-"regulator" object in the core JSON format.  Numeric CSV output keeps 17
-significant digits so downstream tolerance checks are meaningful.
+{"alpha": -0.1875}}) are interchangeable.  Lengths are in units of
+x0 = 1, so "b x0" in a CSV column label reads as b.  Numeric CSV output
+keeps 17 significant digits so downstream tolerance checks are meaningful.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 I/O failure.  Failures print a machine-readable JSON error line.
@@ -58,7 +60,7 @@ def _outdir(ns) -> Path:
 
 
 def _params(ns) -> ModelParams:
-    return derived_constants(ns.alpha, ns.x0)
+    return derived_constants(ns.alpha)
 
 
 def _regulator(ns) -> Regulator:
@@ -173,8 +175,7 @@ def cmd_exponent(ns):
     du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
                                            n_points=ns.n_points)
-    cut = reg.b * p.x0  # xi = b x0 sqrt(-E)
-    rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, cut * math.sqrt(e), fit.exponent)
+    rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, reg.b * math.sqrt(e), fit.exponent)
             for d, e in zip(du, fit.eps)]
     out = _outdir(ns) / f"exponent_{reg.kind.lower()}.csv"
     write_csv(out, _provenance(ns, scheme=reg.kind, g_star=fit.g_star,
@@ -259,7 +260,7 @@ def cmd_phase_shift(ns):
     ks = np.geomspace(ns.k_min, ns.k_max, ns.n_k)
     deltas = scattering.phase_shift_sweep(p, reg, ks)
     r = -np.exp(2j * deltas)
-    rows = list(zip(ks * reg.b * p.x0, [reg.g] * len(ks), r.real, r.imag, deltas))
+    rows = list(zip(ks * reg.b, [reg.g] * len(ks), r.real, r.imag, deltas))
     out = _outdir(ns) / "phase_shift.csv"
     write_csv(out, _provenance(ns, g=reg.g, b=reg.b),
               ["mu (k b x0, dimensionless)", "g (dimensionless)",
@@ -318,7 +319,9 @@ def cmd_chain(ns):
 
 
 def cmd_limit_cycle(ns):
-    p = derived_constants(ns.alpha)
+    p = _params(ns)
+    if ns.n_periods < 1:
+        raise ValueError(f"--n-periods must be >= 1, got {ns.n_periods}")
     states = []
     for shift in range(ns.n_periods):
         b = ns.b * math.exp(-shift * math.pi / p.omega)
@@ -339,21 +342,19 @@ def cmd_limit_cycle(ns):
 def cmd_regen_golden(ns):
     outdir = _outdir(ns)
     results = {}
-    for handler, suffix, fields in GOLDEN_JOBS:
-        name = next(n for n, (h, _) in COMMANDS.items() if h is handler)
-        sub = _spec_namespace({"command": name, "params": {"alpha": -0.1875},
-                               "out": str(outdir), **fields})
-        results[name + suffix] = sub.handler(sub)[1]
+    for key, job in GOLDEN_JOBS.items():
+        sub = _build_parser().parse_args(job.split() + ["--alpha=-0.1875", f"--out={outdir}"])
+        results[key] = sub.handler(sub)[1]
     return f"golden data regenerated in {outdir}", results
 
 
-# the runs behind golden/: (handler, suffix of the result key, run-spec fields)
-GOLDEN_JOBS = (
-    (cmd_contours, "", {"ratios": "1,2,4", "xi_min": 1e-4, "xi_max": 0.5, "n_xi": 40}),
-    (cmd_collapse, "", {}),
-    (cmd_exponent, "-square", {"scheme": "square", "g": 1.0}),
-    (cmd_exponent, "-linear", {"scheme": "linear", "g": 1.0}),
-)
+# the runs behind golden/: result key -> command line, at alpha = -3/16
+GOLDEN_JOBS = {
+    "contours": "contours --ratios 1,2,4 --xi-min 1e-4 --xi-max 0.5 --n-xi 40",
+    "collapse": "collapse",
+    "exponent-square": "exponent --scheme square --g 1.0",
+    "exponent-linear": "exponent --scheme linear --g 1.0",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +371,7 @@ class Flag(NamedTuple):
     help: str | None = None
 
 
-ALPHA = Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2")
-MODEL = (ALPHA, Flag("x0", default=1.0, help="fixed length scale"))
+MODEL = (Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2"),)
 
 
 def _regulator_flags(g_required: bool) -> tuple:
@@ -456,9 +456,7 @@ COMMANDS = {
              "pitch divides b x0 (results for b x0 != 1 differ from earlier versions)"),
         OUT,
         THREADS)),
-    # limit-cycle roots are in units of x0, so that command takes no --x0
-    "limit-cycle": (cmd_limit_cycle, (
-        ALPHA,
+    "limit-cycle": (cmd_limit_cycle, MODEL + (
         Flag("b", default=1.0),
         Flag("eps", required=True),
         Flag("n_periods", int, 1),
@@ -474,12 +472,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="invsq",
+    ap = _Parser(prog="invsq", allow_abbrev=False,
                  description="numerical laboratory for the regulated inverse-square potential")
     ap.add_argument("--spec", help="JSON run-spec file instead of a subcommand")
     sub = ap.add_subparsers(dest="command")
     for name, (handler, flags) in COMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         for f in flags:
             sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
                             default=f.default, required=f.required, choices=f.choices,
@@ -488,46 +486,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _spec_namespace(spec) -> argparse.Namespace:
-    """The namespace the equivalent flags would give, from a run-spec object."""
-    if not isinstance(spec, dict) or "command" not in spec:
-        raise ValueError("run spec needs a 'command' field")
-    command = spec["command"]
-    if not isinstance(command, str) or command not in COMMANDS:
-        raise ValueError(f"unknown command {command!r}")
-    handler, flags = COMMANDS[command]
-    by_name = {f.name: f for f in flags}
-    fields = {k: v for k, v in spec.items() if k != "command"}
-    given, reg = {}, None
-    if "params" in fields and "alpha" in by_name:
-        p = _from_json(params_from_json, fields.pop("params"))
-        given["alpha"] = p.alpha
-        if "x0" in by_name:
-            given["x0"] = p.x0
-        elif p.x0 != 1.0:
-            raise ValueError(f"{command} takes no x0")
-    if "regulator" in fields and "g" in by_name:
-        reg = _from_json(regulator_from_json, fields.pop("regulator"))
+def _spec_argv(spec) -> tuple[list, Regulator | None]:
+    """The command line equivalent to a run-spec object, and its regulator object.
+
+    "params" becomes --alpha and "regulator" --scheme, --g and --b (the
+    parsed object itself is returned beside them); every other field is
+    the flag of its name.  The parser makes every other check.
+    """
+    if not isinstance(spec, dict) or spec.get("command") not in tuple(COMMANDS):
+        raise ValueError(f"a run spec needs a 'command' among {list(COMMANDS)}")
+    fields = [(k, v) for k, v in spec.items() if k not in ("command", "params", "regulator")]
+    for key, val in fields:
+        if not key.isidentifier() or isinstance(val, bool) or not isinstance(val, (int, float, str)):
+            raise ValueError(f"unsupported run-spec field {key!r}: {val!r}")
+    if "params" in spec:
+        fields.append(("alpha", _from_json(params_from_json, spec["params"]).alpha))
+    reg = None
+    if "regulator" in spec:
+        reg = _from_json(regulator_from_json, spec["regulator"])
         scheme = next(s for s, kind in SCHEMES.items() if kind == reg.kind)
-        given.update(scheme=scheme, g=reg.g, b=reg.b, profile=None)
-    unknown = sorted(set(fields) - set(by_name))
-    if unknown:
-        raise ValueError(f"unknown run-spec fields for {command}: {unknown}")
-    twice = sorted(set(fields) & set(given))
+        # the object carries its own profile, so a "profile" field beside it is a second one
+        fields += [("scheme", scheme), ("g", reg.g), ("b", reg.b), ("profile", None)]
+    names = [k for k, _ in fields]
+    twice = sorted({k for k in names if names.count(k) > 1})
     if twice:
         raise ValueError(f"run-spec fields given twice: {twice}")
-    for key, val in fields.items():
-        f = by_name[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float, str)):
-            raise ValueError(f"unsupported value for {key!r}: {val!r}")
-        given[key] = f.type(str(val))  # the conversion the flag applies
-        if f.choices and given[key] not in f.choices:
-            raise ValueError(f"{key!r} must be one of {list(f.choices)}")
-    missing = [f.name for f in flags if f.required and given.get(f.name) is None]
-    if missing:
-        raise ValueError(f"run spec for {command} needs {missing}")
-    return argparse.Namespace(command=command, handler=handler, regulator=reg,
-                              **{f.name: given.get(f.name, f.default) for f in flags})
+    return [spec["command"]] + [f"--{k.replace('_', '-')}={v}" for k, v in fields
+                                if v is not None], reg
 
 
 def main(argv=None) -> int:
@@ -536,7 +521,9 @@ def main(argv=None) -> int:
         if ns.spec:
             if ns.command:
                 raise ValueError("give a subcommand or --spec, not both")
-            ns = _spec_namespace(json.loads(Path(ns.spec).read_text(encoding="utf-8")))
+            argv, reg = _spec_argv(json.loads(Path(ns.spec).read_text(encoding="utf-8")))
+            ns = _build_parser().parse_args(argv)
+            ns.regulator = reg
         if not ns.command:
             raise ValueError("give a subcommand or --spec")
         summary, payload = ns.handler(ns)

@@ -2,9 +2,10 @@
 fixed-point location, and the pluggable short-distance regulator.
 
 Units: hbar = 1 and hbar^2/2m = 1, so energy ~ 1/length^2 and the coupling
-alpha of the half-line potential alpha/x^2 is dimensionless.  The main
-analysis lives on -1/4 < alpha < 0 where omega = sqrt(1/4 + alpha) is in
-(0, 1/2); alpha < -1/4 is supported only through the limit-cycle mode,
+alpha of the half-line potential alpha/x^2 is dimensionless.  Lengths are
+in units of x0 = 1, so a well of width factor b ends at x = b x0 = b.  The
+main analysis lives on -1/4 < alpha < 0 where omega = sqrt(1/4 + alpha) is
+in (0, 1/2); alpha < -1/4 is supported only through the limit-cycle mode,
 which stores |omega| = sqrt(-1/4 - alpha) under a mode flag.
 """
 
@@ -46,7 +47,6 @@ class ModelParams:
     omega: float
     nu_plus: float
     nu_minus: float
-    x0: float = 1.0
     mode: str = MODE_MAIN
 
     def require_main(self) -> None:
@@ -54,7 +54,7 @@ class ModelParams:
             raise ValueError("operation defined only for -1/4 < alpha < 0")
 
 
-def derived_constants(alpha: float, x0: float = 1.0) -> ModelParams:
+def derived_constants(alpha: float) -> ModelParams:
     """ModelParams from alpha; nu_pm solve nu(nu-1) = alpha.
 
     alpha in (-1/4, 0) gives the main mode.  alpha < -1/4 gives the
@@ -63,13 +63,11 @@ def derived_constants(alpha: float, x0: float = 1.0) -> ModelParams:
     """
     if not (alpha < 0.0) or alpha == -0.25:
         raise ValueError("require alpha < 0 and alpha != -1/4")
-    if x0 <= 0.0:
-        raise ValueError("x0 must be positive")
     if alpha > -0.25:
         omega = math.sqrt(0.25 + alpha)
-        return ModelParams(alpha, omega, 0.5 + omega, 0.5 - omega, x0, MODE_MAIN)
+        return ModelParams(alpha, omega, 0.5 + omega, 0.5 - omega, MODE_MAIN)
     abs_omega = math.sqrt(-0.25 - alpha)
-    return ModelParams(alpha, abs_omega, math.nan, math.nan, x0, MODE_LIMIT_CYCLE)
+    return ModelParams(alpha, abs_omega, math.nan, math.nan, MODE_LIMIT_CYCLE)
 
 
 def gamma_cot(z):
@@ -200,7 +198,7 @@ class Regulator:
     def potential(self, x, params: ModelParams):
         """V(x) on the half-line (vectorized); +inf for x <= 0."""
         x = np.asarray(x, dtype=float)
-        cut = self.b * params.x0
+        cut = self.b
         out = np.where(x > 0, params.alpha / np.where(x > 0, x, 1.0) ** 2, np.inf)
         inside = (x > 0) & (x < cut)
         well = -self.g / cut ** 2 * self.profile(np.where(inside, x / cut, 0.0))
@@ -225,12 +223,12 @@ def generic_well(g: float, profile_x, profile_f) -> Regulator:
 # ---------------------------------------------------------------------------
 
 def params_from_json(d: dict) -> ModelParams:
-    extra = set(d) - {"alpha", "omega", "nu_plus", "nu_minus", "x0", "mode"}
+    extra = set(d) - {"alpha", "omega", "nu_plus", "nu_minus", "mode"}
     if extra:
         raise ValueError(f"unknown ModelParams fields: {sorted(extra)}")
     if "alpha" not in d:
         raise ValueError("ModelParams needs at least alpha")
-    p = derived_constants(float(d["alpha"]), float(d.get("x0", 1.0)))
+    p = derived_constants(float(d["alpha"]))
     for key in ("omega", "nu_plus", "nu_minus"):
         if key in d and not math.isnan(float(d[key])):
             if abs(float(d[key]) - getattr(p, key)) > 1e-9:

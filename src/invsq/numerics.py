@@ -243,6 +243,8 @@ def rk45(f: Callable[[float, np.ndarray], np.ndarray], t0: float, y0: Sequence[f
 def fit_loglog(x, y):
     """Least-squares line through (log x, log y): (slope, amplitude, rms residual)."""
     lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
+    if lx.size < 2:
+        raise ValueError(f"a log-log line needs at least 2 points, got {lx.size}")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     return float(slope), float(np.exp(intercept)), float(np.sqrt(np.mean(resid ** 2)))
@@ -262,6 +264,9 @@ def fit_two_powers(z, phi):
     """
     z = np.asarray(z, float)
     phi = np.asarray(phi, float)
+    if z.size < 4:
+        raise ValueError(f"a two-power fit has 4 parameters and needs at least 4 points, "
+                         f"got {z.size}")
     order = np.argsort(z)
     z, phi = z[order], phi[order]
     m = max(3, len(z) // 4)

@@ -118,7 +118,7 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
     whose dominant coefficient vanishes, as C_- does at g_+ when b -> 0).
     """
     params.require_main()
-    cut = reg.b * params.x0
+    cut = reg.b
     if x <= cut or y <= cut:
         raise ValueError("propagator sampled inside the regulated region (need x, y > b x0)")
     if t <= 0.0:

@@ -63,7 +63,7 @@ def phase_shift(params: ModelParams, reg: Regulator, k) -> PhaseShift:
     delta = 0.25 * math.pi * (1.0 - 2.0 * w) + np.arctan2(
         c_minus * math.sin(w * math.pi), c_plus + c_minus * math.cos(w * math.pi))
     delta = delta - math.pi * np.round(delta / math.pi)
-    return PhaseShift(delta=delta, k=k, mu=kk * reg.b * params.x0)
+    return PhaseShift(delta=delta, k=k, mu=kk * reg.b)
 
 
 def reflection(params: ModelParams, reg: Regulator, k) -> ReflectionAmplitude:
@@ -104,7 +104,7 @@ def constant_phase_curve(params: ModelParams, mu0: float, g0: float, mu1: float)
     """The curve of constant phase shift through (mu0, g0), out to mu1.
 
     Returns CURVE_POINTS pairs (mu, g), mu geometric from mu0 to mu1.  Along
-    the curve the exterior pair (C_+, C_-) at k = 1, b = mu/x0 keeps the
+    the curve the exterior pair (C_+, C_-) at k = 1, b = mu keeps the
     direction it has at the start, so g(mu) is that contour in closed form;
     for mu1 -> 0 it tends to the infrared fixed point g_minus.  Raises
     ValueError where the curve leaves the first branch.
@@ -114,7 +114,7 @@ def constant_phase_curve(params: ModelParams, mu0: float, g0: float, mu1: float)
         raise ValueError("mu must stay positive")
     if not 0.0 < g0 + mu0 * mu0 < PI_SQ:
         raise ValueError(f"start (mu={mu0}, g={g0}) is not on the first branch")
-    c_plus, c_minus = spectral_coefficients(params, square_well(g0, mu0 / params.x0), 1.0)
+    c_plus, c_minus = spectral_coefficients(params, square_well(g0, mu0), 1.0)
     mus = np.geomspace(mu0, mu1, CURVE_POINTS)
     gs = contour_coupling(params, float(c_plus), float(c_minus), mus)
     if np.isnan(gs).any():

@@ -147,7 +147,7 @@ def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
     if g <= threshold(params, reg, params.nu_minus):
         return None
     xi = _ground_xi(params, reg, g)
-    cut = reg.b * params.x0
+    cut = reg.b
     energy = -((xi / cut) ** 2)
     # match with C = 1, then normalize
     w_in = math.sqrt(g - xi * xi) / cut
@@ -183,7 +183,7 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     """
     w = params.omega
     k = np.asarray(k, dtype=float)
-    xi = reg.b * params.x0 * k
+    xi = reg.b * k
     gt = interior(params, reg, reg.g, -xi * xi) - 0.5
     jw = sf.jv(w, xi)
     jmw = sf.jv(-w, xi)
@@ -215,7 +215,7 @@ def mean_position(params: ModelParams, reg: Regulator) -> float:
     st = bound_state(params, reg)
     if st is None:
         raise ValueError(f"no bound state at g={reg.g}")
-    cut = reg.b * params.x0
+    cut = reg.b
     k = math.sqrt(reg.g - st.xi ** 2) / cut
     kappa = st.xi / cut
     num_in = st.A ** 2 * (0.25 * cut * cut - cut * math.sin(2.0 * k * cut) / (4.0 * k)
@@ -364,7 +364,7 @@ def generic_bound_energy(params: ModelParams, reg: Regulator, g: float) -> float
     params.require_main()
     if g <= threshold(params, reg, params.nu_minus):
         raise NoBoundState(f"no bound state at g={g}")
-    return (_ground_xi(params, reg, g) / (reg.b * params.x0)) ** 2
+    return (_ground_xi(params, reg, g) / reg.b) ** 2
 
 
 def generic_bound_threshold(params: ModelParams, reg: Regulator,

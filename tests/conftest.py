@@ -39,6 +39,13 @@ def wells():
             "pchip": lambda g, b=1.0: replace(generic_well(g, xs, 1.0 - 0.2 * xs ** 2), b=b)}
 
 
+@pytest.fixture(scope="session")
+def absorbed_kernel():
+    """(x, y, t) -> heat kernel with an absorbing wall at the origin (method of images)."""
+    from invsq.classical import free_kernel
+    return lambda x, y, t: free_kernel(x, y, t) - free_kernel(x, -y, t)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Finite chain: N inner coordinates, coupling eps, ends pinned to (y, x)."""

@@ -190,7 +190,7 @@ def test_criterion_09_phase_shift():
            f"curve delta drift {abs(d_start - d_end):.1e} (<=1e-8)", t0)
 
 
-def test_criterion_10_feynman_kac():
+def test_criterion_10_feynman_kac(absorbed_kernel):
     t0 = time.time()
     spec = cl.PathEnsembleSpec(y=1.0, x=1.0, t=4.0, n_steps=4096,
                                n_samples=1000000, seed=20260808)
@@ -202,8 +202,9 @@ def test_criterion_10_feynman_kac():
         pulls.append((w - ref) / err)
     spec_b = cl.PathEnsembleSpec(y=1.0, x=1.0, t=4.0, n_steps=4096,
                                  n_samples=200000, seed=20260809)
-    wb, eb = cl.feynman_kac(P, square_well(1.0, 0.05), spec_b, mode="barrier", threads=2)
-    pull_b = (wb - cl.absorbed_kernel(1.0, 1.0, 4.0)) / eb
+    [(wb, eb)] = cl.feynman_kac_batch(P, [square_well(1.0, 0.05)], spec_b, mode="barrier",
+                                      threads=2)
+    pull_b = (wb - absorbed_kernel(1.0, 1.0, 4.0)) / eb
     ok = all(abs(p) <= 3.0 for p in pulls) and abs(pull_b) <= 3.0
     report(10, "Feynman-Kac Monte Carlo", ok,
            f"pulls vs quadrature: g+ {pulls[0]:+.2f}, g- {pulls[1]:+.2f}; "

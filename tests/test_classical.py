@@ -23,16 +23,17 @@ def spec_for(x, y, t, n_steps=1024, n_samples=50000, seed=SEED):
 
 def test_free_mode_reproduces_heat_kernel(params316):
     spec = spec_for(1.3, 1.0, 2.0, n_steps=128, n_samples=1000)
-    w, err = cl.feynman_kac(params316, square_well(1.0, 0.05), spec, mode="free")
+    [(w, err)] = cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec, mode="free")
     assert w == cl.free_kernel(1.3, 1.0, 2.0)
     assert err == 0.0
 
 
-def test_barrier_mode_matches_image_kernel(params316):
+def test_barrier_mode_matches_image_kernel(params316, absorbed_kernel):
     for (x, y, t) in ((1.0, 1.0, 4.0), (0.5, 1.5, 2.0), (2.0, 1.0, 1.0)):
         spec = spec_for(x, y, t, n_steps=1024, n_samples=100000)
-        w, err = cl.feynman_kac(params316, square_well(1.0, 0.05), spec, mode="barrier")
-        ref = cl.absorbed_kernel(x, y, t)
+        [(w, err)] = cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec,
+                                          mode="barrier")
+        ref = absorbed_kernel(x, y, t)
         assert abs(w - ref) <= 3.0 * err
         assert err < 0.02 * ref
 
@@ -40,7 +41,7 @@ def test_barrier_mode_matches_image_kernel(params316):
 def test_deterministic_across_runs_and_threads(params316, gfix):
     _, g_minus = gfix
     spec = spec_for(1.0, 1.0, 2.0, n_steps=512, n_samples=20000)
-    runs = [cl.feynman_kac(params316, square_well(g_minus, 0.05), spec, threads=k)
+    runs = [cl.feynman_kac_batch(params316, [square_well(g_minus, 0.05)], spec, threads=k)[0]
             for k in (1, 2, 1)]
     assert runs[0] == runs[1] == runs[2]
 
@@ -71,6 +72,17 @@ def test_batch_requires_common_width(params316, monkeypatch):
                 cl.feynman_kac_batch(params316, regs, spec, threads=threads)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_refused_before_drawing(params316, monkeypatch, threads):
+    def no_draws(*args):
+        raise AssertionError("paths drawn before the thread count was checked")
+
+    monkeypatch.setattr(cl, "_chunk_weights", no_draws)
+    spec = spec_for(1.0, 1.0, 1.0, n_steps=64, n_samples=3 * cl.CHUNK_SAMPLES)
+    with pytest.raises(ValueError, match="threads"):
+        cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec, threads=threads)
+
+
 def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
     """The chunk kernel as it was before tiling: one (n_in_chunk, n) draw, every path charged."""
     n = spec.n_steps
@@ -95,7 +107,7 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
     surv = np.prod(factors, axis=1).astype(np.float64)
     if mode == "barrier":
         return [surv]
-    cut = regs[0].b * params.x0
+    cut = regs[0].b
     trapz_w = np.ones(n + 1, dtype=np.float32)
     trapz_w[0] = trapz_w[-1] = 0.5
     inside = nodes < np.float32(cut)
@@ -207,8 +219,8 @@ def scaling_check_W(params, b: float, sign: int,
                                    n_samples=n_samples, seed=seed)
     den_spec = cl.PathEnsembleSpec(y=y, x=x, t=t, n_steps=n_steps,
                                    n_samples=n_samples, seed=seed + 1)
-    w_num, e_num = cl.feynman_kac(params, reg, num_spec, threads=threads)
-    w_den, e_den = cl.feynman_kac(params, reg, den_spec, threads=threads)
+    w_num, e_num = cl.feynman_kac_batch(params, [reg], num_spec, threads=threads)[0]
+    w_den, e_den = cl.feynman_kac_batch(params, [reg], den_spec, threads=threads)[0]
     ratio = w_num / w_den
     rel = math.sqrt((e_num / w_num) ** 2 + (e_den / w_den) ** 2)
     return ratio, abs(ratio) * rel, (lam * lam_prime) ** nu

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from invsq import classical
 from invsq.cli import COMMANDS, main
+from invsq.core import square_well
 
 G_PLUS_316 = 0.7135701978897408
 G_MINUS_316 = 1.9411429858956074
@@ -302,14 +303,112 @@ def test_limit_cycle(tmp_path, capsys):
     assert (tmp_path / "limit_cycle.csv").exists()
 
 
-def test_limit_cycle_rejects_x0(tmp_path, capsys):
-    # its roots are in units of x0, so the command has no --x0 to ignore
-    assert_refused(run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
-                            "--x0", "5", "--out", str(tmp_path)], capsys))
-    spec = {"command": "limit-cycle", "params": {"alpha": -0.30, "x0": 5.0}, "eps": 1e-6,
+@pytest.mark.parametrize("args, detail", [
+    (["limit-cycle", "--alpha", "-0.3", "--eps", "1e-6", "--n-periods", "0"], "n-periods"),
+    (["limit-cycle", "--alpha", "-0.3", "--eps", "1e-6", "--n-periods", "-2"], "n-periods"),
+    (["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-points", "0"], "2 points"),
+    (["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-points", "1"], "2 points"),
+    (["collapse", "--alpha", "-0.1875", "--n-b", "0"], "4 points"),
+    (["collapse", "--alpha", "-0.1875", "--n-u", "0"], "4 points"),
+    (["collapse", "--alpha", "-0.1875", "--n-b", "1", "--n-u", "1"], "4 points")])
+def test_too_few_points_or_periods_exit_2(args, detail, tmp_path, capsys):
+    # one exponent point fits no line, and the collapse fits 4 parameters
+    assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [CHAIN_ARGS, FK_ARGS + ["--g", "1.0", "--n-steps", "64",
+                                                         "--n-samples", "100"]])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(args, threads, tmp_path, capsys):
+    assert_refused(run_cli(args + ["--threads", threads, "--out", str(tmp_path)], capsys),
+                   "threads")
+    assert not any(tmp_path.iterdir())
+
+
+# one complete command line per command, for the tests that go over all of them
+VALID_ARGV = {
+    "fixed-points": "--alpha -0.1875",
+    "flow": "--alpha -0.1875 --gamma0 0.5 --b1 0.01",
+    "contours": "--alpha -0.1875",
+    "bound-state": "--alpha -0.1875 --g 4.0",
+    "exponent": "--alpha -0.1875 --g 1.0",
+    "propagator": "--alpha -0.1875 --g 1.0 --x 1.2 --y 0.9 --t 1",
+    "scaling-check": "--alpha -0.1875 --law exact --g 1.0",
+    "collapse": "--alpha -0.1875",
+    "phase-shift": "--alpha -0.1875 --g 1.0",
+    "phase-curve": "--alpha -0.1875 --mu0 0.5 --g0 1.0 --mu1 0.1",
+    "feynman-kac": "--alpha -0.1875 --g 1.0 --x 1 --y 1 --t 4",
+    "chain": "--alpha -0.1875 --g 2.5",
+    "limit-cycle": "--alpha -0.3 --eps 1e-6",
+    "regen-golden": "",
+}
+
+
+def valid_spec(command):
+    """VALID_ARGV[command] as a run spec."""
+    words = VALID_ARGV[command].split()
+    return {"command": command,
+            **{flag[2:].replace("-", "_"): v for flag, v in zip(words[::2], words[1::2])}}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_takes_x0(command, tmp_path, capsys):
+    # lengths are in units of x0 = 1, so the width factor b is the one length knob
+    assert_refused(run_cli([command, "--x0", "2"] + VALID_ARGV[command].split(), capsys), "x0")
+    for spec in ({**valid_spec(command), "x0": 2.0},
+                 {"command": command, "params": {"alpha": -0.3, "x0": 1.0}}):
+        assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "x0")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_spec_built_from_the_flags_parses_as_the_flags(command, tmp_path, capsys,
+                                                          monkeypatch):
+    seen = []
+    flags = COMMANDS[command][1]
+    monkeypatch.setitem(COMMANDS, command, (lambda ns: seen.append(vars(ns)) or ("", {}), flags))
+    assert run_cli([command] + VALID_ARGV[command].split(), capsys)[0] == 0
+    spec = {f.name: seen[0][f.name] for f in flags if seen[0][f.name] is not None}
+    if "alpha" in spec:
+        spec["params"] = {"alpha": spec.pop("alpha")}
+    assert run_spec({"command": command, **spec}, tmp_path / "spec.json", capsys)[0] == 0
+    assert seen[1] == seen[0]
+    if "g" in spec:  # the same run with a regulator object in place of its flags
+        reg = {"kind": "SquareWell", "g": spec.pop("g"), "b": spec.pop("b")}
+        del spec["scheme"]
+        spec = {"command": command, "regulator": reg, **spec}
+        assert run_spec(spec, tmp_path / "spec.json", capsys)[0] == 0
+        assert seen[2]["regulator"] == square_well(reg["g"], reg["b"])
+        assert {**seen[2], "regulator": None} == seen[0]
+
+
+@pytest.mark.parametrize("field, value", [("--help", 1), ("-h", 1), ("help", 1), ("help", ""),
+                                          ("h", 1), ("law", "--help"), ("law", "-h"),
+                                          ("x", "-h")])
+def test_option_like_spec_fields_exit_2_without_help(field, value, tmp_path, capsys):
+    spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": "exact",
+            "g": 1.0, field: value}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
+
+
+@pytest.mark.parametrize("field, value", [("alpha", -0.1875), ("g", 2.0), ("b", 1.0),
+                                          ("scheme", "linear"), ("profile", "profile.json")])
+def test_a_field_given_twice_exits_2(field, value, tmp_path, capsys):
+    # params gives alpha; a regulator object gives scheme, g, b and its own profile
+    regulator = {"kind": "Generic", "g": 1.0, "profile": {"x": [0.0, 1.0], "f": [1.0, 0.5]}}
+    spec = {"command": "exponent", "params": {"alpha": -0.1875}, "regulator": regulator,
+            field: value}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), f"given twice: ['{field}']")
+
+
+def test_abbreviated_flags_are_refused(tmp_path, capsys):
+    # --n-point would otherwise stand for --n-points; spec fields are flag names exactly
+    assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-point", "3",
+                            "--out", str(tmp_path)], capsys), "--n-point")
+    spec = {"command": "exponent", "params": {"alpha": -0.1875}, "g": 1.0, "n_point": 3,
             "out": str(tmp_path)}
-    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "x0")
-    assert not (tmp_path / "limit_cycle.csv").exists()
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "--n-point")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_exponent_shoots_each_energy_once(tmp_path, capsys, monkeypatch):
@@ -539,9 +638,13 @@ CHEAP_FIELDS = {
     "flow": {"gamma0": st.floats(-0.5, 0.9), "b1": st.sampled_from([0.5, 0.1]),
              "steps": st.integers(1, 3)},
     "contours": {"ratios": st.sampled_from(["1", "1,2"]), "n_xi": st.integers(2, 4)},
+    "limit-cycle": {"eps": st.sampled_from([1e-6, 1e-4]), "n_periods": st.integers(-1, 3)},
+    "exponent": {"g": st.sampled_from([1.0, 3.0]), "n_points": st.integers(0, 3)},
 }
 MISTYPED = st.sampled_from([None, True, [1.0], {"a": 1}, "abc", "", 2.5, -1])
 VALID_PARAMS = st.fixed_dictionaries({"alpha": st.floats(-0.24, -0.02)})
+# limit-cycle runs only below alpha = -1/4
+VALID_PARAMS_BY_COMMAND = {"limit-cycle": st.fixed_dictionaries({"alpha": st.floats(-0.5, -0.26)})}
 MALFORMED_PARAMS = st.sampled_from([{"alpha": "x"}, {"alpha": -0.1875, "bogus": 1}, {}, 5, [],
                                     {"alpha": 0.1}, {"alpha": -0.3}, {"alpha": None}])
 REGULATORS = st.sampled_from([
@@ -558,7 +661,8 @@ def run_specs(draw):
     spec = {"command": command}
     choice = draw(FIELD_CHOICE)
     if choice != "missing":
-        spec["params"] = draw(VALID_PARAMS if choice == "valid" else MALFORMED_PARAMS)
+        valid = VALID_PARAMS_BY_COMMAND.get(command, VALID_PARAMS)
+        spec["params"] = draw(valid if choice == "valid" else MALFORMED_PARAMS)
     for name, valid in CHEAP_FIELDS[command].items():
         choice = draw(FIELD_CHOICE)
         if choice != "missing":

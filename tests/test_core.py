@@ -46,8 +46,6 @@ def test_derived_constants_domain():
     for bad in (0.1, 0.0, -0.25):
         with pytest.raises(ValueError):
             derived_constants(bad)
-    with pytest.raises(ValueError):
-        derived_constants(-0.1, x0=0.0)
 
 
 def test_gamma_of_g_values():

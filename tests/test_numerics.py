@@ -79,3 +79,13 @@ def test_fit_two_powers_recovers_pair(a, c):
     assert q == pytest.approx(-0.25, abs=2e-3)
     assert fa == pytest.approx(a, rel=2e-2)
     assert rms < 1e-6
+
+
+def test_fits_refuse_fewer_points_than_they_need():
+    # a line needs 2 points; A z^p + C z^q has 4 parameters
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="2 points"):
+            fit_loglog(np.geomspace(1.0, 2.0, n), np.ones(n))
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="4 points"):
+            fit_two_powers(np.geomspace(1.0, 8.0, n), np.ones(n))

@@ -26,7 +26,7 @@ def square_continuum(params, reg, k):
     well.  Inside, psi_E = A sin(zeta x/(b x0)) with zeta = sqrt(g + xi^2), so A
     is psi_E at the cut over sin(zeta); B = pi k A^2 is its closure weight."""
     cp, cm = sp.spectral_coefficients(params, reg, k)
-    cut = reg.b * params.x0
+    cut = reg.b
     zeta = np.sqrt(reg.g + (cut * k) ** 2)
     return cp, cm, sp.exterior_eigenfunction(params, k, cut, cp, cm) / np.sin(zeta), zeta
 
@@ -89,9 +89,6 @@ def test_binding_constant(params316):
     assert sp.binding_constant(params316) == pytest.approx(BINDING_C_316, rel=1e-12)
     for alpha in (-0.05, -0.12, -0.2, -0.24):
         assert sp.binding_constant(derived_constants(alpha)) > 0.0
-    # dimensionless: independent of x0
-    assert sp.binding_constant(derived_constants(-0.1875, x0=3.7)) == pytest.approx(
-        BINDING_C_316, rel=1e-12)
 
 
 def test_deep_well_state_and_matching(params316):
@@ -195,11 +192,10 @@ def test_b_normalization_power_law(params316, gfix):
     assert vals[1] == pytest.approx(vals[2], rel=1e-3)
 
 
-def test_closure_delta_sequence(params316):
+def test_closure_delta_sequence(params316, absorbed_kernel):
     # the windowed closure int A^2 sin(zeta x/b) sin(zeta y/b) e^{-tE} dE over the
     # interior amplitudes of the delta-normalized continuum is a delta sequence:
     # at small t it matches the absorbed-wall heat kernel
-    from invsq.classical import absorbed_kernel
     reg = square_well(0.0, 2.0)
 
     def closure(x, y, t):
@@ -252,7 +248,7 @@ def test_mean_position_matches_quadrature_of_the_state(params316, g, b):
     # the closed-form interior moment against quadrature of the whole state
     reg = square_well(g, b)
     st = sp.bound_state(params316, reg)
-    cut, w = b * params316.x0, params316.omega
+    cut, w = b, params316.omega
     k, kappa = math.sqrt(g - st.xi ** 2) / cut, st.xi / cut
 
     def moment(power):
@@ -346,20 +342,6 @@ def test_binding_constant_reads_the_cached_threshold(params316, monkeypatch):
     c = sp.binding_constant(params316)
     assert calls == []
     assert c == pytest.approx(BINDING_C_316, rel=1e-12)
-
-
-def test_linear_well_scales_with_x0():
-    # V = -(g/x0^2) f(x/x0): doubling x0 quarters every energy and the potential
-    p1, p2 = derived_constants(-0.1875), derived_constants(-0.1875, x0=2.0)
-    reg = linear_well(1.0)
-    for g in (2.7, 3.5, 6.0):
-        assert sp.generic_bound_energy(p2, reg, g) == 0.25 * sp.generic_bound_energy(p1, reg, g)
-    x = np.linspace(0.05, 6.0, 120)
-    assert np.array_equal(reg.potential(x, p2), 0.25 * reg.potential(0.5 * x, p1))
-    fit1 = sp.generic_bound_threshold(p1, reg, n_points=3)
-    fit2 = sp.generic_bound_threshold(p2, reg, n_points=3)
-    assert fit2.g_star == fit1.g_star
-    assert fit2.eps == tuple(0.25 * e for e in fit1.eps)
 
 
 def test_non_square_wells_scale_with_the_cut(params316, wells):
