@@ -378,6 +378,8 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     family eps^{3/2}).  NumericalError when MAX_GRID cells cannot give
     that resolution across the box (a very shallow bound state).
     """
+    if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) < len(eps_list):
+        raise ValueError(f"eps_list needs distinct finite steps > 0, got {list(eps_list)}")
     try:
         e0 = -generic_bound_energy(params, reg, reg.g)
     except NoBoundState:

@@ -3,14 +3,14 @@ artifacts, and golden-data regeneration.
 
 One table, COMMANDS, gives each command's handler and flags, and the one
 argument parser is built from it.  A run spec is turned into the command
-line it stands for and goes through that same parser: each field is the
-flag of its name with '_' for '-' (flags are never abbreviated), "params"
-gives --alpha, and a "regulator" object in the core JSON format gives
---scheme, --g and --b.  So `invsq fixed-points --alpha -0.1875` and
-`invsq --spec spec.json` (with {"command": "fixed-points", "params":
-{"alpha": -0.1875}}) are interchangeable.  Lengths are in units of
-x0 = 1, so "b x0" in a CSV column label reads as b.  Numeric CSV output
-keeps 17 significant digits so downstream tolerance checks are meaningful.
+line it stands for and goes through that same parser: besides "command",
+each field is the flag of its name with '_' for '-' (flags are never
+abbreviated), and a field given twice is refused.  So
+`invsq fixed-points --alpha -0.1875` and `invsq --spec spec.json` (with
+{"command": "fixed-points", "alpha": -0.1875}) are interchangeable.
+Lengths are in units of x0 = 1, so "b x0" in a CSV column label reads as
+b.  Numeric CSV output keeps 17 significant digits so downstream tolerance
+checks are meaningful.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 I/O failure.  Failures print a machine-readable JSON error line.
@@ -30,9 +30,8 @@ import numpy as np
 
 from . import __version__
 from . import classical, propagator, rgflow, scattering, spectrum
-from .core import (KIND_GENERIC, KIND_LINEAR, KIND_SQUARE, ModelParams, Regulator,
-                   derived_constants, fixed_points, params_from_json, regulator_from_json,
-                   square_well)
+from .core import (KIND_GENERIC, KIND_LINEAR, KIND_SQUARE, Regulator,
+                   derived_constants, fixed_points, square_well)
 from .numerics import NumericalError
 
 OUTDIR_ENV = "INVSQ_OUTDIR"
@@ -59,35 +58,21 @@ def _outdir(ns) -> Path:
     return Path(ns.out or os.environ.get(OUTDIR_ENV, "."))
 
 
-def _params(ns) -> ModelParams:
-    return derived_constants(ns.alpha)
-
-
 def _regulator(ns) -> Regulator:
-    """The run spec's regulator object, else the one the regulator flags give."""
-    if ns.regulator is not None:
-        return ns.regulator
+    """The regulator the --scheme, --g, --b and --profile flags give."""
     if ns.g is None:
         raise ValueError("this run needs --g")
-    reg = {"kind": SCHEMES[ns.scheme], "g": ns.g, "b": ns.b}
-    if ns.scheme == "generic":
-        if ns.profile is None:
-            raise ValueError("the generic scheme needs --profile")
-        reg["profile"] = json.loads(Path(ns.profile).read_text())
-    elif ns.profile is not None:
-        raise ValueError(f"--profile is read by the generic scheme only, not {ns.scheme}")
-    return _from_json(regulator_from_json, reg)
-
-
-def _from_json(parse, obj):
-    """parse(obj) for a JSON object; another JSON value, or a field of the
-    wrong JSON type inside it, is reported as a validation error."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, got {obj!r}")
+    if ns.scheme != "generic":
+        if ns.profile is not None:
+            raise ValueError(f"--profile is read by the generic scheme only, not {ns.scheme}")
+        return Regulator(SCHEMES[ns.scheme], ns.g, ns.b)
+    if ns.profile is None:
+        raise ValueError("the generic scheme needs --profile")
+    prof = json.loads(Path(ns.profile).read_text())
     try:
-        return parse(obj)
-    except TypeError as exc:
-        raise ValueError(f"malformed JSON value: {exc}") from exc
+        return Regulator(KIND_GENERIC, ns.g, ns.b, tuple(prof["x"]), tuple(prof["f"]))
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"--profile needs a JSON object with x and f tables ({exc!r})") from exc
 
 
 def _provenance(ns, **extra) -> list[str]:
@@ -101,7 +86,7 @@ def _provenance(ns, **extra) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_fixed_points(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     g_plus, g_minus = fixed_points(p)
     payload = {"alpha": p.alpha, "omega": p.omega, "nu_plus": p.nu_plus,
                "nu_minus": p.nu_minus, "g_plus": g_plus, "g_minus": g_minus}
@@ -109,7 +94,7 @@ def cmd_fixed_points(ns):
 
 
 def cmd_flow(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     bs = np.geomspace(ns.b0, ns.b1, ns.steps) if ns.steps > 1 else [ns.b1]
     rows = []
     for b in bs:
@@ -124,7 +109,7 @@ def cmd_flow(ns):
 
 
 def cmd_contours(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     ratios = [float(r) for r in ns.ratios.split(",")]
     xi = np.geomspace(ns.xi_min, ns.xi_max, ns.n_xi)
     rows = []
@@ -139,7 +124,7 @@ def cmd_contours(ns):
 
 
 def cmd_bound_state(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     if ns.g is None and not ns.g_list:
         raise ValueError("bound-state needs --g or --g-list")
     if ns.g_list:
@@ -170,7 +155,7 @@ def cmd_bound_state(ns):
 
 
 def cmd_exponent(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     reg = _regulator(ns)
     du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
@@ -192,7 +177,7 @@ def cmd_exponent(ns):
 
 
 def cmd_propagator(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     reg = _regulator(ns)
     smp = propagator.propagator_quadrature(p, reg, ns.x, ns.y, ns.t, rtol=ns.rtol)
     g_plus, g_minus = (spectrum.threshold(p, reg, nu) for nu in (p.nu_plus, p.nu_minus))
@@ -213,12 +198,12 @@ def cmd_propagator(ns):
 
 
 def cmd_scaling_check(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     if ns.law != "exact" and (ns.scheme != "square" or ns.g is not None
                               or ns.profile is not None):
         # the (b, u) laws build square wells of their own from --b and --u
         raise ValueError(f"the {ns.law} law takes --b and --u on the square well, "
-                         "not --scheme, --g, --profile or a regulator")
+                         "not --scheme, --g or --profile")
     unread = {"exact": ("u", "sign"), "callan-symanzik": ("lam",)}.get(ns.law, ())
     given = [name for name in unread if getattr(ns, name) is not None]
     if given:
@@ -238,7 +223,7 @@ def cmd_scaling_check(ns):
 
 
 def cmd_collapse(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     tab = propagator.scaling_collapse(p, sign=ns.sign, b0=ns.b0, u0=ns.u0,
                                       n_b=ns.n_b, n_u=ns.n_u, x=ns.x, y=ns.x, t=ns.t)
     rows = list(zip(tab.z, tab.phi))
@@ -255,7 +240,7 @@ def cmd_collapse(ns):
 
 
 def cmd_phase_shift(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     reg = _regulator(ns)
     ks = np.geomspace(ns.k_min, ns.k_max, ns.n_k)
     deltas = scattering.phase_shift_sweep(p, reg, ks)
@@ -269,7 +254,7 @@ def cmd_phase_shift(ns):
 
 
 def cmd_phase_curve(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     path = scattering.constant_phase_curve(p, ns.mu0, ns.g0, ns.mu1)
     out = _outdir(ns) / "phase_curve.csv"
     write_csv(out, _provenance(ns, mu0=ns.mu0, g0=ns.g0),
@@ -279,7 +264,7 @@ def cmd_phase_curve(ns):
 
 
 def cmd_feynman_kac(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     spec = classical.PathEnsembleSpec(y=ns.y, x=ns.x, t=ns.t, n_steps=ns.n_steps,
                                       n_samples=ns.n_samples, seed=ns.seed)
     stats = {}
@@ -297,7 +282,7 @@ def cmd_feynman_kac(ns):
 
 
 def cmd_chain(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     reg = _regulator(ns)
     eps_list = tuple(float(e) for e in ns.eps_list.split(","))
     res = classical.free_energy_density(p, reg, eps_list=eps_list,
@@ -319,7 +304,7 @@ def cmd_chain(ns):
 
 
 def cmd_limit_cycle(ns):
-    p = _params(ns)
+    p = derived_constants(ns.alpha)
     if ns.n_periods < 1:
         raise ValueError(f"--n-periods must be >= 1, got {ns.n_periods}")
     states = []
@@ -482,48 +467,55 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=f.type,
                             default=f.default, required=f.required, choices=f.choices,
                             help=f.help)
-        sp.set_defaults(handler=handler, regulator=None)
+        sp.set_defaults(handler=handler)
     return ap
 
 
-def _spec_argv(spec) -> tuple[list, Regulator | None]:
-    """The command line equivalent to a run-spec object, and its regulator object.
-
-    "params" becomes --alpha and "regulator" --scheme, --g and --b (the
-    parsed object itself is returned beside them); every other field is
-    the flag of its name.  The parser makes every other check.
-    """
+def _spec_argv(spec) -> list:
+    """The command line a run-spec object stands for: each field but "command" is a flag."""
     if not isinstance(spec, dict) or spec.get("command") not in tuple(COMMANDS):
         raise ValueError(f"a run spec needs a 'command' among {list(COMMANDS)}")
-    fields = [(k, v) for k, v in spec.items() if k not in ("command", "params", "regulator")]
+    fields = [(k, v) for k, v in spec.items() if k != "command"]
     for key, val in fields:
         if not key.isidentifier() or isinstance(val, bool) or not isinstance(val, (int, float, str)):
             raise ValueError(f"unsupported run-spec field {key!r}: {val!r}")
-    if "params" in spec:
-        fields.append(("alpha", _from_json(params_from_json, spec["params"]).alpha))
-    reg = None
-    if "regulator" in spec:
-        reg = _from_json(regulator_from_json, spec["regulator"])
-        scheme = next(s for s, kind in SCHEMES.items() if kind == reg.kind)
-        # the object carries its own profile, so a "profile" field beside it is a second one
-        fields += [("scheme", scheme), ("g", reg.g), ("b", reg.b), ("profile", None)]
-    names = [k for k, _ in fields]
+    return [spec["command"]] + [f"--{k.replace('_', '-')}={v}" for k, v in fields]
+
+
+def _unique_fields(pairs) -> dict:
+    """A JSON object's fields, refusing a name given twice (json.loads keeps the last)."""
+    names = [k for k, _ in pairs]
     twice = sorted({k for k in names if names.count(k) > 1})
     if twice:
         raise ValueError(f"run-spec fields given twice: {twice}")
-    return [spec["command"]] + [f"--{k.replace('_', '-')}={v}" for k, v in fields
-                                if v is not None], reg
+    return dict(pairs)
+
+
+def _join_negative_values(argv) -> list:
+    """`--flag -1e-1` as `--flag=-1e-1`: argparse takes only plain decimals for negative values."""
+    out = []
+    for token in argv:
+        try:
+            negative = float(token) < 0.0
+        except ValueError:
+            negative = False
+        if negative and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     try:
+        argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
         ns = _build_parser().parse_args(argv)
         if ns.spec:
             if ns.command:
                 raise ValueError("give a subcommand or --spec, not both")
-            argv, reg = _spec_argv(json.loads(Path(ns.spec).read_text(encoding="utf-8")))
-            ns = _build_parser().parse_args(argv)
-            ns.regulator = reg
+            spec = json.loads(Path(ns.spec).read_text(encoding="utf-8"),
+                              object_pairs_hook=_unique_fields)
+            ns = _build_parser().parse_args(_spec_argv(spec))
         if not ns.command:
             raise ValueError("give a subcommand or --spec")
         summary, payload = ns.handler(ns)

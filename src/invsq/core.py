@@ -216,34 +216,3 @@ def linear_well(g: float) -> Regulator:
 
 def generic_well(g: float, profile_x, profile_f) -> Regulator:
     return Regulator(KIND_GENERIC, g, 1.0, tuple(profile_x), tuple(profile_f))
-
-
-# ---------------------------------------------------------------------------
-# JSON wire formats (run-spec files)
-# ---------------------------------------------------------------------------
-
-def params_from_json(d: dict) -> ModelParams:
-    extra = set(d) - {"alpha", "omega", "nu_plus", "nu_minus", "mode"}
-    if extra:
-        raise ValueError(f"unknown ModelParams fields: {sorted(extra)}")
-    if "alpha" not in d:
-        raise ValueError("ModelParams needs at least alpha")
-    p = derived_constants(float(d["alpha"]))
-    for key in ("omega", "nu_plus", "nu_minus"):
-        if key in d and not math.isnan(float(d[key])):
-            if abs(float(d[key]) - getattr(p, key)) > 1e-9:
-                raise ValueError(f"inconsistent {key} in run spec")
-    return p
-
-
-def regulator_from_json(d: dict) -> Regulator:
-    extra = set(d) - {"kind", "b", "g", "profile"}
-    if extra:
-        raise ValueError(f"unknown Regulator fields: {sorted(extra)}")
-    kind = d.get("kind", KIND_SQUARE)
-    g = float(d["g"])
-    b = float(d.get("b", 1.0))
-    if kind == KIND_GENERIC:
-        prof = d["profile"]
-        return Regulator(kind, g, b, tuple(prof["x"]), tuple(prof["f"]))
-    return Regulator(kind, g, b)

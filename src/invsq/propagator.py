@@ -174,6 +174,8 @@ def check_exact_law(params: ModelParams, reg: Regulator,
                     x: float, y: float, t: float, lam: float,
                     rtol: float = 1e-9) -> float:
     """Relative residual of G_{b,g}(lx,-il^2t;ly) = l^{-1} G_{b/l,g}(x,-it;y)."""
+    if not lam > 0.0:
+        raise ValueError(f"lam must be > 0, got {lam}")
     if lam == 1.0:
         return 0.0
     lhs = propagator_quadrature(params, reg, lam * x, lam * y, lam * lam * t, rtol)
@@ -209,6 +211,8 @@ def check_asymptotic_law(params: ModelParams, b: float, u: float, sign: int,
     u' = l^{-+2 omega} u; valid asymptotically close to the fixed point,
     so the residual falls as b (and u) shrink.
     """
+    if not lam > 0.0:
+        raise ValueError(f"lam must be > 0, got {lam}")
     if lam == 1.0:
         return 0.0
     _warn_regime(b, u, t)
@@ -224,6 +228,8 @@ def check_scaling_relation(params: ModelParams, b: float, u: float, sign: int,
                            lam: float, x: float, y: float, t: float,
                            rtol: float = 1e-10) -> float:
     """Residual of G(b,u) ~ l^{-2 nu_pm} G(b/l, u l^{+-2 omega}) at fixed x,y,t."""
+    if not lam > 0.0:
+        raise ValueError(f"lam must be > 0, got {lam}")
     if lam == 1.0:
         return 0.0
     _warn_regime(b, u, t)
@@ -272,6 +278,8 @@ def scaling_collapse(params: ModelParams, sign: int = +1,
     and c = C/A.
     """
     params.require_main()
+    if not u0 > 0.0:
+        raise ValueError(f"u0 must be > 0, got {u0}")
     if x != y:
         raise ValueError("the collapse extraction takes the bracket root at x = y")
     w = params.omega

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from invsq import classical
 from invsq.cli import COMMANDS, main
-from invsq.core import square_well
 
 G_PLUS_316 = 0.7135701978897408
 G_MINUS_316 = 1.9411429858956074
@@ -97,9 +96,8 @@ def test_scaling_check_refuses_a_regulator_its_law_ignores(law, args, tmp_path, 
     # the (b, u) laws build square wells from --u; a scheme, depth or profile would be ignored
     assert_refused(run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
                            + args, capsys), law)
-    spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": law,
-            "regulator": {"kind": "SquareWell", "g": 1.0, "b": 0.01}}
-    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
+    spec = {"command": "scaling-check", "alpha": -0.1875, "law": law, "g": 1.0, "b": 0.01}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), law)
 
 
 @pytest.mark.parametrize("law, args, field", [
@@ -110,8 +108,8 @@ def test_scaling_check_refuses_a_flag_its_law_ignores(law, args, field, tmp_path
     # the exact law reads neither --u nor --sign, callan-symanzik no --lam
     assert_refused(run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law]
                            + args, capsys), field[0])
-    spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": law,
-            "b": 0.1, field[0]: field[1]}
+    spec = {"command": "scaling-check", "alpha": -0.1875, "law": law, "b": 0.1,
+            field[0]: field[1]}
     if law == "exact":
         spec["g"] = 1.0
     assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
@@ -326,6 +324,34 @@ def test_threads_below_one_exit_2(args, threads, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("law, args", [("exact", ["--g", "1.0", "--b", "0.1"]),
+                                       ("asymptotic", ["--b", "0.01"]),
+                                       ("scaling", ["--b", "0.01"])])
+@pytest.mark.parametrize("lam", ["0", "-2"])
+def test_scaling_check_refuses_lam_at_or_below_zero(law, args, lam, capsys):
+    assert_refused(run_cli(["scaling-check", "--alpha", "-0.1875", "--law", law, "--lam", lam]
+                           + args, capsys), "lam must be > 0")
+
+
+@pytest.mark.parametrize("args, detail", [
+    (["collapse", "--alpha", "-0.1875", "--u0", "0"], "u0 must be > 0"),
+    (["collapse", "--alpha", "-0.1875", "--u0=-1e-3"], "u0 must be > 0"),
+    (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.1,0.1"], "eps_list"),
+    (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.1,0.05,0.05"], "eps_list"),
+    (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0"], "eps_list")])
+def test_degenerate_collapse_or_chain_steps_exit_2(args, detail, tmp_path, capsys):
+    # u0 divides every coupling of the collapse; equal steps leave Richardson nothing to extrapolate
+    assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_flag_values_in_exponent_notation(capsys):
+    # argparse alone reads -1e-1 as an option and --alpha as missing its value
+    code, _, spaced = run_cli(["fixed-points", "--alpha", "-1e-1"], capsys)
+    assert code == 0
+    assert run_cli(["fixed-points", "--alpha=-0.1"], capsys)[2] == spaced
+
+
 # one complete command line per command, for the tests that go over all of them
 VALID_ARGV = {
     "fixed-points": "--alpha -0.1875",
@@ -356,9 +382,8 @@ def valid_spec(command):
 def test_no_command_takes_x0(command, tmp_path, capsys):
     # lengths are in units of x0 = 1, so the width factor b is the one length knob
     assert_refused(run_cli([command, "--x0", "2"] + VALID_ARGV[command].split(), capsys), "x0")
-    for spec in ({**valid_spec(command), "x0": 2.0},
-                 {"command": command, "params": {"alpha": -0.3, "x0": 1.0}}):
-        assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "x0")
+    assert_refused(run_spec({**valid_spec(command), "x0": 2.0}, tmp_path / "spec.json", capsys),
+                   "x0")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -369,43 +394,38 @@ def test_a_spec_built_from_the_flags_parses_as_the_flags(command, tmp_path, caps
     monkeypatch.setitem(COMMANDS, command, (lambda ns: seen.append(vars(ns)) or ("", {}), flags))
     assert run_cli([command] + VALID_ARGV[command].split(), capsys)[0] == 0
     spec = {f.name: seen[0][f.name] for f in flags if seen[0][f.name] is not None}
-    if "alpha" in spec:
-        spec["params"] = {"alpha": spec.pop("alpha")}
     assert run_spec({"command": command, **spec}, tmp_path / "spec.json", capsys)[0] == 0
     assert seen[1] == seen[0]
-    if "g" in spec:  # the same run with a regulator object in place of its flags
-        reg = {"kind": "SquareWell", "g": spec.pop("g"), "b": spec.pop("b")}
-        del spec["scheme"]
-        spec = {"command": command, "regulator": reg, **spec}
-        assert run_spec(spec, tmp_path / "spec.json", capsys)[0] == 0
-        assert seen[2]["regulator"] == square_well(reg["g"], reg["b"])
-        assert {**seen[2], "regulator": None} == seen[0]
 
 
 @pytest.mark.parametrize("field, value", [("--help", 1), ("-h", 1), ("help", 1), ("help", ""),
                                           ("h", 1), ("law", "--help"), ("law", "-h"),
                                           ("x", "-h")])
 def test_option_like_spec_fields_exit_2_without_help(field, value, tmp_path, capsys):
-    spec = {"command": "scaling-check", "params": {"alpha": -0.1875}, "law": "exact",
-            "g": 1.0, field: value}
+    spec = {"command": "scaling-check", "alpha": -0.1875, "law": "exact", "g": 1.0,
+            field: value}
     assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
 
 
 @pytest.mark.parametrize("field, value", [("alpha", -0.1875), ("g", 2.0), ("b", 1.0),
                                           ("scheme", "linear"), ("profile", "profile.json")])
 def test_a_field_given_twice_exits_2(field, value, tmp_path, capsys):
-    # params gives alpha; a regulator object gives scheme, g, b and its own profile
-    regulator = {"kind": "Generic", "g": 1.0, "profile": {"x": [0.0, 1.0], "f": [1.0, 0.5]}}
-    spec = {"command": "exponent", "params": {"alpha": -0.1875}, "regulator": regulator,
-            field: value}
-    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), f"given twice: ['{field}']")
+    # json.loads keeps the last of two equal keys, so the spec is read as raw JSON text
+    (tmp_path / "profile.json").write_text(json.dumps({"x": [0.0, 1.0], "f": [1.0, 0.5]}))
+    spec = {"command": "exponent", "alpha": -0.1875, "scheme": "generic", "g": 1.0, "b": 1.0,
+            "profile": str(tmp_path / "profile.json"), "n_points": 2, "out": str(tmp_path)}
+    text = json.dumps(spec)[:-1] + f", {json.dumps(field)}: {json.dumps(value)}}}"
+    (tmp_path / "spec.json").write_text(text)
+    assert_refused(run_cli(["--spec", str(tmp_path / "spec.json")], capsys),
+                   f"given twice: ['{field}']")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_abbreviated_flags_are_refused(tmp_path, capsys):
     # --n-point would otherwise stand for --n-points; spec fields are flag names exactly
     assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-point", "3",
                             "--out", str(tmp_path)], capsys), "--n-point")
-    spec = {"command": "exponent", "params": {"alpha": -0.1875}, "g": 1.0, "n_point": 3,
+    spec = {"command": "exponent", "alpha": -0.1875, "g": 1.0, "n_point": 3,
             "out": str(tmp_path)}
     assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "--n-point")
     assert not list(tmp_path.glob("*.csv"))
@@ -431,7 +451,7 @@ def test_exponent_shoots_each_energy_once(tmp_path, capsys, monkeypatch):
 
 
 def test_run_spec_file(tmp_path, capsys):
-    spec = {"command": "fixed-points", "params": {"alpha": -0.1875}}
+    spec = {"command": "fixed-points", "alpha": -0.1875}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, _, payload = run_cli(["--spec", str(path)], capsys)
@@ -440,7 +460,7 @@ def test_run_spec_file(tmp_path, capsys):
 
 
 def test_malformed_spec_exits_2_without_output(tmp_path, capsys):
-    spec = {"command": "fixed-points", "params": {"alpha": -0.1875, "bogus": 1}}
+    spec = {"command": "fixed-points", "alpha": "abc"}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "artifacts"
@@ -539,9 +559,8 @@ def test_generic_regulator_spec_matches_flags(tmp_path, capsys):
     profile = {"x": [0.0, 0.5, 1.0], "f": [1.0, 0.9, 0.6]}
     (tmp_path / "profile.json").write_text(json.dumps(profile))
     window = {"n_points": 3, "window_lo": 1e-3, "window_hi": 2e-3}
-    spec = {"command": "exponent", "params": {"alpha": -0.1875},
-            "regulator": {"kind": "Generic", "g": 1.0, "profile": profile},
-            "out": str(tmp_path / "spec"), **window}
+    spec = {"command": "exponent", "alpha": -0.1875, "scheme": "generic", "g": 1.0,
+            "profile": str(tmp_path / "profile.json"), "out": str(tmp_path / "spec"), **window}
     code, _, from_spec = run_spec(spec, tmp_path / "spec.json", capsys)
     assert code == 0
     code, _, from_flags = run_cli(
@@ -555,7 +574,7 @@ def test_generic_regulator_spec_matches_flags(tmp_path, capsys):
 
 
 def test_unknown_spec_field_exits_2_with_one_json_line(tmp_path, capsys):
-    spec = {"command": "fixed-points", "params": {"alpha": -0.1875}, "bogus": 1}
+    spec = {"command": "fixed-points", "alpha": -0.1875, "bogus": 1}
     code, lines, _ = run_spec(spec, tmp_path / "spec.json", capsys)
     assert code == 2
     assert len(lines) == 1
@@ -584,7 +603,7 @@ def test_profile_outside_the_generic_scheme_exits_2(command, args, tmp_path, cap
     missing = str(tmp_path / "missing.json")
     assert_refused(run_cli([command, "--alpha", "-0.1875", "--g", "1.0", "--profile",
                             missing, "--out", str(tmp_path)] + args, capsys), "profile")
-    spec = {"command": command, "params": {"alpha": -0.1875}, "g": 1.0, "profile": missing}
+    spec = {"command": command, "alpha": -0.1875, "g": 1.0, "profile": missing}
     assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
 
 
@@ -596,11 +615,13 @@ def test_malformed_profile_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [("regulator", []), ("regulator", "g"),
-                                          ("regulator", ["g"]), ("params", ["alpha"])])
+                                          ("regulator", ["g"]), ("params", ["alpha"]),
+                                          ("regulator", {"kind": "SquareWell", "g": 3.0}),
+                                          ("params", {"alpha": -0.1875})])
 def test_non_object_spec_value_exits_2(field, value, tmp_path, capsys):
-    spec = {"command": "bound-state", "params": {"alpha": -0.1875},
-            "regulator": {"kind": "SquareWell", "g": 3.0}, field: value}
-    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
+    # a field is a flag, and no flag is named params or regulator or takes a JSON object
+    spec = {"command": "bound-state", "alpha": -0.1875, "g": 3.0, field: value}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), field)
 
 
 @pytest.mark.parametrize("scheme", ["linear", "generic"])
@@ -630,27 +651,22 @@ def test_threads_and_out_only_where_read(capsys):
 
 
 # cheap commands for the run-spec fuzz test: field -> strategy of valid values
+ALPHA = {"alpha": st.floats(-0.24, -0.02)}
+SCHEMES = st.sampled_from(["square", "square", "linear", "generic"])
 CHEAP_FIELDS = {
-    "fixed-points": {},
-    "bound-state": {"g": st.floats(0.5, 6.0), "b": st.sampled_from([0.5, 1.0]),
-                    "g_list": st.sampled_from(["2.0,2.5", "1.0"]),
-                    "scheme": st.sampled_from(["square", "square", "linear"])},
-    "flow": {"gamma0": st.floats(-0.5, 0.9), "b1": st.sampled_from([0.5, 0.1]),
+    "fixed-points": ALPHA,
+    "bound-state": {**ALPHA, "g": st.floats(0.5, 6.0), "b": st.sampled_from([0.5, 1.0]),
+                    "g_list": st.sampled_from(["2.0,2.5", "1.0"]), "scheme": SCHEMES},
+    "flow": {**ALPHA, "gamma0": st.floats(-0.5, 0.9), "b1": st.sampled_from([0.5, 0.1]),
              "steps": st.integers(1, 3)},
-    "contours": {"ratios": st.sampled_from(["1", "1,2"]), "n_xi": st.integers(2, 4)},
-    "limit-cycle": {"eps": st.sampled_from([1e-6, 1e-4]), "n_periods": st.integers(-1, 3)},
-    "exponent": {"g": st.sampled_from([1.0, 3.0]), "n_points": st.integers(0, 3)},
+    "contours": {**ALPHA, "ratios": st.sampled_from(["1", "1,2"]), "n_xi": st.integers(2, 4)},
+    # limit-cycle runs only below alpha = -1/4
+    "limit-cycle": {"alpha": st.floats(-0.5, -0.26), "eps": st.sampled_from([1e-6, 1e-4]),
+                    "n_periods": st.integers(-1, 3)},
+    "exponent": {**ALPHA, "scheme": SCHEMES, "g": st.sampled_from([1.0, 3.0]),
+                 "b": st.sampled_from([0.5, 1.0]), "n_points": st.integers(0, 3)},
 }
-MISTYPED = st.sampled_from([None, True, [1.0], {"a": 1}, "abc", "", 2.5, -1])
-VALID_PARAMS = st.fixed_dictionaries({"alpha": st.floats(-0.24, -0.02)})
-# limit-cycle runs only below alpha = -1/4
-VALID_PARAMS_BY_COMMAND = {"limit-cycle": st.fixed_dictionaries({"alpha": st.floats(-0.5, -0.26)})}
-MALFORMED_PARAMS = st.sampled_from([{"alpha": "x"}, {"alpha": -0.1875, "bogus": 1}, {}, 5, [],
-                                    {"alpha": 0.1}, {"alpha": -0.3}, {"alpha": None}])
-REGULATORS = st.sampled_from([
-    {"kind": "SquareWell", "g": 3.0, "b": 1.0}, {"kind": "LinearWell", "g": 3.0},
-    {"kind": "Nope", "g": 1.0}, {"g": "x"}, {"kind": "Generic", "g": 1.0},
-    {"kind": "Generic", "g": 1.0, "profile": {"x": 5, "f": 3}}, [], ["g"], "g", 7])
+MISTYPED = st.sampled_from([None, True, [1.0], {"a": 1}, "abc", "", 2.5, -1, 0.1, -0.25, -0.3])
 # mostly valid fields, so that a good share of the specs runs to the end
 FIELD_CHOICE = st.sampled_from(["valid"] * 4 + ["malformed", "missing"])
 
@@ -659,16 +675,10 @@ FIELD_CHOICE = st.sampled_from(["valid"] * 4 + ["malformed", "missing"])
 def run_specs(draw):
     command = draw(st.sampled_from(sorted(CHEAP_FIELDS)))
     spec = {"command": command}
-    choice = draw(FIELD_CHOICE)
-    if choice != "missing":
-        valid = VALID_PARAMS_BY_COMMAND.get(command, VALID_PARAMS)
-        spec["params"] = draw(valid if choice == "valid" else MALFORMED_PARAMS)
     for name, valid in CHEAP_FIELDS[command].items():
         choice = draw(FIELD_CHOICE)
         if choice != "missing":
             spec[name] = draw(valid if choice == "valid" else MISTYPED)
-    if command == "bound-state" and "g" not in spec and draw(st.booleans()):
-        spec["regulator"] = draw(REGULATORS)
     if draw(st.integers(0, 4)) == 0:
         spec["unknown_field"] = draw(MISTYPED)
     return spec

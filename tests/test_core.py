@@ -1,6 +1,5 @@
 """Model parameters, coupling transform, fixed points, regulators."""
 
-import dataclasses
 import importlib
 import math
 import pkgutil
@@ -11,8 +10,7 @@ from hypothesis import given, strategies as st
 
 from invsq.core import (MODE_LIMIT_CYCLE, MODE_MAIN, PI_SQ, Regulator,
                         derived_constants, fixed_points, gamma_cot, generic_well,
-                        invert_gamma, linear_well, params_from_json,
-                        regulator_from_json, square_well)
+                        invert_gamma, linear_well, square_well)
 
 G_PLUS_316 = 0.7135701978897408  # alpha = -3/16, frozen from the root solve
 G_MINUS_316 = 1.9411429858956074
@@ -133,25 +131,6 @@ def test_generic_profile_validation():
         square_well(-1.0)
     with pytest.raises(ValueError):
         square_well(1.0, b=0.0)
-
-
-def test_json_round_trip(params316):
-    # every ModelParams field, and the regulator object a run spec carries
-    assert params_from_json(dataclasses.asdict(params316)) == params316
-    reg = square_well(1.25, 0.1)
-    assert regulator_from_json({"kind": "SquareWell", "b": 0.1, "g": 1.25}) == reg
-    gen = generic_well(0.7, [0.0, 0.5, 1.0], [1.0, 0.9, 0.4])
-    assert regulator_from_json({"kind": "Generic", "b": 1.0, "g": 0.7, "profile": {
-        "x": [0.0, 0.5, 1.0], "f": [1.0, 0.9, 0.4]}}) == gen
-
-
-def test_json_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        params_from_json({"alpha": -0.1, "extra": 1.0})
-    with pytest.raises(ValueError):
-        regulator_from_json({"g": 1.0, "width": 2.0})
-    with pytest.raises(ValueError):
-        params_from_json({"alpha": -0.1875, "omega": 0.3})  # inconsistent
 
 
 def test_no_module_reexports_a_callable():
