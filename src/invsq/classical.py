@@ -57,6 +57,7 @@ __all__ = [
 CHUNK_SAMPLES = 4096
 TILE_ROWS = 128  # paths built at once in a chunk: 2 MiB of float32 nodes at 4096 steps
 EIGEN_RTOL = 1e-12  # eigen-solve stops at ||T x - lambda x|| <= EIGEN_RTOL * lambda
+EIGEN_MAX_ITER = 100  # eigen-solve raises NumericalError after this many iterations
 BOX_KAPPA = 7.0  # the chain's box spans this many decay lengths of the bound state
 GRID_RESOLVE = 4.5  # chain grid cells per smallest Gaussian step width sqrt(2 eps)
 MAX_GRID = 1 << 16  # cap on the chain's grid size
@@ -77,9 +78,9 @@ class PathEnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.x <= 0.0 or self.y <= 0.0:
-            raise ValueError("endpoints must be positive")
-        if self.t <= 0.0 or self.n_steps < 2 or self.n_samples < 1:
+        if not (0.0 < self.x < math.inf and 0.0 < self.y < math.inf):
+            raise ValueError(f"endpoints must be finite and > 0, got x={self.x}, y={self.y}")
+        if not 0.0 < self.t < math.inf or self.n_steps < 2 or self.n_samples < 1:
             raise ValueError("bad ensemble shape")
 
 
@@ -313,7 +314,7 @@ def _top_ritz_pair(basis, images):
     return float(vals[-1]), chol_inv.T @ vecs[:, -1]
 
 
-def lanczos_lambda_max(apply_op, x0: np.ndarray, precond, max_iter: int = 100,
+def lanczos_lambda_max(apply_op, x0: np.ndarray, precond,
                        stats: dict | None = None) -> tuple[float, int]:
     """Largest eigenvalue of a symmetric operator by preconditioned LOBPCG.
 
@@ -322,14 +323,14 @@ def lanczos_lambda_max(apply_op, x0: np.ndarray, precond, max_iter: int = 100,
     top Ritz pair of T on span[x, w, p].  Returns (lambda, iterations) once
     ||T x - lambda x|| <= EIGEN_RTOL * lambda for unit x, and puts that
     relative residual in stats["residual"].  NumericalError on a non-finite
-    value, a Gram breakdown that persists without p, or max_iter.  The
+    value, a Gram breakdown that persists without p, or EIGEN_MAX_ITER.  The
     name predates the method: bench/tracing.py wraps it (ROADMAP 1).
     """
     x = x0 / math.sqrt(_dot(x0, x0))
     tx = apply_op(x)
     lam = _dot(x, tx)
     p = tp = None
-    for it in range(max_iter + 1):
+    for it in range(EIGEN_MAX_ITER + 1):
         r = tx - lam * x
         res = math.sqrt(_dot(r, r))
         if not (math.isfinite(lam) and math.isfinite(res)):
@@ -338,7 +339,7 @@ def lanczos_lambda_max(apply_op, x0: np.ndarray, precond, max_iter: int = 100,
             if stats is not None:
                 stats["residual"] = res / lam
             return lam, it
-        if it == max_iter:
+        if it == EIGEN_MAX_ITER:
             raise NumericalError(f"eigen-solve: residual {res / lam:.2e} after {it} "
                                  f"iterations (tol {EIGEN_RTOL:.0e})")
         w = precond(r)
@@ -381,7 +382,7 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) < len(eps_list):
         raise ValueError(f"eps_list needs distinct finite steps > 0, got {list(eps_list)}")
     try:
-        e0 = -generic_bound_energy(params, reg, reg.g)
+        e0 = -generic_bound_energy(params, reg)
     except NoBoundState:
         e0 = None
     # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}

@@ -12,8 +12,8 @@ Lengths are in units of x0 = 1, so "b x0" in a CSV column label reads as
 b.  Numeric CSV output keeps 17 significant digits so downstream tolerance
 checks are meaningful.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 I/O failure.  Failures print a machine-readable JSON error line.
+Exit codes: 0 success, 2 validation failure (a nan or +-inf input), 3 numerical
+failure, 4 I/O failure.  Failures print a machine-readable JSON error line.
 """
 
 from __future__ import annotations
@@ -58,19 +58,19 @@ def _outdir(ns) -> Path:
     return Path(ns.out or os.environ.get(OUTDIR_ENV, "."))
 
 
-def _regulator(ns) -> Regulator:
-    """The regulator the --scheme, --g, --b and --profile flags give."""
-    if ns.g is None:
+def _regulator(ns, g) -> Regulator:
+    """The regulator at depth g (None: no --g given) of --scheme, --b and --profile."""
+    if g is None:
         raise ValueError("this run needs --g")
     if ns.scheme != "generic":
         if ns.profile is not None:
             raise ValueError(f"--profile is read by the generic scheme only, not {ns.scheme}")
-        return Regulator(SCHEMES[ns.scheme], ns.g, ns.b)
+        return Regulator(SCHEMES[ns.scheme], g, ns.b)
     if ns.profile is None:
         raise ValueError("the generic scheme needs --profile")
     prof = json.loads(Path(ns.profile).read_text())
     try:
-        return Regulator(KIND_GENERIC, ns.g, ns.b, tuple(prof["x"]), tuple(prof["f"]))
+        return Regulator(KIND_GENERIC, g, ns.b, tuple(prof["x"]), tuple(prof["f"]))
     except (TypeError, KeyError) as exc:
         raise ValueError(f"--profile needs a JSON object with x and f tables ({exc!r})") from exc
 
@@ -147,7 +147,7 @@ def cmd_bound_state(ns):
                    "g (dimensionless)", "E (1/length^2)", "xi (dimensionless)",
                    "mean_x (length)"], rows)
         return f"{len(rows)} sweep rows -> {out}", {"rows": len(rows), "path": str(out)}
-    st = spectrum.bound_state(p, _regulator(ns))
+    st = spectrum.bound_state(p, _regulator(ns, ns.g))
     if st is None:
         return "no bound state (g <= g_minus)", {"bound": None}
     payload = {"energy": st.energy, "xi": st.xi, "A": st.A, "C": st.C, "norm": st.norm}
@@ -156,7 +156,7 @@ def cmd_bound_state(ns):
 
 def cmd_exponent(ns):
     p = derived_constants(ns.alpha)
-    reg = _regulator(ns)
+    reg = _regulator(ns, 0.0)  # the fit sets each depth from the profile's own g_*
     du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
                                            n_points=ns.n_points)
@@ -178,7 +178,7 @@ def cmd_exponent(ns):
 
 def cmd_propagator(ns):
     p = derived_constants(ns.alpha)
-    reg = _regulator(ns)
+    reg = _regulator(ns, ns.g)
     smp = propagator.propagator_quadrature(p, reg, ns.x, ns.y, ns.t, rtol=ns.rtol)
     g_plus, g_minus = (spectrum.threshold(p, reg, nu) for nu in (p.nu_plus, p.nu_minus))
     sign = 1 if abs(smp.g - g_plus) <= abs(smp.g - g_minus) else -1
@@ -212,7 +212,7 @@ def cmd_scaling_check(ns):
     sign = 1 if ns.sign is None else ns.sign
     lam = 2.0 if ns.lam is None else ns.lam
     if ns.law == "exact":
-        r = propagator.check_exact_law(p, _regulator(ns), ns.x, ns.y, ns.t, lam)
+        r = propagator.check_exact_law(p, _regulator(ns, ns.g), ns.x, ns.y, ns.t, lam)
     elif ns.law == "asymptotic":
         r = propagator.check_asymptotic_law(p, ns.b, u, sign, ns.x, ns.y, ns.t, lam)
     elif ns.law == "scaling":
@@ -225,7 +225,7 @@ def cmd_scaling_check(ns):
 def cmd_collapse(ns):
     p = derived_constants(ns.alpha)
     tab = propagator.scaling_collapse(p, sign=ns.sign, b0=ns.b0, u0=ns.u0,
-                                      n_b=ns.n_b, n_u=ns.n_u, x=ns.x, y=ns.x, t=ns.t)
+                                      n_b=ns.n_b, n_u=ns.n_u, x=ns.x, t=ns.t)
     rows = list(zip(tab.z, tab.phi))
     out = _outdir(ns) / "collapse.csv"
     write_csv(out, _provenance(ns, u0=tab.u0, spread=tab.spread,
@@ -241,7 +241,7 @@ def cmd_collapse(ns):
 
 def cmd_phase_shift(ns):
     p = derived_constants(ns.alpha)
-    reg = _regulator(ns)
+    reg = _regulator(ns, ns.g)
     ks = np.geomspace(ns.k_min, ns.k_max, ns.n_k)
     deltas = scattering.phase_shift_sweep(p, reg, ks)
     r = -np.exp(2j * deltas)
@@ -268,8 +268,8 @@ def cmd_feynman_kac(ns):
     spec = classical.PathEnsembleSpec(y=ns.y, x=ns.x, t=ns.t, n_steps=ns.n_steps,
                                       n_samples=ns.n_samples, seed=ns.seed)
     stats = {}
-    [(w, err)] = classical.feynman_kac_batch(p, [_regulator(ns)], spec, ns.mode, ns.threads,
-                                             stats=stats)
+    [(w, err)] = classical.feynman_kac_batch(p, [_regulator(ns, ns.g)], spec, ns.mode,
+                                             ns.threads, stats=stats)
     diagnostics = {"ess_fraction": stats["ess_fraction"][0],
                    "max_weight_share": stats["max_weight_share"][0]}
     rows = [(ns.x, ns.y, ns.t, ns.n_steps, ns.n_samples, w, err)]
@@ -283,7 +283,7 @@ def cmd_feynman_kac(ns):
 
 def cmd_chain(ns):
     p = derived_constants(ns.alpha)
-    reg = _regulator(ns)
+    reg = _regulator(ns, ns.g)
     eps_list = tuple(float(e) for e in ns.eps_list.split(","))
     res = classical.free_energy_density(p, reg, eps_list=eps_list,
                                         threads=ns.threads)
@@ -337,8 +337,8 @@ def cmd_regen_golden(ns):
 GOLDEN_JOBS = {
     "contours": "contours --ratios 1,2,4 --xi-min 1e-4 --xi-max 0.5 --n-xi 40",
     "collapse": "collapse",
-    "exponent-square": "exponent --scheme square --g 1.0",
-    "exponent-linear": "exponent --scheme linear --g 1.0",
+    "exponent-square": "exponent --scheme square",
+    "exponent-linear": "exponent --scheme linear",
 }
 
 
@@ -346,10 +346,22 @@ GOLDEN_JOBS = {
 # the command table, and the parser and run-spec loader built from it
 # ---------------------------------------------------------------------------
 
+def finite_list(text: str) -> str:
+    """A comma-separated list flag's text, once each of its numbers is finite."""
+    if not all(math.isfinite(float(item)) for item in text.split(",")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite: nan and +-inf are refused")
+    return text
+
+
+def finite(text: str) -> float:
+    """A number flag's value, refusing nan and +-inf as finite_list does."""
+    return float(finite_list(text))
+
+
 class Flag(NamedTuple):
     """One flag: --name (with '-' for '_') on the command line, name in a run spec."""
     name: str
-    type: Callable = float
+    type: Callable = finite
     default: object = None
     required: bool = False
     choices: tuple | None = None
@@ -357,15 +369,11 @@ class Flag(NamedTuple):
 
 
 MODEL = (Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2"),)
-
-
-def _regulator_flags(g_required: bool) -> tuple:
-    return (Flag("scheme", str, "square", choices=tuple(SCHEMES)),
-            Flag("g", required=g_required, help="well depth"),
-            Flag("b", default=1.0, help="width factor: the well fills 0 < x < b x0"),
-            Flag("profile", str, help="JSON file with {x: [...], f: [...]} (generic)"))
-
-
+WELL = (Flag("scheme", str, "square", choices=tuple(SCHEMES)),
+        Flag("b", default=1.0, help="width factor: the well fills 0 < x < b x0"),
+        Flag("profile", str, help="JSON file with {x: [...], f: [...]} (generic)"))
+DEPTH = (Flag("g", required=True, help="well depth"),)
+OPTIONAL_DEPTH = (Flag("g", help="well depth"),)
 OUT = Flag("out", str, help=f"output directory (default ${OUTDIR_ENV} or .)")
 THREADS = Flag("threads", int, 1)
 
@@ -378,26 +386,26 @@ COMMANDS = {
         Flag("steps", int, 1),
         OUT)),
     "contours": (cmd_contours, MODEL + (
-        Flag("ratios", str, "1"),
+        Flag("ratios", finite_list, "1"),
         Flag("xi_min", default=1e-4),
         Flag("xi_max", default=0.5),
         Flag("n_xi", int, 40),
         OUT)),
-    "bound-state": (cmd_bound_state, MODEL + _regulator_flags(g_required=False) + (
-        Flag("g_list", str, help="comma-separated depths: write the sweep CSV instead"),
+    "bound-state": (cmd_bound_state, MODEL + WELL + OPTIONAL_DEPTH + (
+        Flag("g_list", finite_list, help="comma-separated depths: write the sweep CSV instead"),
         OUT)),
-    "exponent": (cmd_exponent, MODEL + _regulator_flags(g_required=True) + (
+    "exponent": (cmd_exponent, MODEL + WELL + (
         Flag("window_lo", default=1e-4),
         Flag("window_hi", default=1e-2),
         Flag("n_points", int, 20),
         OUT)),
-    "propagator": (cmd_propagator, MODEL + _regulator_flags(g_required=True) + (
+    "propagator": (cmd_propagator, MODEL + WELL + DEPTH + (
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
         Flag("rtol", default=1e-9),
         OUT)),
-    "scaling-check": (cmd_scaling_check, MODEL + _regulator_flags(g_required=False) + (
+    "scaling-check": (cmd_scaling_check, MODEL + WELL + OPTIONAL_DEPTH + (
         Flag("law", str, required=True,
              choices=("exact", "asymptotic", "scaling", "callan-symanzik")),
         Flag("u", help="reduced coupling, default 1e-3 (not read by the exact law)"),
@@ -416,7 +424,7 @@ COMMANDS = {
         Flag("x", default=2.0),
         Flag("t", default=1e5),
         OUT)),
-    "phase-shift": (cmd_phase_shift, MODEL + _regulator_flags(g_required=True) + (
+    "phase-shift": (cmd_phase_shift, MODEL + WELL + DEPTH + (
         Flag("k_min", default=1e-4),
         Flag("k_max", default=1.0),
         Flag("n_k", int, 50),
@@ -426,7 +434,7 @@ COMMANDS = {
         Flag("g0", required=True),
         Flag("mu1", required=True),
         OUT)),
-    "feynman-kac": (cmd_feynman_kac, MODEL + _regulator_flags(g_required=True) + (
+    "feynman-kac": (cmd_feynman_kac, MODEL + WELL + DEPTH + (
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
@@ -436,9 +444,9 @@ COMMANDS = {
         Flag("mode", str, "regulated", choices=("regulated", "barrier", "free")),
         OUT,
         THREADS)),
-    "chain": (cmd_chain, MODEL + _regulator_flags(g_required=True) + (
-        Flag("eps_list", str, "0.1,0.05,0.025", help="time steps in units of (b x0)^2; the grid "
-             "pitch divides b x0 (results for b x0 != 1 differ from earlier versions)"),
+    "chain": (cmd_chain, MODEL + WELL + DEPTH + (
+        Flag("eps_list", finite_list, "0.1,0.05,0.025", help="time steps in units of (b x0)^2; "
+             "the grid pitch divides b x0 (results for b x0 != 1 differ from earlier versions)"),
         OUT,
         THREADS)),
     "limit-cycle": (cmd_limit_cycle, MODEL + (

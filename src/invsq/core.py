@@ -41,13 +41,28 @@ MODE_LIMIT_CYCLE = "limit-cycle"
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling alpha with its derived constants omega and nu_pm = 1/2 +- omega."""
+    """Coupling alpha with its derived constants omega and nu_pm = 1/2 +- omega.
+
+    alpha is the one input, finite, below 0 and not -1/4.  alpha in
+    (-1/4, 0) gives the main mode, where nu_pm solve nu(nu-1) = alpha.
+    alpha < -1/4 gives the limit-cycle mode, where omega stores |omega| =
+    sqrt(-1/4 - alpha) and nu_pm are NaN (the characteristic roots are complex).
+    """
 
     alpha: float
-    omega: float
-    nu_plus: float
-    nu_minus: float
-    mode: str = MODE_MAIN
+    omega: float = field(init=False)
+    nu_plus: float = field(init=False)
+    nu_minus: float = field(init=False)
+    mode: str = field(init=False)
+
+    def __post_init__(self):
+        if not -math.inf < self.alpha < 0.0 or self.alpha == -0.25:
+            raise ValueError(f"require finite alpha < 0 and alpha != -1/4, got {self.alpha}")
+        omega = math.sqrt(abs(0.25 + self.alpha))
+        derived = ((omega, 0.5 + omega, 0.5 - omega, MODE_MAIN) if self.alpha > -0.25
+                   else (omega, math.nan, math.nan, MODE_LIMIT_CYCLE))
+        for name, value in zip(("omega", "nu_plus", "nu_minus", "mode"), derived):
+            object.__setattr__(self, name, value)
 
     def require_main(self) -> None:
         if self.mode != MODE_MAIN:
@@ -55,19 +70,8 @@ class ModelParams:
 
 
 def derived_constants(alpha: float) -> ModelParams:
-    """ModelParams from alpha; nu_pm solve nu(nu-1) = alpha.
-
-    alpha in (-1/4, 0) gives the main mode.  alpha < -1/4 gives the
-    limit-cycle mode, where omega stores |omega| = sqrt(-1/4 - alpha)
-    and nu_pm are left as NaN (the characteristic roots are complex).
-    """
-    if not (alpha < 0.0) or alpha == -0.25:
-        raise ValueError("require alpha < 0 and alpha != -1/4")
-    if alpha > -0.25:
-        omega = math.sqrt(0.25 + alpha)
-        return ModelParams(alpha, omega, 0.5 + omega, 0.5 - omega, MODE_MAIN)
-    abs_omega = math.sqrt(-0.25 - alpha)
-    return ModelParams(alpha, abs_omega, math.nan, math.nan, MODE_LIMIT_CYCLE)
+    """ModelParams(alpha): the model's constants, all derived from alpha."""
+    return ModelParams(alpha)
 
 
 def gamma_cot(z):
@@ -149,10 +153,10 @@ class Regulator:
     _pchip: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.g < 0.0:
-            raise ValueError("well depth g must be >= 0")
-        if self.b <= 0.0:
-            raise ValueError("width factor b must be > 0")
+        if not 0.0 <= self.g < math.inf:
+            raise ValueError(f"well depth g must be finite and >= 0, got {self.g}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"width factor b must be finite and > 0, got {self.b}")
         if self.kind not in (KIND_SQUARE, KIND_LINEAR, KIND_GENERIC):
             raise ValueError(f"unknown regulator kind {self.kind!r}")
         if self.kind == KIND_GENERIC:
@@ -190,10 +194,8 @@ class Regulator:
         return h00 * y[idx] + h10 * h * d[idx] + h01 * y[idx + 1] + h11 * h * d[idx + 1]
 
     def sup_profile(self) -> float:
-        if self.kind != KIND_GENERIC:
-            return 1.0
-        s = np.linspace(self.profile_x[0], self.profile_x[-1], 2001)
-        return float(np.max(self._pchip_eval(s)))
+        """max f: the table's largest value, which the monotone cubic never exceeds."""
+        return float(max(self.profile_f)) if self.kind == KIND_GENERIC else 1.0
 
     def potential(self, x, params: ModelParams):
         """V(x) on the half-line (vectorized); +inf for x <= 0."""

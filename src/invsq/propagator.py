@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 ENERGY_CUTOFF_DECADES = 40.0
+COEFFICIENT_RTOL = 1e-10  # quadrature tolerance of the coefficient-normalized (b, u) laws
 CS_REL_STEP = 1e-3  # relative b and u steps of the Callan-Symanzik differences
 
 
@@ -171,21 +172,20 @@ def fixed_point_propagator(params: ModelParams, sign: int,
 
 
 def check_exact_law(params: ModelParams, reg: Regulator,
-                    x: float, y: float, t: float, lam: float,
-                    rtol: float = 1e-9) -> float:
+                    x: float, y: float, t: float, lam: float) -> float:
     """Relative residual of G_{b,g}(lx,-il^2t;ly) = l^{-1} G_{b/l,g}(x,-it;y)."""
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
     if lam == 1.0:
         return 0.0
-    lhs = propagator_quadrature(params, reg, lam * x, lam * y, lam * lam * t, rtol)
+    lhs = propagator_quadrature(params, reg, lam * x, lam * y, lam * lam * t)
     shrunk = replace(reg, b=reg.b / lam)
-    rhs = propagator_quadrature(params, shrunk, x, y, t, rtol, extra_panels=5)
+    rhs = propagator_quadrature(params, shrunk, x, y, t, extra_panels=5)
     return abs(lhs.value - rhs.value / lam) / abs(rhs.value / lam)
 
 
 def _coefficient_g(params: ModelParams, sign: int, b: float, u: float,
-                   x: float, y: float, t: float, rtol: float) -> float:
+                   x: float, y: float, t: float) -> float:
     """G in the coefficient normalization of the fixed point g_pm that sign
     picks, on the square well of width b at g = g_pm + sign u: the reduced
     coupling is u = g - g_+ near g_+ (sign = +1) and u = g_- - g near g_- (-1).
@@ -194,8 +194,8 @@ def _coefficient_g(params: ModelParams, sign: int, b: float, u: float,
         raise ValueError("sign must be +1 (near g_+) or -1 (near g_-)")
     g_pm = threshold(params, square_well(0.0), 0.5 + sign * params.omega)
     norm = "coefficient+" if sign == +1 else "coefficient-"
-    return propagator_quadrature(params, square_well(g_pm + sign * u, b), x, y, t, rtol,
-                                 normalization=norm).value
+    return propagator_quadrature(params, square_well(g_pm + sign * u, b), x, y, t,
+                                 COEFFICIENT_RTOL, normalization=norm).value
 
 
 def _warn_regime(b: float, u: float, t: float) -> None:
@@ -205,8 +205,7 @@ def _warn_regime(b: float, u: float, t: float) -> None:
 
 
 def check_asymptotic_law(params: ModelParams, b: float, u: float, sign: int,
-                         x: float, y: float, t: float, lam: float,
-                         rtol: float = 1e-10) -> float:
+                         x: float, y: float, t: float, lam: float) -> float:
     """Residual of G_{b,u}(lx,-il^2t;ly) ~ l^{2 nu_pm - 1} G_{b,u'}(x,-it;y),
     u' = l^{-+2 omega} u; valid asymptotically close to the fixed point,
     so the residual falls as b (and u) shrink.
@@ -217,16 +216,14 @@ def check_asymptotic_law(params: ModelParams, b: float, u: float, sign: int,
         return 0.0
     _warn_regime(b, u, t)
     nu = 0.5 + sign * params.omega
-    lhs = _coefficient_g(params, sign, b, u, lam * x, lam * y, lam * lam * t, rtol)
-    rhs = _coefficient_g(params, sign, b, u * lam ** (-sign * 2.0 * params.omega),
-                         x, y, t, rtol)
+    lhs = _coefficient_g(params, sign, b, u, lam * x, lam * y, lam * lam * t)
+    rhs = _coefficient_g(params, sign, b, u * lam ** (-sign * 2.0 * params.omega), x, y, t)
     scaled = lam ** (2.0 * nu - 1.0) * rhs
     return abs(lhs - scaled) / abs(scaled)
 
 
 def check_scaling_relation(params: ModelParams, b: float, u: float, sign: int,
-                           lam: float, x: float, y: float, t: float,
-                           rtol: float = 1e-10) -> float:
+                           lam: float, x: float, y: float, t: float) -> float:
     """Residual of G(b,u) ~ l^{-2 nu_pm} G(b/l, u l^{+-2 omega}) at fixed x,y,t."""
     if not lam > 0.0:
         raise ValueError(f"lam must be > 0, got {lam}")
@@ -234,15 +231,14 @@ def check_scaling_relation(params: ModelParams, b: float, u: float, sign: int,
         return 0.0
     _warn_regime(b, u, t)
     nu = 0.5 + sign * params.omega
-    lhs = _coefficient_g(params, sign, b, u, x, y, t, rtol)
-    rhs = _coefficient_g(params, sign, b / lam, u * lam ** (sign * 2.0 * params.omega),
-                         x, y, t, rtol)
+    lhs = _coefficient_g(params, sign, b, u, x, y, t)
+    rhs = _coefficient_g(params, sign, b / lam, u * lam ** (sign * 2.0 * params.omega), x, y, t)
     scaled = lam ** (-2.0 * nu) * rhs
     return abs(lhs - scaled) / abs(scaled)
 
 
 def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
-                             x: float, y: float, t: float, rtol: float = 1e-10) -> float:
+                             x: float, y: float, t: float) -> float:
     """Residual of [b d/db -+ 2 omega u d/du + 2 nu_pm] G = 0, normalized
     by 2 nu_pm G; central differences with relative steps CS_REL_STEP in b and u.
     """
@@ -250,7 +246,7 @@ def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
     w = params.omega
 
     def g_at(bb, uu):
-        return _coefficient_g(params, sign, bb, uu, x, y, t, rtol)
+        return _coefficient_g(params, sign, bb, uu, x, y, t)
 
     g0 = g_at(b, u)
     db = CS_REL_STEP * b
@@ -265,14 +261,13 @@ def callan_symanzik_residual(params: ModelParams, b: float, u: float, sign: int,
 def scaling_collapse(params: ModelParams, sign: int = +1,
                      b0: float = 1.0, u0: float = 2e-3,
                      n_b: int = 5, n_u: int = 5,
-                     x: float = 2.0, y: float = 2.0, t: float = 1e5,
-                     rtol: float = 1e-10) -> ScalingFunctionTable:
+                     x: float = 2.0, t: float = 1e5) -> ScalingFunctionTable:
     """Collapse G(b, u) onto Phi(z), z = b (u/u0)^{1/(2 omega)}.
 
     The grids are dyadically aligned (b halves, u steps by 2^{2 omega})
     so distinct (b, u) pairs share z values exactly; the spread across
-    each shared z measures the collapse quality.  G factorizes into
-    identical x- and y-brackets at x = y, so the single-argument scaling
+    each shared z measures the collapse quality.  G is sampled at y = x,
+    where it factorizes into identical x- and y-brackets, so the scaling
     function is the square root of the rescaled propagator; it is fit to
     A z^{-nu_+} + C z^{-nu_-} (exponents swap roles for the lower sign)
     and c = C/A.
@@ -280,8 +275,6 @@ def scaling_collapse(params: ModelParams, sign: int = +1,
     params.require_main()
     if not u0 > 0.0:
         raise ValueError(f"u0 must be > 0, got {u0}")
-    if x != y:
-        raise ValueError("the collapse extraction takes the bracket root at x = y")
     w = params.omega
     pref_exp = (0.5 + sign * w) / w
     entries: dict[int, list] = {}
@@ -289,7 +282,7 @@ def scaling_collapse(params: ModelParams, sign: int = +1,
         u = u0 * 2.0 ** (2.0 * w * m)
         for j in range(n_b):
             b = b0 * 2.0 ** (-j)
-            val = _coefficient_g(params, sign, b, u, x, y, t, rtol)
+            val = _coefficient_g(params, sign, b, u, x, x, t)
             phi = math.sqrt(val * (u / u0) ** (-pref_exp))
             entries.setdefault(m - j, []).append(phi)
     zs, phis, spread = [], [], 0.0

@@ -92,16 +92,16 @@ def _quad(what: str, f, a: float, b: float, **kw) -> float:
     return res.value
 
 
-def interior(params: ModelParams, reg: Regulator, g, eps):
+def interior(reg: Regulator, g, eps):
     """x psi'/psi at the cut, in units of b x0, of the interior solution that
     vanishes at 0, at energy E = -eps/(b x0)^2 (g and eps broadcast)."""
     if reg.kind == KIND_SQUARE:
         return gamma_cot(g - eps)
-    return interior_logderiv(params, reg, g, eps)
+    return interior_logderiv(reg, g, eps)
 
 
-def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
-    """xi = b x0 sqrt(-E) of the ground state of reg at depth g.
+def _ground_xi(params: ModelParams, reg: Regulator) -> float:
+    """xi = b x0 sqrt(-E) of the ground state of reg at its depth g.
 
     Solved in log xi: near threshold the root sits at xi ~ (g - g_*)^{1/2w},
     which for small omega underflows any fixed linear bracket.  At the top,
@@ -113,16 +113,16 @@ def _ground_xi(params: ModelParams, reg: Regulator, g: float) -> float:
     that g is above reg's own g_minus, which makes the mismatch negative at
     the bottom (there it tends to interior(g, 0) - nu_minus).
     """
-    top = g * reg.sup_profile()
+    top = reg.g * reg.sup_profile()
     if reg.kind != KIND_SQUARE and top >= PI_SQ:
         raise ValueError(f"g sup f = {top:.6g} >= pi^2: the {reg.kind} interior "
                          "log-derivative may have poles (square wells only)")
-    lo = math.log(math.sqrt(g - PI_SQ)) + 1e-12 if top > PI_SQ else math.log(1e-280)
+    lo = math.log(math.sqrt(reg.g - PI_SQ)) + 1e-12 if top > PI_SQ else math.log(1e-280)
     w = params.omega
 
     def mismatch(s: float) -> float:
         xi = math.exp(s)
-        return interior(params, reg, g, xi * xi) - (0.5 + sf.kv_log_derivative(w, xi))
+        return interior(reg, reg.g, xi * xi) - (0.5 + sf.kv_log_derivative(w, xi))
 
     return math.exp(brent(mismatch, lo, math.log(math.sqrt(top)) - 1e-13, xtol=1e-13))
 
@@ -146,7 +146,7 @@ def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
     g = reg.g
     if g <= threshold(params, reg, params.nu_minus):
         return None
-    xi = _ground_xi(params, reg, g)
+    xi = _ground_xi(params, reg)
     cut = reg.b
     energy = -((xi / cut) ** 2)
     # match with C = 1, then normalize
@@ -184,7 +184,7 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     w = params.omega
     k = np.asarray(k, dtype=float)
     xi = reg.b * k
-    gt = interior(params, reg, reg.g, -xi * xi) - 0.5
+    gt = interior(reg, reg.g, -xi * xi) - 0.5
     jw = sf.jv(w, xi)
     jmw = sf.jv(-w, xi)
     num = -xi * sf.jvp(-w, xi) + jmw * gt
@@ -286,7 +286,7 @@ def _magnus_propagator(h, f1, f2, g, eps):
     return _step_product(steps)
 
 
-def interior_logderiv(params: ModelParams, reg: Regulator, g, eps):
+def interior_logderiv(reg: Regulator, g, eps):
     """Left side of the generic matching condition at x = 1: phi'(1)/phi(1)
     for the interior solution started at x = 0 with phi = 0, phi' = 1.
 
@@ -338,7 +338,7 @@ def _threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
         return invert_gamma(nu)
 
     def f(g):
-        return interior(params, reg, g, 0.0) - nu
+        return interior(reg, g, 0.0) - nu
 
     g_bind, _ = existence_bounds(params, reg)
     g_nobind = threshold(params, square_well(0.0), nu) / reg.sup_profile()
@@ -354,17 +354,17 @@ def _threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
     return brent(f, float(gs[i]), float(gs[i + 1]), xtol=1e-13)
 
 
-def generic_bound_energy(params: ModelParams, reg: Regulator, g: float) -> float:
-    """eps = -E > 0 of the ground state of reg at depth g, in physical units
-    (1/length^2): E = -(xi/(b x0))^2, xi from the one matching solve.
+def generic_bound_energy(params: ModelParams, reg: Regulator) -> float:
+    """eps = -E > 0 of reg's ground state at its own depth reg.g, in physical
+    units (1/length^2): E = -(xi/(b x0))^2, xi from the one matching solve.
 
     NoBoundState (a ValueError) when there is none; ValueError for a
     non-square well with g sup f >= pi^2, where that solve does not apply.
     """
     params.require_main()
-    if g <= threshold(params, reg, params.nu_minus):
-        raise NoBoundState(f"no bound state at g={g}")
-    return (_ground_xi(params, reg, g) / reg.b) ** 2
+    if reg.g <= threshold(params, reg, params.nu_minus):
+        raise NoBoundState(f"no bound state at g={reg.g}")
+    return (_ground_xi(params, reg) / reg.b) ** 2
 
 
 def generic_bound_threshold(params: ModelParams, reg: Regulator,
@@ -377,7 +377,7 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
     """
     du = np.geomspace(window[0], window[1], n_points)
     g_star = threshold(params, reg, params.nu_minus)
-    eps = np.array([generic_bound_energy(params, reg, g_star + d) for d in du])
+    eps = np.array([generic_bound_energy(params, replace(reg, g=g_star + d)) for d in du])
     slope, amplitude, resid = fit_loglog(du, eps)
     return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
                        eps=tuple(eps.tolist()))

@@ -197,10 +197,10 @@ def test_weight_stats_leave_the_estimate_unchanged(params316, gfix):
 
 
 def test_path_spec_validation():
-    with pytest.raises(ValueError):
-        cl.PathEnsembleSpec(y=-1.0, x=1.0, t=1.0, n_steps=16, n_samples=10, seed=1)
-    with pytest.raises(ValueError):
-        cl.PathEnsembleSpec(y=1.0, x=1.0, t=0.0, n_steps=16, n_samples=10, seed=1)
+    for y, x, t in ((-1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, math.nan, 1.0), (math.inf, 1.0, 1.0),
+                    (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)):
+        with pytest.raises(ValueError):
+            cl.PathEnsembleSpec(y=y, x=x, t=t, n_steps=16, n_samples=10, seed=1)
 
 
 def scaling_check_W(params, b: float, sign: int,
@@ -411,9 +411,9 @@ def test_free_energy_refuses_an_unresolved_grid(params316, gfix, d):
             cl.free_energy_density(params316, reg)
 
 
-def _leading(op, shift, **kw):
+def _leading(op, shift):
     start = op.x * np.exp(-math.sqrt(shift) * op.x)
-    return cl.lanczos_lambda_max(op.apply, start, op.preconditioner(shift), **kw)
+    return cl.lanczos_lambda_max(op.apply, start, op.preconditioner(shift))
 
 
 @pytest.mark.parametrize("shift_g, eps, x_max, n_grid", [(0.1, 0.025, 120.0, 4096),
@@ -448,13 +448,14 @@ def test_eigen_solver_matches_dense_eigvalsh(params316, gfix):
     assert iters < 60
 
 
-def test_eigen_solver_fails_loudly(params316, gfix):
+def test_eigen_solver_fails_loudly(params316, gfix, monkeypatch):
     _, g_minus = gfix
     reg = square_well(g_minus + 0.5)
     op = cl.TransferOperator(params316, reg, 0.05, 40.0, 1024)
     shift = -sp.bound_state(params316, reg).energy
+    monkeypatch.setattr(cl, "EIGEN_MAX_ITER", 2)
     with pytest.raises(NumericalError, match="after 2 iterations"):
-        _leading(op, shift, max_iter=2)
+        _leading(op, shift)
     op.halfweight[100] = math.nan
     with pytest.raises(NumericalError, match="non-finite"):
         _leading(op, shift)
@@ -468,7 +469,7 @@ def test_eigen_solver_gram_breakdown_is_not_a_linalg_error():
         cl.lanczos_lambda_max(lambda u: u * np.arange(1.0, 17.0), x, lambda r: x)
 
 
-def test_eigen_solver_drops_a_zero_search_direction():
+def test_eigen_solver_drops_a_zero_search_direction(monkeypatch):
     # the top Ritz vector on [x, w] is x itself, so p = 0 w is zero: it must be
     # dropped (no 0/0) and the solve must end at its iteration cap
     d = np.linspace(0.5, 0.8, 16)
@@ -477,7 +478,8 @@ def test_eigen_solver_drops_a_zero_search_direction():
     x[:2] = 1.0
     z = np.zeros(16)
     z[5] = 1.0
+    monkeypatch.setattr(cl, "EIGEN_MAX_ITER", 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="after 4 iterations"):
-            cl.lanczos_lambda_max(lambda u: u * d, x, lambda r: z, max_iter=4)
+            cl.lanczos_lambda_max(lambda u: u * d, x, lambda r: z)

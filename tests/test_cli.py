@@ -216,8 +216,8 @@ def test_chain_reports_eigen_diagnostics(tmp_path, capsys):
     assert f"# eigen_residual = {diag['eigen_residual']:.17g}" in head
 
 
-def _capped_solver(orig):
-    return lambda *args, **kw: orig(*args, **{**kw, "max_iter": 2})
+def _two_iterations(orig):
+    return 2
 
 
 def _nan_halfweight(orig):
@@ -228,7 +228,7 @@ def _nan_halfweight(orig):
 
 
 @pytest.mark.parametrize("owner, name, broken", [
-    (classical, "lanczos_lambda_max", _capped_solver),
+    (classical, "EIGEN_MAX_ITER", _two_iterations),
     (classical.TransferOperator, "__init__", _nan_halfweight)])
 def test_chain_eigen_failure_exits_3(owner, name, broken, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
@@ -304,8 +304,8 @@ def test_limit_cycle(tmp_path, capsys):
 @pytest.mark.parametrize("args, detail", [
     (["limit-cycle", "--alpha", "-0.3", "--eps", "1e-6", "--n-periods", "0"], "n-periods"),
     (["limit-cycle", "--alpha", "-0.3", "--eps", "1e-6", "--n-periods", "-2"], "n-periods"),
-    (["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-points", "0"], "2 points"),
-    (["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-points", "1"], "2 points"),
+    (["exponent", "--alpha", "-0.1875", "--n-points", "0"], "2 points"),
+    (["exponent", "--alpha", "-0.1875", "--n-points", "1"], "2 points"),
     (["collapse", "--alpha", "-0.1875", "--n-b", "0"], "4 points"),
     (["collapse", "--alpha", "-0.1875", "--n-u", "0"], "4 points"),
     (["collapse", "--alpha", "-0.1875", "--n-b", "1", "--n-u", "1"], "4 points")])
@@ -345,6 +345,43 @@ def test_degenerate_collapse_or_chain_steps_exit_2(args, detail, tmp_path, capsy
     assert not any(tmp_path.iterdir())
 
 
+def test_exponent_refuses_g(tmp_path, capsys):
+    # the fit sets each depth from the profile's own g_*, so a given g would be ignored
+    assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0",
+                            "--out", str(tmp_path)], capsys), "--g")
+    spec = {"command": "exponent", "alpha": -0.1875, "g": 1.0, "out": str(tmp_path)}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "--g")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("bound-state --alpha -0.1875 --g nan", "--g"),
+    ("bound-state --alpha -0.1875 --g-list 2.0,nan", "--g-list"),
+    ("limit-cycle --alpha -0.3 --eps nan", "--eps"),
+    ("limit-cycle --alpha -0.3 --eps 1e-6 --b nan", "--b"),
+    ("limit-cycle --alpha -inf --eps 1e-6", "--alpha"),
+    ("contours --alpha -0.1875 --ratios nan", "--ratios"),
+    ("flow --alpha -0.1875 --gamma0 nan --b1 0.01", "--gamma0"),
+    ("flow --alpha -0.1875 --gamma0 0.5 --b1 nan", "--b1"),
+    ("feynman-kac --alpha -0.1875 --g 1 --x nan --y 1 --t 4", "--x"),
+    ("feynman-kac --alpha -0.1875 --g 1 --x 1 --y 1 --t inf", "--t"),
+    ("propagator --alpha -0.1875 --g 1 --x 1.2 --y 1 --t nan", "--t")])
+def test_non_finite_numbers_exit_2(argv, flag, tmp_path, capsys):
+    # on the command line and in a run spec alike, one JSON line names the flag
+    words = argv.split()
+    spec = {"command": words[0], "out": str(tmp_path)}
+    for name, text in zip(words[1::2], words[2::2]):
+        spec[name[2:].replace("-", "_")] = text if "," in text else float(text)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    for args in (words + ["--out", str(tmp_path)], ["--spec", str(tmp_path / "spec.json")]):
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2 and err == "" and len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert payload["error"] == "validation" and flag in payload["detail"]
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_negative_flag_values_in_exponent_notation(capsys):
     # argparse alone reads -1e-1 as an option and --alpha as missing its value
     code, _, spaced = run_cli(["fixed-points", "--alpha", "-1e-1"], capsys)
@@ -358,7 +395,7 @@ VALID_ARGV = {
     "flow": "--alpha -0.1875 --gamma0 0.5 --b1 0.01",
     "contours": "--alpha -0.1875",
     "bound-state": "--alpha -0.1875 --g 4.0",
-    "exponent": "--alpha -0.1875 --g 1.0",
+    "exponent": "--alpha -0.1875",
     "propagator": "--alpha -0.1875 --g 1.0 --x 1.2 --y 0.9 --t 1",
     "scaling-check": "--alpha -0.1875 --law exact --g 1.0",
     "collapse": "--alpha -0.1875",
@@ -412,8 +449,8 @@ def test_option_like_spec_fields_exit_2_without_help(field, value, tmp_path, cap
 def test_a_field_given_twice_exits_2(field, value, tmp_path, capsys):
     # json.loads keeps the last of two equal keys, so the spec is read as raw JSON text
     (tmp_path / "profile.json").write_text(json.dumps({"x": [0.0, 1.0], "f": [1.0, 0.5]}))
-    spec = {"command": "exponent", "alpha": -0.1875, "scheme": "generic", "g": 1.0, "b": 1.0,
-            "profile": str(tmp_path / "profile.json"), "n_points": 2, "out": str(tmp_path)}
+    spec = {"command": "phase-shift", "alpha": -0.1875, "scheme": "generic", "g": 1.0, "b": 1.0,
+            "profile": str(tmp_path / "profile.json"), "n_k": 2, "out": str(tmp_path)}
     text = json.dumps(spec)[:-1] + f", {json.dumps(field)}: {json.dumps(value)}}}"
     (tmp_path / "spec.json").write_text(text)
     assert_refused(run_cli(["--spec", str(tmp_path / "spec.json")], capsys),
@@ -423,9 +460,9 @@ def test_a_field_given_twice_exits_2(field, value, tmp_path, capsys):
 
 def test_abbreviated_flags_are_refused(tmp_path, capsys):
     # --n-point would otherwise stand for --n-points; spec fields are flag names exactly
-    assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-point", "3",
+    assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--n-point", "3",
                             "--out", str(tmp_path)], capsys), "--n-point")
-    spec = {"command": "exponent", "alpha": -0.1875, "g": 1.0, "n_point": 3,
+    spec = {"command": "exponent", "alpha": -0.1875, "n_point": 3,
             "out": str(tmp_path)}
     assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "--n-point")
     assert not list(tmp_path.glob("*.csv"))
@@ -442,7 +479,7 @@ def test_exponent_shoots_each_energy_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(spectrum, "generic_bound_energy", counted)
     code, _, _ = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "linear",
-                          "--g", "1.0", "--n-points", "3", "--out", str(tmp_path)], capsys)
+                          "--n-points", "3", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert len(found) == 3
     lines = (tmp_path / "exponent_linearwell.csv").read_text().splitlines()
@@ -518,7 +555,7 @@ def test_runs_on_numpy_alone():
 
 
 def test_determinism_repeat_runs(tmp_path, capsys):
-    args = ["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-points", "6",
+    args = ["exponent", "--alpha", "-0.1875", "--n-points", "6",
             "--window-lo", "1e-3", "--window-hi", "1e-2"]
     run_cli(args + ["--out", str(tmp_path / "a")], capsys)
     run_cli(args + ["--out", str(tmp_path / "b")], capsys)
@@ -531,7 +568,7 @@ def test_square_exponent_at_b_half_writes_bound_state_energies(tmp_path, capsys)
     from invsq import spectrum
     from invsq.core import derived_constants, square_well
     from invsq.numerics import fit_loglog
-    code, _, payload = run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0", "--b", "0.5",
+    code, _, payload = run_cli(["exponent", "--alpha", "-0.1875", "--b", "0.5",
                                 "--n-points", "4", "--out", str(tmp_path)], capsys)
     assert code == 0
     lines = (tmp_path / "exponent_squarewell.csv").read_text().splitlines()
@@ -548,7 +585,7 @@ def test_square_exponent_at_b_half_writes_bound_state_energies(tmp_path, capsys)
 
 
 def test_exponent_headers_record_tolerances(tmp_path, capsys):
-    run_cli(["exponent", "--alpha", "-0.1875", "--g", "1.0", "--n-points", "6",
+    run_cli(["exponent", "--alpha", "-0.1875", "--n-points", "6",
              "--window-lo", "1e-3", "--window-hi", "1e-2", "--out", str(tmp_path)],
             capsys)
     text = (tmp_path / "exponent_squarewell.csv").read_text()
@@ -559,12 +596,12 @@ def test_generic_regulator_spec_matches_flags(tmp_path, capsys):
     profile = {"x": [0.0, 0.5, 1.0], "f": [1.0, 0.9, 0.6]}
     (tmp_path / "profile.json").write_text(json.dumps(profile))
     window = {"n_points": 3, "window_lo": 1e-3, "window_hi": 2e-3}
-    spec = {"command": "exponent", "alpha": -0.1875, "scheme": "generic", "g": 1.0,
+    spec = {"command": "exponent", "alpha": -0.1875, "scheme": "generic",
             "profile": str(tmp_path / "profile.json"), "out": str(tmp_path / "spec"), **window}
     code, _, from_spec = run_spec(spec, tmp_path / "spec.json", capsys)
     assert code == 0
     code, _, from_flags = run_cli(
-        ["exponent", "--alpha", "-0.1875", "--scheme", "generic", "--g", "1.0",
+        ["exponent", "--alpha", "-0.1875", "--scheme", "generic",
          "--profile", str(tmp_path / "profile.json"), "--n-points", "3",
          "--window-lo", "1e-3", "--window-hi", "2e-3", "--out", str(tmp_path / "flags")],
         capsys)
@@ -596,21 +633,22 @@ def test_g_list_refuses_g(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, args", [
     ("exponent", ["--scheme", "square", "--n-points", "3"]),
-    ("phase-shift", ["--scheme", "linear", "--n-k", "3"]),
-    ("bound-state", [])])
+    ("phase-shift", ["--g", "1.0", "--scheme", "linear", "--n-k", "3"]),
+    ("bound-state", ["--g", "1.0"])])
 def test_profile_outside_the_generic_scheme_exits_2(command, args, tmp_path, capsys):
     # only the generic scheme reads the profile file; elsewhere it would be ignored
     missing = str(tmp_path / "missing.json")
-    assert_refused(run_cli([command, "--alpha", "-0.1875", "--g", "1.0", "--profile",
+    assert_refused(run_cli([command, "--alpha", "-0.1875", "--profile",
                             missing, "--out", str(tmp_path)] + args, capsys), "profile")
-    spec = {"command": command, "alpha": -0.1875, "g": 1.0, "profile": missing}
-    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys))
+    spec = {"command": command, "alpha": -0.1875, "profile": missing,
+            **{flag[2:].replace("-", "_"): v for flag, v in zip(args[::2], args[1::2])}}
+    assert_refused(run_spec(spec, tmp_path / "spec.json", capsys), "profile")
 
 
 def test_malformed_profile_file_exits_2(tmp_path, capsys):
     (tmp_path / "profile.json").write_text("[1, 2]")
     assert_refused(run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "generic",
-                            "--g", "1.0", "--profile", str(tmp_path / "profile.json"),
+                            "--profile", str(tmp_path / "profile.json"),
                             "--out", str(tmp_path)], capsys))
 
 
@@ -632,7 +670,7 @@ def test_non_square_schemes_take_any_b(scheme, tmp_path, capsys):
     for b in ("1.0", "0.5"):
         profile = ["--profile", str(tmp_path / "profile.json")] if scheme == "generic" else []
         code, _, payload = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", scheme,
-                                    "--g", "1.0", "--b", b, "--n-points", "4",
+                                    "--b", b, "--n-points", "4",
                                     "--out", str(tmp_path)] + profile, capsys)
         assert code == 0
         g_stars.append(payload["g_star"])
@@ -663,8 +701,8 @@ CHEAP_FIELDS = {
     # limit-cycle runs only below alpha = -1/4
     "limit-cycle": {"alpha": st.floats(-0.5, -0.26), "eps": st.sampled_from([1e-6, 1e-4]),
                     "n_periods": st.integers(-1, 3)},
-    "exponent": {**ALPHA, "scheme": SCHEMES, "g": st.sampled_from([1.0, 3.0]),
-                 "b": st.sampled_from([0.5, 1.0]), "n_points": st.integers(0, 3)},
+    "exponent": {**ALPHA, "scheme": SCHEMES, "b": st.sampled_from([0.5, 1.0]),
+                 "n_points": st.integers(0, 3)},
 }
 MISTYPED = st.sampled_from([None, True, [1.0], {"a": 1}, "abc", "", 2.5, -1, 0.1, -0.25, -0.3])
 # mostly valid fields, so that a good share of the specs runs to the end

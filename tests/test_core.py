@@ -1,8 +1,10 @@
 """Model parameters, coupling transform, fixed points, regulators."""
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ def test_limit_cycle_mode():
 
 
 def test_derived_constants_domain():
-    for bad in (0.1, 0.0, -0.25):
+    for bad in (0.1, 0.0, -0.25, math.nan, -math.inf, math.inf):
         with pytest.raises(ValueError):
             derived_constants(bad)
 
@@ -129,8 +131,33 @@ def test_generic_profile_validation():
         Regulator("Mystery", 1.0)
     with pytest.raises(ValueError):
         square_well(-1.0)
-    with pytest.raises(ValueError):
-        square_well(1.0, b=0.0)
+    for g, b in ((1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            square_well(g, b)
+
+
+def test_sup_profile_is_the_table_maximum():
+    # the peak node 0.3337 is off any uniform sample grid; the monotone cubic
+    # takes its largest value there and nowhere exceeds it
+    reg = generic_well(1.0, [0.0, 0.3337, 1.0], [0.5, 1.0, 0.2])
+    assert reg.sup_profile() == 1.0
+    assert np.max(reg.profile(np.linspace(0.0, 1.0, 100001))) <= 1.0
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an input that changes nothing
+    import invsq
+    for path in sorted(Path(invsq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                     if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread = [name for name in names if name != "self" and name not in read]
+            assert not unread, f"{path.name}:{node.lineno} {node.name} {unread}"
 
 
 def test_no_module_reexports_a_callable():

@@ -218,7 +218,7 @@ def test_callan_symanzik_sign_structure(params316):
         nu = params316.nu_plus
         w = params316.omega
         def g_at(bb, uu):
-            return pg._coefficient_g(params316, +1, bb, uu, 1.0, 1.0, 1.0, 1e-10)
+            return pg._coefficient_g(params316, +1, bb, uu, 1.0, 1.0, 1.0)
         g0 = g_at(b, u)
         db, du = 1e-3 * b, 1e-3 * u
         d_b = (g_at(b + db, u) - g_at(b - db, u)) / (2.0 * db)

@@ -49,11 +49,11 @@ def test_phase_expansion_coefficient(params316, wells):
     theory = {}
     for name, make in wells.items():
         emp = (sc.phase_shift(params316, make(g, 1.0), mu).delta - lead) / mu ** 0.5
-        gam = sp.interior(params316, make(g, 1.0), g, 0.0)
+        gam = sp.interior(make(g, 1.0), g, 0.0)
         theory[name] = -math.pi / (w * (2.0 ** w * math.gamma(w)) ** 2) \
             * (gam - params316.nu_plus) / (gam - params316.nu_minus)
         assert emp == pytest.approx(theory[name], rel=1e-2)
-    assert gamma_cot(g) == sp.interior(params316, square_well(g), g, 0.0)
+    assert gamma_cot(g) == sp.interior(square_well(g), g, 0.0)
     assert sc.phase_shift_expansion(params316, g, mu) == pytest.approx(
         lead + theory["square"] * mu ** 0.5, rel=1e-12)
 
@@ -173,7 +173,7 @@ def test_reflection_matches_hankel_matching(params316, wells):
             reg = make(g, b)
             for k in 10.0 ** rng.uniform(-3.0, 1.2, size=3):
                 mu = k * b
-                d = (2.0 * sp.interior(params316, reg, g, -mu * mu) - 1.0) / (2.0 * mu)
+                d = (2.0 * sp.interior(reg, g, -mu * mu) - 1.0) / (2.0 * mu)
                 big_d = special.jvp(w, mu) - d * special.jv(w, mu)
                 big_n = special.yvp(w, mu) - d * special.yv(w, mu)
                 want = 1j * np.exp(-1j * w * math.pi) * (big_d - 1j * big_n) / (big_d + 1j * big_n)

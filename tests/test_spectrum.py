@@ -272,7 +272,7 @@ def test_generic_path_reproduces_square_well_threshold(params316, gfix):
     g_star = sp.threshold(params316, square_well(1.0), params316.nu_minus)
     assert g_star == pytest.approx(g_minus, abs=1e-9)
     # Magnus shooting on the flat profile against the closed form's threshold
-    shot = brent(lambda g: sp.interior_logderiv(params316, square_well(1.0), g, 0.0)
+    shot = brent(lambda g: sp.interior_logderiv(square_well(1.0), g, 0.0)
                  - params316.nu_minus, 1.5, 2.5)
     assert shot == pytest.approx(g_minus, abs=1e-9)
 
@@ -280,13 +280,13 @@ def test_generic_path_reproduces_square_well_threshold(params316, gfix):
 def test_generic_energy_matches_exact_matching(params316, gfix):
     _, g_minus = gfix
     g = g_minus + 5e-3
-    eps = sp.generic_bound_energy(params316, square_well(1.0), g)
+    eps = sp.generic_bound_energy(params316, square_well(g))
     st = sp.bound_state(params316, square_well(g))
     assert eps == -st.energy
     # the Magnus shooter on the flat profile against gamma_cot, at the bound
     # state and across the bracket of the matching solve
     for xi2 in (0.0, st.xi ** 2, 1e-3, 0.5 * g, 0.99 * g):
-        got = sp.interior_logderiv(params316, square_well(1.0), g, xi2)
+        got = sp.interior_logderiv(square_well(1.0), g, xi2)
         assert got == pytest.approx(gamma_cot(g - xi2), rel=1e-11)
 
 
@@ -303,8 +303,7 @@ def test_small_omega_exponents_on_every_regulator(alpha):
 def test_generic_bound_energy_shoots_once_per_solver_evaluation(params316, monkeypatch):
     # the bracket's lower end is evaluated by brent alone; the threshold
     # test in front of the solve is the cached g_minus
-    reg = linear_well(1.0)
-    g = sp.threshold(params316, reg, params316.nu_minus) + 0.1
+    reg = linear_well(sp.threshold(params316, linear_well(1.0), params316.nu_minus) + 0.1)
     shots, evals = [], []
     shoot, solve = sp.interior_logderiv, sp.brent
 
@@ -317,7 +316,7 @@ def test_generic_bound_energy_shoots_once_per_solver_evaluation(params316, monke
 
     monkeypatch.setattr(sp, "interior_logderiv", counted_shoot)
     monkeypatch.setattr(sp, "brent", counted_solve)
-    sp.generic_bound_energy(params316, reg, g)
+    sp.generic_bound_energy(params316, reg)
     assert evals and len(shots) == len(evals)
 
 
@@ -348,7 +347,7 @@ def test_non_square_wells_scale_with_the_cut(params316, wells):
     # the interior is shot in units of b x0, so E b^2 does not depend on b
     for kind in ("linear", "pchip"):
         g = sp.threshold(params316, wells[kind](1.0), params316.nu_minus) + 0.5
-        energies = [sp.generic_bound_energy(params316, wells[kind](g, b), g) * b * b
+        energies = [sp.generic_bound_energy(params316, wells[kind](g, b)) * b * b
                     for b in (1.0, 0.5, 0.1)]
         assert energies[1:] == energies[:1] * 2
 
@@ -358,20 +357,19 @@ def test_deep_non_square_wells_are_refused(params316):
     xs = np.linspace(0.0, 1.0, 21)
     for reg in (linear_well(PI_SQ), generic_well(1.01 * PI_SQ / 0.8, xs, 0.8 - 0.1 * xs)):
         with pytest.raises(ValueError, match="pi\\^2"):
-            sp.generic_bound_energy(params316, reg, reg.g)
+            sp.generic_bound_energy(params316, reg)
         # the chain must not read the refusal as "no bound state"
         with pytest.raises(ValueError, match="pi\\^2"):
             free_energy_density(params316, reg)
     # just below pi^2 the linear well still binds
-    assert sp.generic_bound_energy(params316, linear_well(1.0), 0.99 * PI_SQ) > 0.0
+    assert sp.generic_bound_energy(params316, linear_well(0.99 * PI_SQ)) > 0.0
 
 
 def test_no_bound_state_is_reported_as_such(params316, gfix):
     _, g_minus = gfix
-    for reg, g in ((square_well(1.0), g_minus - 0.1), (linear_well(1.0), 2.0),
-                   (square_well(1.0), 0.0)):
+    for reg in (square_well(g_minus - 0.1), linear_well(2.0), square_well(0.0)):
         with pytest.raises(sp.NoBoundState):
-            sp.generic_bound_energy(params316, reg, g)
+            sp.generic_bound_energy(params316, reg)
 
 
 def test_linear_well_universal_exponent(params316):
@@ -431,20 +429,20 @@ def _airy_logderiv(g, eps):
 # eps < 0 is the continuum, out to xi = 20; beyond it scipy's Airy drifts
 # past 1e-11 before the shooter does
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3, -0.25, -2.25, -36.0, -400.0])
-def test_interior_logderiv_matches_airy(params316, g, eps):
-    got = sp.interior_logderiv(params316, linear_well(1.0), g, eps)
+def test_interior_logderiv_matches_airy(g, eps):
+    got = sp.interior_logderiv(linear_well(1.0), g, eps)
     assert isinstance(got, float)
     assert got == pytest.approx(_airy_logderiv(g, eps), rel=1e-11)
 
 
-def test_interior_logderiv_batches_over_g_and_eps(params316):
+def test_interior_logderiv_batches_over_g_and_eps():
     g = np.array([[1.5], [2.5], [3.0]])
     eps = np.array([0.0, 1e-3])
-    got = sp.interior_logderiv(params316, linear_well(1.0), g, eps)
+    got = sp.interior_logderiv(linear_well(1.0), g, eps)
     assert got.shape == (3, 2)
     for i in range(3):
         for j in range(2):
-            one = sp.interior_logderiv(params316, linear_well(1.0), float(g[i, 0]), float(eps[j]))
+            one = sp.interior_logderiv(linear_well(1.0), float(g[i, 0]), float(eps[j]))
             assert got[i, j] == pytest.approx(one, rel=1e-13)
 
 
@@ -476,7 +474,7 @@ def test_airy_threshold_constant_at_high_precision(params316):
 
 
 @pytest.mark.parametrize("g, eps", [(1.5, 0.0), (2.5, 0.0), (3.0, 0.0), (2.5, 1e-3)])
-def test_pchip_interior_matches_dop853(params316, g, eps):
+def test_pchip_interior_matches_dop853(g, eps):
     # the PCHIP profile is only C1 at its nodes, so the reference restarts there
     integrate = pytest.importorskip("scipy.integrate")
     xs = np.linspace(0.0, 1.0, 21)
@@ -486,9 +484,9 @@ def test_pchip_interior_matches_dop853(params316, g, eps):
         sol = integrate.solve_ivp(lambda x, u: [u[1], (eps - g * reg.profile(x)) * u[0]],
                                   (a, b), y, method="DOP853", rtol=1e-13, atol=1e-16)
         y = sol.y[:, -1]
-    assert sp.interior_logderiv(params316, reg, g, eps) == pytest.approx(y[1] / y[0], rel=1e-11)
+    assert sp.interior_logderiv(reg, g, eps) == pytest.approx(y[1] / y[0], rel=1e-11)
 
 
-def test_interior_logderiv_nan_depth_raises(params316):
+def test_interior_logderiv_nan_depth_raises():
     with pytest.raises(NumericalError):
-        sp.interior_logderiv(params316, linear_well(1.0), math.nan, 0.0)
+        sp.interior_logderiv(linear_well(1.0), math.nan, 0.0)
