@@ -112,9 +112,11 @@ def contour_coupling(params: ModelParams, c_plus: float, c_minus: float, xi) -> 
     params.require_main()
     w = params.omega
     xi = np.asarray(xi, dtype=float)
-    denom = c_plus * sf.jv(w, xi) + c_minus * sf.jv(-w, xi)
+    jw, jmw = sf.jv([w, -w], xi)
+    jpw, jpmw = sf.jvp([w, -w], xi)
+    denom = c_plus * jw + c_minus * jmw
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma_target = 0.5 + xi * (c_plus * sf.jvp(w, xi) + c_minus * sf.jvp(-w, xi)) / denom
+        gamma_target = 0.5 + xi * (c_plus * jpw + c_minus * jpmw) / denom
     z = np.full(xi.shape, math.nan)
     for i in np.flatnonzero((denom != 0.0) & (gamma_target < 1.0)):
         z[i] = invert_gamma(float(gamma_target[i]))

@@ -1,10 +1,16 @@
 """Self-contained special-function kernel: Bessel J/I/K.
 
-Real fractional orders only (|nu| < 2, noninteger where the I/K connection
-formula requires it), positive real arguments.  Strategy:
+Real orders |nu| < 3, positive real arguments.  K and x K'/K refuse every
+integer order (the I/K connection formula divides by sin nu pi); J and I
+refuse the negative integers (1/Gamma(1 + nu) has its poles there).
+Strategy:
 
-* Gamma from `math.gamma` (every order is a scalar),
+* Gamma from `math.gamma`, one call per order,
 * one ascending power series (J, I, small-x K log-derivative) for small x,
+  summed until the sum stops changing: past k = sqrt(max q) + 3 the terms
+  shrink, so once two consecutive terms leave every sum unchanged no later
+  term can move it, and the result is the full `_SERIES_TERMS`-term sum to
+  the bit,
 * one Hankel-term recurrence a_k(nu)/x^k (J via P, Q; I; K) for large x,
 * K from pi (I_{-nu} - I_nu) / (2 sin nu pi) at small argument and an
   exponentially convergent trapezoid rule on the cosh integral
@@ -12,10 +18,12 @@ formula requires it), positive real arguments.  Strategy:
 * derivatives from the standard two-term recurrences, never by
   differencing.
 
-Everything is vectorized over the argument (scalar order); scalars in,
-scalar out.  Target accuracy is 1e-10 relative (to the oscillation
-envelope where the function has zeros), good enough that downstream
-quadratures at 1e-8..1e-9 are never kernel-limited.
+Everything is vectorized over the argument; scalars in, scalar out.  `jv`,
+`jvp` and `iv_scaled` also take a 1-d array of orders and return one row
+per order, shape (len(nu),) + shape(x), each row equal to the scalar-order
+call.  Target accuracy is 1e-10 relative (to the oscillation envelope where the
+function has zeros), good enough that downstream quadratures at
+1e-8..1e-9 are never kernel-limited.
 """
 
 from __future__ import annotations
@@ -42,36 +50,65 @@ _ASYM_TERMS = 25
 # Ascending series
 # ---------------------------------------------------------------------------
 
-def _check_order(nu: float) -> None:
-    if not np.isfinite(nu) or abs(nu) >= 3.0:
-        raise ValueError(f"order out of supported range: nu={nu}")
+def _check_order(nu, *, bessel_k: bool = False):
+    """nu as a float, or a 1-d array of orders as a column (one row per order).
+
+    J and I refuse the negative integers, the poles of Gamma(1 + nu).  K
+    (bessel_k=True) takes one order and refuses every integer, where the
+    connection formula divides by sin(nu pi) = 0.
+    """
+    orders = np.asarray(nu, dtype=float)
+    if orders.ndim > (0 if bessel_k else 1):
+        raise ValueError(f"order must be a scalar{'' if bessel_k else ' or 1-d'}: nu={nu}")
+    for o in orders.ravel():
+        if not np.isfinite(o) or abs(o) >= 3.0:
+            raise ValueError(f"order out of supported range: nu={o}")
+        if o == round(o) and (o < 0.0 or bessel_k):
+            raise ValueError(f"integer order not supported here: nu={o}")
+    return float(orders) if orders.ndim == 0 else orders[:, None]
 
 
 def _series_cyl(nu: float | np.ndarray, x: np.ndarray, sign: float):
     """sum_k (sign q)^k / (k! (nu+1)_k), q = (x/2)^2.
 
     Shared kernel of the J (sign=-1) and I (sign=+1) ascending series; a
-    column of orders nu gives one row per order.
+    column of orders nu gives one row per order.  Past k_min every order
+    nu > -3 has k (nu + k) > q, so each later term is smaller than the one
+    before it; once two consecutive terms (both signs of J's) leave every
+    sum unchanged, round-to-nearest leaves it unchanged for all later terms.
     """
     q = 0.25 * x * x
+    k_min = math.sqrt(np.max(q, initial=0.0)) + 3.0
     term = np.ones_like(x)
     total = np.ones_like(x)
+    settled = 0
     for k in range(1, _SERIES_TERMS + 1):
         term = term * (sign * q) / (k * (nu + k))
-        total = total + term
+        new = total + term
+        settled = settled + 1 if k > k_min and np.array_equal(new, total) else 0
+        total = new
+        if settled == 2:
+            break
     return total
 
 
-def _prefactor(nu: float, x: np.ndarray) -> np.ndarray:
+def _gamma1p(nu):
+    """Gamma(1 + nu) for a float, or a column of them for a column of orders."""
+    if np.ndim(nu) == 0:
+        return math.gamma(1.0 + nu)
+    return np.array([[math.gamma(1.0 + o)] for o in nu[:, 0]])
+
+
+def _prefactor(nu, x: np.ndarray) -> np.ndarray:
     """(x/2)^nu / Gamma(1+nu), stable for small x and negative nu."""
-    return np.exp(nu * np.log(0.5 * x)) / math.gamma(1.0 + nu)
+    return np.exp(nu * np.log(0.5 * x)) / _gamma1p(nu)
 
 
-def _jv_series(nu: float, x: np.ndarray):
+def _jv_series(nu, x: np.ndarray):
     return _prefactor(nu, x) * _series_cyl(nu, x, -1.0)
 
 
-def _iv_series(nu: float, x: np.ndarray):
+def _iv_series(nu, x: np.ndarray):
     return _prefactor(nu, x) * _series_cyl(nu, x, +1.0)
 
 
@@ -176,44 +213,53 @@ def _kv_connection(nu: float, x: np.ndarray):
 # Public raw evaluators (float or ndarray in, same out)
 # ---------------------------------------------------------------------------
 
-def _dispatch(x, small_fn, large_fn, switch):
+def _dispatch(x, small_fn, large_fn, switch, nu=0.0):
+    """small_fn below switch, large_fn above; one row per order of a column nu."""
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("argument must be positive and finite")
-    val = np.empty_like(x)
+    val = np.empty(np.shape(nu)[:1] + x.shape)
     lo = x <= switch
     if np.any(lo):
-        val[lo] = small_fn(x[lo])
+        val[..., lo] = small_fn(x[lo])
     if np.any(~lo):
-        val[~lo] = large_fn(x[~lo])
-    return float(val[0]) if scalar else val
+        val[..., ~lo] = large_fn(x[~lo])
+    if not scalar:
+        return val
+    return val[..., 0] if np.ndim(nu) else float(val[0])
 
 
 def jv(nu, x):
-    """Bessel J_nu(x), x > 0."""
-    _check_order(nu)
-    return _dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jv_asym(nu, t), _X_SWITCH_J)
+    """Bessel J_nu(x), x > 0; a 1-d nu gives one row per order."""
+    nu = _check_order(nu)
+    return _dispatch(x, lambda t: _jv_series(nu, t), lambda t: _jv_asym(nu, t), _X_SWITCH_J, nu)
 
 
 def iv_scaled(nu, x):
-    """e^{-x} I_nu(x), overflow-safe for large x."""
-    _check_order(nu)
+    """e^{-x} I_nu(x), overflow-safe for large x; a 1-d nu gives one row per order."""
+    nu = _check_order(nu)
     return _dispatch(x, lambda t: _iv_series(nu, t) * np.exp(-t), lambda t: _iv_asym(nu, t),
-                     _X_SWITCH_I)
+                     _X_SWITCH_I, nu)
 
 
 def kv(nu, x):
-    """Modified Bessel K_nu(x), x > 0, noninteger nu below the crossover."""
-    _check_order(nu)
+    """Modified Bessel K_nu(x), x > 0, noninteger nu."""
+    nu = _check_order(nu, bessel_k=True)
     return _dispatch(x, lambda t: _kv_connection(nu, t), lambda t: _kv_mid_or_large(nu, t), _X_SWITCH_K)
 
 
 # Derivatives from recurrences (exact identities, no differencing).
 
 def jvp(nu, x):
-    """J'_nu(x) = (J_{nu-1} - J_{nu+1}) / 2."""
-    return 0.5 * (jv(nu - 1.0, x) - jv(nu + 1.0, x))
+    """J'_nu(x) = (J_{nu-1} - J_{nu+1}) / 2, both neighbours from one jv call."""
+    nu = np.asarray(nu, dtype=float)
+    j = jv(np.concatenate([np.atleast_1d(nu - 1.0), np.atleast_1d(nu + 1.0)]), x)
+    half = len(j) // 2
+    out = 0.5 * (j[:half] - j[half:])
+    if nu.ndim:
+        return out
+    return float(out[0]) if np.ndim(x) == 0 else out[0]
 
 
 def kv_log_derivative(nu, x):
@@ -228,17 +274,15 @@ def kv_log_derivative(nu, x):
     2q/(nu+1) series(nu+1), q = (x/2)^2, so T_pm = 2q series(+-nu+1) / Gamma(2 +- nu).
     For x > 1 the recurrence x K'_nu = -nu K_nu - x K_{nu-1} needs two K's.
     """
-    _check_order(nu)
-    anu = abs(nu)
+    anu = abs(_check_order(nu, bessel_k=True))
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
     small = x <= 1.0
     if np.any(small):
         xs = x[small]
-        orders = (-anu, anu, 1.0 - anu, 1.0 + anu)
-        sm, sp, tm, tp = (_series_cyl(np.array(orders)[:, None], xs, 1.0)
-                          / np.array([[math.gamma(1.0 + o)] for o in orders]))
+        orders = np.array([[-anu], [anu], [1.0 - anu], [1.0 + anu]])
+        sm, sp, tm, tp = _series_cyl(orders, xs, 1.0) / _gamma1p(orders)
         tm, tp = 0.5 * xs * xs * tm, 0.5 * xs * xs * tp
         w = np.exp(2.0 * anu * np.log(0.5 * xs))
         out[small] = ((-anu * sm + tm) - w * (anu * sp + tp)) / (sm - w * sp)

@@ -185,10 +185,10 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     k = np.asarray(k, dtype=float)
     xi = reg.b * k
     gt = interior(reg, reg.g, -xi * xi) - 0.5
-    jw = sf.jv(w, xi)
-    jmw = sf.jv(-w, xi)
-    num = -xi * sf.jvp(-w, xi) + jmw * gt
-    den = xi * sf.jvp(w, xi) - jw * gt
+    jw, jmw = sf.jv([w, -w], xi)
+    jpw, jpmw = sf.jvp([w, -w], xi)
+    num = -xi * jpmw + jmw * gt
+    den = xi * jpw - jw * gt
     q = num * num + den * den + 2.0 * num * den * math.cos(math.pi * w)
     scale = 1.0 / np.sqrt(2.0 * k * q)
     return num * scale, den * scale
@@ -202,7 +202,8 @@ def exterior_eigenfunction(params: ModelParams, k, x, c_plus, c_minus):
     """
     kx = k * x
     root = np.sqrt(kx)
-    return c_plus * root * sf.jv(params.omega, kx) + c_minus * root * sf.jv(-params.omega, kx)
+    jw, jmw = sf.jv([params.omega, -params.omega], kx)
+    return c_plus * root * jw + c_minus * root * jmw
 
 
 # ---------------------------------------------------------------------------

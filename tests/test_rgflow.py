@@ -206,3 +206,25 @@ def test_limit_cycle_roots_approach_the_square_well_bound_state(alpha):
 def test_limit_cycle_requires_limit_cycle_mode(params316):
     with pytest.raises(ValueError):
         rg.limit_cycle(params316, 1.0, 1e-6)
+
+
+@pytest.mark.parametrize("c_plus, c_minus", ((1.0, 0.5), (1.0, 0.0), (0.0, 1.0), (-0.3, 1.0)))
+def test_contour_coupling_matches_the_scalar_order_target(params316, c_plus, c_minus):
+    from invsq import specfun as sf
+
+    def jvp(nu, x):
+        return 0.5 * (sf.jv(nu - 1.0, x) - sf.jv(nu + 1.0, x))
+
+    w = params316.omega
+    xi = np.concatenate([np.geomspace(0.01, 20.0, 60), [math.nextafter(14.0, 0.0), 14.0]])
+    denom = c_plus * sf.jv(w, xi) + c_minus * sf.jv(-w, xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        target = 0.5 + xi * (c_plus * jvp(w, xi) + c_minus * jvp(-w, xi)) / denom
+    z = np.full(xi.shape, math.nan)
+    for i in np.flatnonzero((denom != 0.0) & (target < 1.0)):
+        z[i] = rg.invert_gamma(float(target[i]))
+    g = z - xi * xi
+    want = np.where((g > 0.0) & (g < math.pi ** 2), g, math.nan)
+    got = rg.contour_coupling(params316, c_plus, c_minus, xi)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.any(np.isfinite(got))

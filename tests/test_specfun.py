@@ -201,3 +201,95 @@ def test_kv_log_derivative_against_mpmath(nu, x):
     want = mp_eval(lambda m, n, z: -z * (m.besselk(n - 1, z) + m.besselk(n + 1, z))
                    / (2 * m.besselk(n, z)), nu, x)
     assert sf.kv_log_derivative(nu, x) == pytest.approx(want, rel=ORACLE_TOL, abs=0.0)
+
+
+@at_switches
+@given(nu=ORACLE_NU, x=ORACLE_X)
+def test_jvp_against_mpmath(nu, x):
+    want = mp_eval(lambda m, n, z: m.besselj(n, z, derivative=1), nu, x)
+    assert abs(sf.jvp(nu, x) - want) <= ORACLE_TOL * max(abs(want), math.sqrt(2.0 / (math.pi * x)))
+
+
+# ---------------------------------------------------------------------------
+# The series' early stop and the order vectors change no bit
+# ---------------------------------------------------------------------------
+
+SERIES_ORDERS = (0.25, -0.25, 1.25, -1.25, 0.75, -0.75, 1.45, -1.45, 2.9, -2.9)
+
+
+def series_full(nu, x, sign):
+    """The ascending series with all _SERIES_TERMS terms, no early stop."""
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, sf._SERIES_TERMS + 1):
+        term = term * (sign * q) / (k * (nu + k))
+        total = total + term
+    return total
+
+
+def first_zeros(nu, count=2):
+    """The first zeros of J_nu, each bisected down to adjacent floats."""
+    grid = np.linspace(0.5, 14.0, 400)
+    vals = sf.jv(nu, grid)
+    zeros = []
+    for i in np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[:count]:
+        a, b = grid[i], grid[i + 1]
+        while math.nextafter(a, b) != b:
+            mid = 0.5 * (a + b)
+            if np.sign(sf.jv(nu, mid)) == np.sign(sf.jv(nu, a)):
+                a = mid
+            else:
+                b = mid
+        zeros += [a, b]
+    return zeros
+
+
+def series_points():
+    """A log grid down to 1e-300, the J and I switches +-1 ulp, and J_{+-1/4}'s first zeros."""
+    near = [math.nextafter(s, d) for s in (14.0, 16.0) for d in (0.0, math.inf)]
+    return np.concatenate([np.geomspace(1e-300, 16.0, 400), [14.0, 16.0], near,
+                           first_zeros(0.25), first_zeros(-0.25)])
+
+
+@pytest.mark.parametrize("sign", (-1.0, 1.0))
+def test_series_early_stop_returns_the_full_sum(sign):
+    x = series_points()
+    column = np.array(SERIES_ORDERS)[:, None]
+    assert np.array_equal(sf._series_cyl(column, x, sign), series_full(column, x, sign))
+    for nu in SERIES_ORDERS:
+        assert np.array_equal(sf._series_cyl(nu, x, sign), series_full(nu, x, sign))
+        # alone, each special point stops at its own k_min
+        for xi in x[400:]:
+            one = np.array([xi])
+            assert np.array_equal(sf._series_cyl(nu, one, sign), series_full(nu, one, sign))
+
+
+ROW_ORDERS = np.array([0.25, -0.25, 1.25, -0.75, 0.75, -1.25])
+
+
+@pytest.mark.parametrize("x", (3.0, 20.0, np.array([0.5, 13.9, 14.0, 14.1, 30.0]),
+                               np.array([[0.5, 14.0, 20.0], [2.0, 15.0, 1e-3]])))
+def test_order_vectors_give_the_scalar_calls_row_by_row(x):
+    for f in (sf.jv, sf.jvp, sf.iv_scaled):
+        rows = f(ROW_ORDERS, x)
+        assert rows.shape == ROW_ORDERS.shape + np.shape(x)
+        for nu, row in zip(ROW_ORDERS, rows):
+            assert np.array_equal(row, f(nu, x))
+    assert type(sf.jv(0.25, 3.0)) is float and type(sf.jvp(0.25, 3.0)) is float
+
+
+@pytest.mark.parametrize("name, nu, x", (
+    ("kv", 0.0, 2.0), ("kv", 1.0, 2.0), ("kv", -2.0, 20.0),
+    ("kv_log_derivative", 0.0, 0.5), ("kv_log_derivative", 1.0, 0.5),
+    ("iv_scaled", -1.0, 2.0), ("jv", -1.0, 2.0), ("jv", -2.0, 20.0),
+    ("jv", [0.25, -1.0], 2.0), ("jvp", 0.0, 2.0)))
+def test_integer_orders_are_refused_by_name(name, nu, x):
+    with pytest.raises(ValueError, match="integer order.*nu=-?[0-9]"):
+        getattr(sf, name)(nu, x)
+
+
+def test_nonnegative_integer_orders_of_j_and_i_still_work():
+    assert sf.jv(0.0, 1e-3) == pytest.approx(1.0, rel=1e-6)
+    assert sf.jv([1.0, 2.0], 30.0).shape == (2,)
+    assert sf.iv_scaled(1.0, 2.0) > 0.0

@@ -490,3 +490,44 @@ def test_pchip_interior_matches_dop853(g, eps):
 def test_interior_logderiv_nan_depth_raises():
     with pytest.raises(NumericalError):
         sp.interior_logderiv(linear_well(1.0), math.nan, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One Bessel call per (J, J') pair changes no bit of the continuum states
+# ---------------------------------------------------------------------------
+
+def jvp_two_calls(nu, x):
+    return 0.5 * (sf.jv(nu - 1.0, x) - sf.jv(nu + 1.0, x))
+
+
+def six_call_coefficients(params, reg, k):
+    """spectral_coefficients from six scalar-order J calls."""
+    w = params.omega
+    k = np.asarray(k, dtype=float)
+    xi = reg.b * k
+    gt = sp.interior(reg, reg.g, -xi * xi) - 0.5
+    jw = sf.jv(w, xi)
+    jmw = sf.jv(-w, xi)
+    num = -xi * jvp_two_calls(-w, xi) + jmw * gt
+    den = xi * jvp_two_calls(w, xi) - jw * gt
+    q = num * num + den * den + 2.0 * num * den * math.cos(math.pi * w)
+    scale = 1.0 / np.sqrt(2.0 * k * q)
+    return num * scale, den * scale
+
+
+@pytest.mark.parametrize("kind", ("square", "linear", "pchip"))
+def test_continuum_states_match_the_scalar_order_formulas(params316, wells, kind):
+    w = params316.omega
+    reg = wells[kind](1.0)
+    # xi = b k crosses the series / Hankel switch of J at 14
+    grid = np.concatenate([np.geomspace(0.05, 30.0, 40),
+                           [math.nextafter(14.0, 0.0), 14.0, math.nextafter(14.0, math.inf)]])
+    for k in (grid, 0.7, 20.0):  # scattering.constant_phase_curve passes a scalar k
+        cp, cm = sp.spectral_coefficients(params316, reg, k)
+        want_p, want_m = six_call_coefficients(params316, reg, k)
+        assert np.array_equal(cp, want_p) and np.array_equal(cm, want_m)
+        for x in (1.0, 2.5):
+            kx = k * x
+            root = np.sqrt(kx)
+            want = cp * root * sf.jv(w, kx) + cm * root * sf.jv(-w, kx)
+            assert np.array_equal(sp.exterior_eigenfunction(params316, k, x, cp, cm), want)
