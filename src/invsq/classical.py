@@ -9,12 +9,20 @@ O(sqrt(eps)) discrete-absorption bias.
 
 Monte Carlo numerics: paths come in chunks of CHUNK_SAMPLES, each with its
 own Philox key, so results do not depend on the thread count.  A chunk is
-built TILE_ROWS paths at a time in one preallocated float32 tile, drawn
-in order from the chunk's one stream, so the nodes are those of a single
-whole-chunk draw.  A path with a node <= 0 has a crossing factor of
-exactly 0 and weight 0; it is screened out by its row minimum, and only
-the paths that pass (about a quarter at x = y = 1, t = 4) are charged for
-the crossing product, the well occupancy and the tail action.
+built TILE_ROWS paths at a time, coarse to fine: node 0 and node n are
+pinned, and each level fills the midpoint of every interval the levels
+before it left, from its exact conditional law given the interval's ends
+(P. Levy's midpoint construction; Glasserman, Monte Carlo Methods in
+Financial Engineering, 2004, sec. 3.1).  That is the bridge's joint law for
+any n >= 2.  Level l draws from its own substream Philox(key).jumped(l), in
+row order over the paths still alive, so a path's nodes depend on the seed,
+the chunk and its row, not on the tile.  A path with a node <= 0 has a
+crossing factor of exactly 0 and weight 0; a coarse node is also a fine
+node, so the path is dropped after the level that puts one there, before
+its finer nodes are drawn (at x = y = 1, t = 4, n = 4096 a path costs about
+1,000 normals).  Only the paths that pass every level (about a quarter
+there) are charged for the crossing product, the well occupancy and the
+tail action.
 
 Chain: the same kernel read as a transfer matrix gives the partition
 function of a one-dimensional chain of N coupled coordinates in the
@@ -36,6 +44,7 @@ Laplacian's spread out of the iteration count (10-20 steps per solve).
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -80,6 +89,12 @@ class PathEnsembleSpec:
     def __post_init__(self):
         if not (0.0 < self.x < math.inf and 0.0 < self.y < math.inf):
             raise ValueError(f"endpoints must be finite and > 0, got x={self.x}, y={self.y}")
+        counts = (self.n_steps, self.n_samples, self.seed)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise ValueError(f"n_steps, n_samples and seed must be integers, got "
+                             f"{self.n_steps!r}, {self.n_samples!r}, {self.seed!r}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if not 0.0 < self.t < math.inf or self.n_steps < 2 or self.n_samples < 1:
             raise ValueError("bad ensemble shape")
 
@@ -116,71 +131,125 @@ def _map_in_order(work, items, threads: int) -> list:
 # Feynman-Kac Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _midpoint_levels(n: int, eps: float):
+    """The coarse-to-fine (Levy midpoint) construction of a bridge on nodes 0..n.
+
+    Nodes 0 and n are pinned.  Each level fills the midpoint m = (i + j) // 2
+    of every interval [i, j] the earlier levels left with j - i >= 2, from its
+    exact conditional law: the line between nodes i and j plus sd Z, with
+    sd^2 = 2 eps (m - i)(j - m)/(j - i).  Nodes are kept in level order (node
+    0, node n, then each level's midpoints in time order), so the nodes built
+    so far are a prefix of the columns.  Returns per level (its first column,
+    the left and right parents' columns, their float32 weights, and sd), and
+    the column of each node.
+    """
+    col_of = np.empty(n + 1, dtype=np.intp)
+    col_of[0], col_of[n] = 0, 1
+    lo, hi = np.array([0]), np.array([n])
+    levels, col = [], 2
+    while lo.size:
+        mid = (lo + hi) // 2
+        col_of[mid] = np.arange(col, col + mid.size)
+        span = hi - lo
+        levels.append((col, col_of[lo], col_of[hi],
+                       ((hi - mid) / span).astype(np.float32),
+                       ((mid - lo) / span).astype(np.float32),
+                       np.sqrt(2.0 * eps * (mid - lo) * (hi - mid) / span).astype(np.float32)))
+        col += mid.size
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        split = hi - lo >= 2
+        lo, hi = lo[split], hi[split]
+    return levels, col_of
+
+
+def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
+    """Yield (rows, nodes) per tile of one chunk: the chunk rows whose bridge
+    stays above the origin, and their nodes in time order, float32 of shape
+    (len(rows), n_steps + 1).  `nodes` is a buffer the next tile overwrites.
+
+    Level l of _midpoint_levels draws from Philox(key).jumped(l) in row order
+    over the rows still alive; a row with a new node <= 0 is dropped before
+    the next level.
+    """
+    n = spec.n_steps
+    levels, col_of = _midpoint_levels(n, spec.t / n)
+    key = spec.seed + (chunk_index << 64)
+    gens = [np.random.Generator(np.random.Philox(key=key).jumped(lev))
+            for lev in range(len(levels))]
+    tile = min(TILE_ROWS, n_in_chunk)
+    nodes = np.empty((tile, n + 1), dtype=np.float32)  # level order
+    work = np.empty(tile * (n + 1), dtype=np.float32)  # a level's draws, then the time order
+    nodes[:, 0], nodes[:, 1] = spec.y, spec.x
+    for start in range(0, n_in_chunk, tile):
+        rows = np.arange(start, min(start + tile, n_in_chunk))
+        for gen, (col, left, right, w_left, w_right, sd) in zip(gens, levels):
+            k, width = rows.size, sd.size
+            z = work[:k * width].reshape(k, width)
+            gen.standard_normal(out=z, dtype=np.float32)
+            new = nodes[:k, col:col + width]
+            np.multiply(z, sd, out=new)
+            for parent, weight in ((left, w_left), (right, w_right)):
+                # mode="clip" writes straight into z; "raise" would buffer a copy
+                np.take(nodes[:k], parent, axis=1, out=z, mode="clip")
+                z *= weight
+                new += z
+            keep = np.flatnonzero(new.min(axis=1) > 0.0)
+            if keep.size < k:
+                rows = rows[keep]
+                if not rows.size:
+                    break
+                nodes[:rows.size, :col + width] = nodes[keep, :col + width]
+        if rows.size:
+            out = work[:rows.size * (n + 1)].reshape(rows.size, n + 1)
+            yield rows, np.take(nodes[:rows.size], col_of, axis=1, out=out, mode="clip")
+
+
 def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index: int,
                    n_in_chunk: int):
     """Path weights for one deterministic chunk, one column per regulator.
 
-    Paths are built in float32 (position precision far below the Monte
-    Carlo noise), sums accumulate in float64.  The chunk's rows are drawn
-    TILE_ROWS at a time from its one Philox stream, so every node is the
-    one a single (n_in_chunk, n) draw would give.  A row with a node <= 0
-    has a crossing factor of exactly 0; only the other rows are charged
-    for the crossing product, the well occupancy and the tail action.
-    Square wells sharing one cutoff share that occupancy and tail, so
-    extra depths cost O(n_samples).
+    Paths are built in float32 by _bridge_tiles (position precision far
+    below the Monte Carlo noise), sums accumulate in float64.  Only the
+    bridges that stay above the origin are charged for the crossing
+    product, the well occupancy and the tail action; the others have a
+    crossing factor of exactly 0.  Square wells sharing one cutoff share
+    that occupancy and tail, so extra depths cost O(n_samples).
     """
     if mode == "free":
         return [np.ones(n_in_chunk)]
     n = spec.n_steps
     eps = spec.t / n
-    bitgen = np.random.Philox(key=(spec.seed & 0xFFFFFFFFFFFFFFFF) + (chunk_index << 64))
-    rng = np.random.Generator(bitgen)
-    frac = (np.arange(1, n + 1) / n).astype(np.float32)
-    line = np.float32(spec.y) + np.float32(spec.x - spec.y) * frac
-    step = np.float32(math.sqrt(2.0 * eps))
     cut = regs[0].b if mode == "regulated" else 0.0
     trapz_w = np.ones(n + 1, dtype=np.float32)
     trapz_w[0] = trapz_w[-1] = 0.5
-    rows = min(TILE_ROWS, n_in_chunk)
-    draws = np.empty((rows, n), dtype=np.float32)
-    nodes = np.empty((rows, n + 1), dtype=np.float32)
-    nodes[:, 0] = spec.y
     surv = np.zeros(n_in_chunk)
     well_time = np.zeros(n_in_chunk)
     tail_action = np.zeros(n_in_chunk)
-    for start in range(0, n_in_chunk, rows):
-        d, tile = draws[:n_in_chunk - start], nodes[:n_in_chunk - start]
-        rng.standard_normal(out=d, dtype=np.float32)
-        d *= step
-        np.cumsum(d, axis=1, out=tile[:, 1:])
-        np.multiply(tile[:, -1:], frac, out=d)  # the bridge: pin the end to x
-        tile[:, 1:] -= d
-        tile[:, 1:] += line
-        idx = np.flatnonzero(tile.min(axis=1) > 0.0)
-        live = tile[idx]
+    for idx, live in _bridge_tiles(spec, chunk_index, n_in_chunk):
         # q = x_j x_{j+1} / eps > 0 on a live row; 1 - e^{-q} instead of
         # -expm1(-q): the difference only matters below f32 resolution
         q = live[:, :-1] * live[:, 1:]
         q *= np.float32(-1.0 / eps)
         np.exp(q, out=q)
         np.subtract(1.0, q, out=q)
-        surv[start + idx] = np.prod(q, axis=1)
+        surv[idx] = np.prod(q, axis=1)
         if mode == "barrier":
             continue
         inside = live < np.float32(cut)
-        well_time[start + idx] = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
+        well_time[idx] = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
         np.maximum(live, np.float32(cut), out=live)
         np.multiply(live, live, out=live)
         np.divide(np.float32(params.alpha), live, out=live)
         live[inside] = 0.0
-        tail_action[start + idx] = eps * (live @ trapz_w).astype(np.float64)
+        tail_action[idx] = eps * (live @ trapz_w).astype(np.float64)
     if mode == "barrier":
         return [surv]
     alive = surv > 0.0
     out = []
     for reg in regs:
         action = tail_action - (reg.g / cut ** 2) * well_time
-        out.append(np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0))
+        with np.errstate(over="ignore"):  # an infinite weight fails in feynman_kac_batch
+            out.append(np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0))
     return out
 
 
@@ -198,10 +267,13 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     `stats`, puts per-regulator lists of the effective-sample fraction
     (sum w)^2 / (N sum w^2) and the largest weight's share max w / sum w
     in stats["ess_fraction"] and stats["max_weight_share"] (both 0 when
-    no path carries weight).
+    no path carries weight).  NumericalError when an estimate or its stderr
+    is not finite.
     """
     if mode not in ("regulated", "barrier", "free"):
         raise ValueError("mode must be regulated, barrier, or free")
+    if mode == "regulated" and not regs:
+        raise ValueError("regulated mode needs at least one regulator")
     if mode == "regulated" and any(r.kind != "SquareWell" or r.b != regs[0].b for r in regs):
         raise ValueError("batched paths require square wells with a common width")
     n_regs = len(regs) if mode == "regulated" else 1
@@ -216,12 +288,17 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     for j in range(n_regs):
         s1 = s2 = w_max = 0.0
         for res in results:
-            s1 += float(np.sum(res[j]))
-            s2 += float(np.sum(res[j] * res[j]))
+            with np.errstate(over="ignore"):  # an overflow fails just below
+                s1 += float(np.sum(res[j]))
+                s2 += float(np.sum(res[j] * res[j]))
             w_max = max(w_max, float(np.max(res[j])))
         mean = s1 / n
         var = max(s2 / n - mean * mean, 0.0)
-        out.append((kern * mean, kern * math.sqrt(var / n)))
+        w, err = kern * mean, kern * math.sqrt(var / n)
+        if not (math.isfinite(w) and math.isfinite(err)):
+            raise NumericalError(f"Feynman-Kac estimate is not finite: W = {w}, stderr = {err}"
+                                 f" at n_steps = {spec.n_steps}")
+        out.append((w, err))
         ess.append(s1 * s1 / (n * s2) if s2 > 0.0 else 0.0)
         share.append(w_max / s1 if s1 > 0.0 else 0.0)
     if stats is not None:

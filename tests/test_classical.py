@@ -70,6 +70,9 @@ def test_batch_requires_common_width(params316, monkeypatch):
         for threads in (1, 2):
             with pytest.raises(ValueError, match="square wells with a common width"):
                 cl.feynman_kac_batch(params316, regs, spec, threads=threads)
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="at least one regulator"):
+            cl.feynman_kac_batch(params316, [], spec, threads=threads)
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -84,21 +87,36 @@ def test_threads_below_one_are_refused_before_drawing(params316, monkeypatch, th
 
 
 def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
-    """The chunk kernel as it was before tiling: one (n_in_chunk, n) draw, every path charged."""
-    n = spec.n_steps
-    eps = spec.t / n
-    bitgen = np.random.Philox(key=(spec.seed & 0xFFFFFFFFFFFFFFFF) + (chunk_index << 64))
-    rng = np.random.Generator(bitgen)
-    path = rng.standard_normal((n_in_chunk, n), dtype=np.float32)
-    path *= np.float32(math.sqrt(2.0 * eps))
-    np.cumsum(path, axis=1, out=path)
-    frac = (np.arange(1, n + 1) / n).astype(np.float32)
-    path -= path[:, -1:] * frac
-    path += np.float32(spec.y) + np.float32(spec.x - spec.y) * frac
+    """The chunk kernel untiled: the whole chunk built coarse to fine in time order.
+
+    Level l fills the midpoint of every interval of length >= 2 left by the
+    levels before it, drawing from Philox(key).jumped(l) in row order over
+    the paths with no node <= 0 so far; then every path is charged.
+    """
     if mode == "free":
         return [np.ones(n_in_chunk)]
-    first = np.full((n_in_chunk, 1), spec.y, dtype=np.float32)
-    nodes = np.concatenate([first, path], axis=1)
+    n = spec.n_steps
+    eps = spec.t / n
+    key = spec.seed + (chunk_index << 64)
+    nodes = np.zeros((n_in_chunk, n + 1), dtype=np.float32)  # a node never drawn stays 0
+    nodes[:, 0], nodes[:, n] = spec.y, spec.x
+    alive = np.ones(n_in_chunk, dtype=bool)
+    intervals, level = [(0, n)], 0
+    while intervals:
+        split = [(i, (i + j) // 2, j) for i, j in intervals]
+        lo, mid, hi = (list(v) for v in zip(*split))
+        w_lo = np.float32([(j - m) / (j - i) for i, m, j in split])
+        w_hi = np.float32([(m - i) / (j - i) for i, m, j in split])
+        sd = np.float32([math.sqrt(2.0 * eps * (m - i) * (j - m) / (j - i)) for i, m, j in split])
+        rows = np.flatnonzero(alive)
+        gen = np.random.Generator(np.random.Philox(key=key).jumped(level))
+        z = gen.standard_normal((rows.size, len(split)), dtype=np.float32)
+        sub = nodes[rows]
+        new = z * sd + sub[:, lo] * w_lo + sub[:, hi] * w_hi
+        nodes[np.ix_(rows, mid)] = new
+        alive[rows] = new.min(axis=1) > 0.0
+        intervals = [p for i, m, j in split for p in ((i, m), (m, j)) if p[1] - p[0] >= 2]
+        level += 1
     pair = nodes[:, :-1] * nodes[:, 1:]
     pair *= np.float32(-1.0 / eps)
     factors = np.exp(pair)
@@ -125,8 +143,9 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
     return out
 
 
-# a full chunk, the ragged 37-path chunk after it, and a chunk one partial tile past a full one
-KERNEL_SPEC = spec_for(1.0, 1.0, 4.0, n_steps=1024, n_samples=cl.CHUNK_SAMPLES + 37)
+# a full chunk, the ragged 37-path chunk after it, and a chunk one partial tile past a full
+# one; 1000 steps is no power of 2, so the midpoint levels split intervals unevenly
+KERNEL_SPEC = spec_for(1.0, 1.0, 4.0, n_steps=1000, n_samples=cl.CHUNK_SAMPLES + 37)
 KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, cl.TILE_ROWS + 37)]
 
 
@@ -168,6 +187,55 @@ def test_regulated_chunk_memory_is_tile_sized(params316, gfix):
     assert peak < 32 * 2 ** 20  # one untiled (4096, 4097) float32 temporary is 64 MiB
 
 
+@pytest.mark.parametrize("y, x", [(50.0, 50.0), (50.0, 53.0)])
+def test_bridge_nodes_have_the_bridge_law(y, x):
+    # n = 7 is no power of 2 (its levels split intervals of 7, then 3 and 4, then 2); this
+    # far from the wall no bridge dies, so every row is a draw from the bridge law
+    n, t, chunks = 7, 1.0, 4
+    spec = spec_for(x, y, t, n_steps=n, n_samples=chunks * cl.CHUNK_SAMPLES)
+    tiles = [(rows.copy(), nodes.copy()) for c in range(chunks)
+             for rows, nodes in cl._bridge_tiles(spec, c, cl.CHUNK_SAMPLES)]
+    rows = np.concatenate([r for r, _ in tiles])
+    nodes = np.concatenate([v for _, v in tiles]).astype(np.float64)
+    assert np.array_equal(rows, np.tile(np.arange(cl.CHUNK_SAMPLES), chunks))
+    assert np.all(nodes[:, 0] == y) and np.all(nodes[:, n] == x)
+    s = np.arange(1, n) * t / n
+    line = y + (x - y) * s / t
+    cov = 2.0 * np.minimum.outer(s, s) * (t - np.maximum.outer(s, s)) / t
+    # standard errors of a sample mean and a sample covariance of Gaussian nodes;
+    # 27 estimates, each held to 4 of its standard errors
+    m = len(nodes)
+    var = np.diag(cov)
+    mean_err = np.sqrt(var / m)
+    cov_err = np.sqrt((np.outer(var, var) + cov ** 2) / m)
+    inner = nodes[:, 1:n]
+    assert np.all(np.abs(inner.mean(axis=0) - line) <= 4.0 * mean_err)
+    assert np.all(np.abs(np.cov(inner, rowvar=False) - cov) <= 4.0 * cov_err)
+
+
+@pytest.mark.parametrize("tile", [37, 4096])
+def test_chunk_weights_do_not_depend_on_the_tile(params316, gfix, monkeypatch, tile):
+    regs = [square_well(gfix[0], 0.05)]
+    chunk = (0, cl.CHUNK_SAMPLES)
+    [bar] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
+    [reg] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
+    monkeypatch.setattr(cl, "TILE_ROWS", tile)
+    [w] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
+    assert np.array_equal(w, bar)
+    [w] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
+    dead = reg == 0.0
+    assert np.array_equal(w == 0.0, dead)
+    assert np.all(np.abs(w[~dead] / reg[~dead] - 1.0) <= 1e-6)
+
+
+def test_non_finite_estimate_fails_loudly(params316):
+    # three steps across a deep narrow well: path weights overflow to inf
+    spec = spec_for(1.0, 1.0, 4.0, n_steps=3, n_samples=5000, seed=1)
+    for threads in (1, 2):
+        with pytest.raises(NumericalError, match="not finite"):
+            cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec, threads=threads)
+
+
 def test_weight_stats_recomputed_from_chunks(params316, gfix):
     regs = [square_well(gfix[0], 0.05), square_well(gfix[1], 0.05)]
     spec = spec_for(1.0, 1.0, 4.0, n_steps=256, n_samples=2 * cl.CHUNK_SAMPLES + 100)
@@ -201,6 +269,15 @@ def test_path_spec_validation():
                     (1.0, 1.0, math.nan), (1.0, 1.0, math.inf)):
         with pytest.raises(ValueError):
             cl.PathEnsembleSpec(y=y, x=x, t=t, n_steps=16, n_samples=10, seed=1)
+    # a seed outside [0, 2^64) would alias another, or reach into the chunk's key
+    for seed in (-1, 1 << 64, (1 << 64) + 1):
+        with pytest.raises(ValueError, match="seed"):
+            spec_for(1.0, 1.0, 1.0, n_steps=16, n_samples=10, seed=seed)
+    for counts in ({"n_steps": 16.5}, {"n_samples": 10.5}, {"seed": 1.0}):
+        with pytest.raises(ValueError, match="integers"):
+            spec_for(1.0, 1.0, 1.0, **{"n_steps": 16, "n_samples": 10, **counts})
+    assert spec_for(1.0, 1.0, 1.0, n_steps=16, n_samples=10, seed=(1 << 64) - 1).seed \
+        == (1 << 64) - 1
 
 
 def scaling_check_W(params, b: float, sign: int,

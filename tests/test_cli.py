@@ -293,6 +293,22 @@ def test_feynman_kac_rejects_non_square_wells_before_drawing(threads, monkeypatc
                            capsys), "common width")
 
 
+def test_feynman_kac_non_finite_estimate_exits_3(tmp_path, capsys):
+    # weights overflow at three steps: one JSON error line, not "stderr": NaN
+    code, lines, payload = run_cli(FK_ARGS + ["--g", "1.0", "--b", "0.05", "--n-steps", "3",
+                                              "--n-samples", "5000", "--seed", "1",
+                                              "--out", str(tmp_path)], capsys)
+    assert code == 3 and len(lines) == 1
+    assert payload["error"] == "numerical" and "not finite" in payload["detail"]
+    assert not (tmp_path / "feynman_kac.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--seed", str(1 << 64)],
+                                 ["--n-steps", "16.5"], ["--n-samples", "10.5"]])
+def test_feynman_kac_refuses_an_aliasing_seed_or_fractional_count(bad, tmp_path, capsys):
+    assert_refused(run_cli(FK_ARGS + ["--g", "1.0", "--out", str(tmp_path)] + bad, capsys))
+
+
 def test_limit_cycle(tmp_path, capsys):
     code, _, payload = run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
                                 "--out", str(tmp_path)], capsys)
