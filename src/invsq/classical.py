@@ -3,26 +3,43 @@
 Brownian motion: W(x, t; y) is the Wiener expectation of exp(-int V) over
 variance-2dt Brownian bridges absorbed at the origin; it solves the same
 heat equation as the imaginary-time propagator and is estimated here by
-Monte Carlo with a per-step bridge crossing correction (factor
-1 - exp(-x_j x_{j+1}/eps) for the absorbed measure), which removes the
-O(sqrt(eps)) discrete-absorption bias.
+Monte Carlo.  Barrier mode (V = 0) weighs each of the n_steps links by its
+exact crossing correction 1 - exp(-x_j x_{j+1}/eps), which removes the
+O(sqrt(eps)) discrete-absorption bias.  Regulated mode weighs links by the
+exact link kernel, the pair-product action of path-integral Monte Carlo
+(D. M. Ceperley, Rev. Mod. Phys. 67 (1995) 279): a link of length tau from
+a to c carries K(a, c, tau) / G(a, c, tau), K the regulated heat kernel
+with the wall and G the free one without it.  Chapman-Kolmogorov makes the
+estimate unbiased for any link length, so the number of links only sets
+the variance; a discretized action exp(-eps sum V) is biased (+0.43 % at
+g_+ with 4096 steps at x = y = 1, t = 4), and at g_- its discrete well
+binds.  A link kernel is computed once per (alpha, g, b, tau), and
+cached, by a finite-volume eigen-solve on a grid graded to resolve the
+well and the steep tail, as the ratio to the same solve without V, which
+cancels most of the grid's error; links that never feel the well use the
+inverse-square kernel's Bessel-function ratio.  At x = y = 1, t = 4 the
+table moves W by about +0.01 % at g_+ and +0.05 % at g_- (a tenth and a
+quarter of the stderr at 10^6 paths).  Regulated mode uses LINK_LEVELS
+levels of the bridge (16 links): the weight's variance grows with the
+link count, because short links leave the samples to find the paths that
+dwell near the well, and the squared weight's potential 2V binds (ESS/N
+at g_- is 0.35, 0.19, 0.07 and below 1e-3 at 8, 16, 32 and 4096 links,
+at g_+ 0.37, 0.32, 0.29 and 0.13).
 
 Monte Carlo numerics: paths come in chunks of CHUNK_SAMPLES, each with its
 own Philox key, so results do not depend on the thread count.  A chunk is
-built TILE_ROWS paths at a time, coarse to fine: node 0 and node n are
-pinned, and each level fills the midpoint of every interval the levels
-before it left, from its exact conditional law given the interval's ends
-(P. Levy's midpoint construction; Glasserman, Monte Carlo Methods in
-Financial Engineering, 2004, sec. 3.1).  That is the bridge's joint law for
-any n >= 2.  Level l draws from its own substream Philox(key).jumped(l), in
-row order over the paths still alive, so a path's nodes depend on the seed,
-the chunk and its row, not on the tile.  A path with a node <= 0 has a
-crossing factor of exactly 0 and weight 0; a coarse node is also a fine
-node, so the path is dropped after the level that puts one there, before
-its finer nodes are drawn (at x = y = 1, t = 4, n = 4096 a path costs about
-1,000 normals).  Only the paths that pass every level (about a quarter
-there) are charged for the crossing product, the well occupancy and the
-tail action.
+built tile by tile, coarse to fine: node 0 and node n are pinned, and each
+level fills the midpoint of every interval the levels before it left, from
+its exact conditional law given the interval's ends (P. Levy's midpoint
+construction; Glasserman, Monte Carlo Methods in Financial Engineering,
+2004, sec. 3.1).  That is the bridge's joint law for any n >= 2.  Level l
+draws from its own substream Philox(key).jumped(l), in row order over the
+paths still alive, so a path's nodes depend on the seed, the chunk and its
+row, not on the tile.  A path with a node <= 0 has weight 0; a coarse node
+is also a fine node, so the path is dropped after the level that puts one
+there, before its finer nodes are drawn (in barrier mode at x = y = 1,
+t = 4, n = 4096 a path costs about 1,000 normals, and about a quarter of
+the paths pass every level).
 
 Chain: the same kernel read as a transfer matrix gives the partition
 function of a one-dimensional chain of N coupled coordinates in the
@@ -43,6 +60,7 @@ Laplacian's spread out of the iteration count (10-20 steps per solve).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +83,12 @@ __all__ = [
 
 CHUNK_SAMPLES = 4096
 TILE_ROWS = 128  # paths built at once in a chunk: 2 MiB of float32 nodes at 4096 steps
+LINK_LEVELS = 4  # regulated mode weighs the 2^4 = 16 links of each bridge's first 4 levels
+LINK_CELLS = 8  # link-table cells per link width sd = sqrt(2 tau), away from the well
+LINK_WELL_CELLS = 128  # link-table cells across the well, at least
+LINK_GROWTH = 1.02  # width ratio of neighbouring link-table cells between the two
+LINK_MAX_CELLS = 1024  # cap on the link table's cells inside the well
+LINK_REACH = 4.0  # a link whose lower end is LINK_REACH sd above the cut never feels the well
 EIGEN_RTOL = 1e-12  # eigen-solve stops at ||T x - lambda x|| <= EIGEN_RTOL * lambda
 EIGEN_MAX_ITER = 100  # eigen-solve raises NumericalError after this many iterations
 BOX_KAPPA = 7.0  # the chain's box spans this many decay lengths of the bound state
@@ -162,31 +186,36 @@ def _midpoint_levels(n: int, eps: float):
     return levels, col_of
 
 
-def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
+def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int,
+                  depth: int | None = None):
     """Yield (rows, nodes) per tile of one chunk: the chunk rows whose bridge
     stays above the origin, and their nodes in time order, float32 of shape
-    (len(rows), n_steps + 1).  `nodes` is a buffer the next tile overwrites.
+    (len(rows), nodes built).  `nodes` is a buffer the next tile overwrites.
 
     Level l of _midpoint_levels draws from Philox(key).jumped(l) in row order
     over the rows still alive; a row with a new node <= 0 is dropped before
-    the next level.
+    the next level.  With `depth`, only the first `depth` levels are built.
     """
     n = spec.n_steps
     levels, col_of = _midpoint_levels(n, spec.t / n)
+    levels = levels[:depth]
+    width = 2 + sum(level[-1].size for level in levels)
+    times = np.flatnonzero(col_of < width)
     key = spec.seed + (chunk_index << 64)
     gens = [np.random.Generator(np.random.Philox(key=key).jumped(lev))
             for lev in range(len(levels))]
-    tile = min(TILE_ROWS, n_in_chunk)
-    nodes = np.empty((tile, n + 1), dtype=np.float32)  # level order
-    work = np.empty(tile * (n + 1), dtype=np.float32)  # a level's draws, then the time order
+    # at most TILE_ROWS full bridges' nodes, and 8 TILE_ROWS rows of link weights
+    tile = min(TILE_ROWS * (n + 1) // width, 8 * TILE_ROWS, n_in_chunk)
+    nodes = np.empty((tile, width), dtype=np.float32)  # level order
+    work = np.empty(tile * width, dtype=np.float32)  # a level's draws, then the time order
     nodes[:, 0], nodes[:, 1] = spec.y, spec.x
     for start in range(0, n_in_chunk, tile):
         rows = np.arange(start, min(start + tile, n_in_chunk))
         for gen, (col, left, right, w_left, w_right, sd) in zip(gens, levels):
-            k, width = rows.size, sd.size
-            z = work[:k * width].reshape(k, width)
+            k, size = rows.size, sd.size
+            z = work[:k * size].reshape(k, size)
             gen.standard_normal(out=z, dtype=np.float32)
-            new = nodes[:k, col:col + width]
+            new = nodes[:k, col:col + size]
             np.multiply(z, sd, out=new)
             for parent, weight in ((left, w_left), (right, w_right)):
                 # mode="clip" writes straight into z; "raise" would buffer a copy
@@ -198,59 +227,213 @@ def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
                 rows = rows[keep]
                 if not rows.size:
                     break
-                nodes[:rows.size, :col + width] = nodes[keep, :col + width]
+                nodes[:rows.size, :col + size] = nodes[keep, :col + size]
         if rows.size:
-            out = work[:rows.size * (n + 1)].reshape(rows.size, n + 1)
-            yield rows, np.take(nodes[:rows.size], col_of, axis=1, out=out, mode="clip")
+            out = work[:rows.size * times.size].reshape(rows.size, times.size)
+            yield rows, np.take(nodes[:rows.size], col_of[times], axis=1, out=out, mode="clip")
+
+
+def _link_grid(cut: float, sd: float) -> np.ndarray:
+    """Cell edges from 0 to cut + (LINK_REACH + 10) sd: cells of min(cut / LINK_WELL_CELLS,
+    sd / (2 LINK_CELLS)) up to the cut, which is an edge, then widening by LINK_GROWTH
+    per cell (about x / 50 where the tail is steep) up to sd / LINK_CELLS."""
+    n_in = math.ceil(cut / min(cut / LINK_WELL_CELLS, sd / (2 * LINK_CELLS)))
+    if n_in > LINK_MAX_CELLS:
+        raise NumericalError(f"link table: a well of width {cut:.4g} needs more than "
+                             f"{LINK_MAX_CELLS} cells at link width {sd:.4g}")
+    edges = list(np.linspace(0.0, cut, n_in + 1))
+    h, coarse, end = cut / n_in, max(sd / LINK_CELLS, cut / n_in), cut + (LINK_REACH + 10.0) * sd
+    while edges[-1] < end:
+        h = min(h * LINK_GROWTH, coarse)
+        edges.append(edges[-1] + h)
+    return np.array(edges)
+
+
+def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors (columns) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e at its eigenvalues lam, by twisted factorization (Dhillon and Parlett,
+    Linear Algebra Appl. 387 (2004) 1): each vector is built outward from its largest
+    entry by ratios, so a decaying tail keeps its relative accuracy."""
+    tiny = math.sqrt(np.finfo(float).tiny)  # stands in for an exact zero pivot
+    shifted = d[:, None] - lam
+    down, up = np.empty_like(shifted), np.empty_like(shifted)  # pivots from the top, bottom
+    down[0], up[-1] = shifted[0], shifted[-1]
+    for i in range(1, d.size):
+        down[i] = shifted[i] - e[i - 1] ** 2 / np.where(down[i - 1] == 0.0, tiny, down[i - 1])
+    for i in range(d.size - 2, -1, -1):
+        up[i] = shifted[i] - e[i] ** 2 / np.where(up[i + 1] == 0.0, tiny, up[i + 1])
+    twist = np.argmin(np.abs(down + up - shifted), axis=0)
+    down[down == 0.0] = up[up == 0.0] = tiny
+    x = np.zeros_like(shifted)
+    x[twist, np.arange(lam.size)] = 1.0
+    for i in range(d.size - 2, -1, -1):
+        x[i] = np.where(i < twist, -e[i] * x[i + 1] / down[i], x[i])
+    for i in range(1, d.size):
+        x[i] = np.where(i > twist, -e[i - 1] * x[i - 1] / up[i], x[i])
+    return x / np.sqrt(np.sum(x * x, axis=0))
+
+
+def _heat_kernel(edges: np.ndarray, v: np.ndarray, tau: float, keep: int) -> np.ndarray:
+    """<x_i| exp(-tau H) |x_j> for the first `keep` cell centers, H = -d^2/dx^2 + v by
+    finite volumes (v the cell averages), with absorbing walls at both ends of the grid.
+    Modes with tau E > 50 are dropped (they weigh below e^-50)."""
+    x = 0.5 * (edges[1:] + edges[:-1])
+    width = np.diff(edges)
+    inv = 1.0 / np.diff(x)
+    diag = v * width
+    diag[1:] += inv
+    diag[:-1] += inv
+    diag[0] += 1.0 / (x[0] - edges[0])
+    diag[-1] += 1.0 / (edges[-1] - x[-1])
+    s = 1.0 / np.sqrt(width)  # symmetrizes the finite-volume operator
+    d, e = diag * s * s, -inv * s[1:] * s[:-1]
+    i = np.arange(x.size - 1)
+    a = np.diag(d)
+    a[i, i + 1] = a[i + 1, i] = e
+    lam = np.linalg.eigvalsh(a)
+    del a
+    lam = lam[tau * lam < 50.0]
+    u = _tridiagonal_eigenvectors(d, e, lam)[:keep]
+    with np.errstate(over="ignore", invalid="ignore"):  # a deep bound state: inf, caught later
+        u *= s[:keep, None] * np.exp(-0.5 * tau * lam)
+        return u @ u.T
+
+
+def _asymptotic_log_series(alpha: float, terms: int = 4) -> list:
+    """c_k with log(I_nu(z) / I_{1/2}(z)) ~ sum_k c_k z^-k, nu^2 = 1/4 + alpha (large z)."""
+    mu = 1.0 + 4.0 * alpha
+    s = [1.0]  # sqrt(2 pi z) e^-z I_nu(z) ~ sum_k s_k z^-k
+    for k in range(1, terms + 1):
+        s.append(-s[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    c = [0.0] * (terms + 1)
+    for k in range(1, terms + 1):  # the power series of log(sum_k s_k w^k)
+        c[k] = s[k] - sum(j * c[j] * s[k - j] for j in range(1, k)) / k
+    return c[1:]
+
+
+@functools.lru_cache(maxsize=16)
+def _link_table(alpha: float, g: float, cut: float, tau: float):
+    """(centers, log rho) on the link grid, rho = K / K_0 for links of length tau: the
+    regulated and the free heat kernels, both with the absorbing wall, by finite
+    volumes on one grid, so that most of the grid's error cancels.  Read-only."""
+    sd = math.sqrt(2.0 * tau)
+    edges = _link_grid(cut, sd)
+    x = 0.5 * (edges[1:] + edges[:-1])
+    keep = int(np.searchsorted(x, cut + (LINK_REACH + 6.0) * sd)) + 1
+    lo, hi = edges[:-1], edges[1:]
+    tail = alpha / (np.where(lo > 0.0, lo, hi) * hi)  # alpha/x^2 averaged over each cell
+    v = np.where(hi <= cut * (1.0 + 1e-12), -g / cut ** 2, tail)
+    log_rho = _heat_kernel(edges, v, tau, keep)
+    free = _heat_kernel(edges, np.zeros(x.size), tau, keep)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_rho /= free
+        np.log(log_rho, out=log_rho)
+        # where the free kernel is below 1e-7 of its diagonal (links over 5.7 sd long) the
+        # mode sum has lost its digits: there take the mean of the two diagonal values
+        root = np.sqrt(np.diag(free))
+        free /= root[:, None]
+        free /= root
+    half = 0.5 * np.diag(log_rho)
+    for row, lost, h in zip(log_rho, free <= 1e-7, half):  # by rows: no second table-sized array
+        row[lost] = h + half[lost]
+    log_rho.flags.writeable = False
+    return x[:keep], log_rho
+
+
+class _LinkAction:
+    """log K(a, c, tau) / G(a, c, tau) per bridge link, one per regulator.
+
+    K is the regulated heat kernel with the absorbing wall, G the free one
+    without it, and tau the link's length; the links join the nodes of the
+    first LINK_LEVELS midpoint levels.  The product over links is then the
+    pair-product weight, whose bridge expectation is exactly W / G(x, y, t)
+    for any link length (Chapman-Kolmogorov).  Per link it is the crossing
+    factor log(1 - e^{-ac/tau}) plus log rho, rho = K / K_0 with K_0 the free
+    kernel with the wall:
+    - a link whose lower end is at least cut + LINK_REACH sd (sd^2 = 2 tau)
+      never feels the well (below e^-32), and rho is the inverse-square
+      kernel's I_nu(z)/I_{1/2}(z), z = ac/(2 tau), by its large-z series;
+    - otherwise rho is interpolated bilinearly in _link_table.
+    """
+
+    def __init__(self, params: ModelParams, regs, spec: PathEnsembleSpec):
+        n = spec.n_steps
+        levels, col_of = _midpoint_levels(n, spec.t / n)
+        width = 2 + sum(level[-1].size for level in levels[:LINK_LEVELS])
+        self.times = np.flatnonzero(col_of < width)
+        steps = np.diff(self.times)
+        cut = regs[0].b
+        coef = _asymptotic_log_series(params.alpha)
+        self.groups = []  # (link columns, tau, centers, reach, series, log rho per regulator)
+        for m in np.unique(steps):
+            tau = spec.t * m / n
+            tables = [_link_table(params.alpha, reg.g, cut, tau) for reg in regs]
+            series = [ck * (2.0 * tau) ** (k + 1) for k, ck in enumerate(coef)]  # in 1/(ac)
+            self.groups.append((np.flatnonzero(steps == m), tau, tables[0][0],
+                                cut + LINK_REACH * math.sqrt(2.0 * tau), series,
+                                [table for _, table in tables]))
+
+    def __call__(self, nodes: np.ndarray) -> list:
+        """Per regulator, the summed log weight of each row of `nodes` (float64, all > 0,
+        columns at self.times)."""
+        total = [np.zeros(nodes.shape[0]) for _ in self.groups[0][-1]]
+        for cols, tau, x, reach, series, tables in self.groups:
+            a, c = nodes[:, cols], nodes[:, cols + 1]
+            ac = a * c
+            cross = np.log(-np.expm1(-ac / tau))
+            near = np.minimum(a, c) < reach
+            inv = 1.0 / np.where(near, 1.0, ac)
+            far = series[-1] * inv
+            for ck in series[-2::-1]:
+                far = (far + ck) * inv
+            ia, fa = self._cell(x, a)
+            ic, fc = self._cell(x, c)
+            for acc, table in zip(total, tables):
+                rho = ((1.0 - fa) * ((1.0 - fc) * table[ia, ic] + fc * table[ia, ic + 1])
+                       + fa * ((1.0 - fc) * table[ia + 1, ic] + fc * table[ia + 1, ic + 1]))
+                acc += np.sum(cross + np.where(near, rho, far), axis=1)
+        return total
+
+    @staticmethod
+    def _cell(x: np.ndarray, p: np.ndarray):
+        """Left center index and fraction for linear interpolation in the centers x
+        (extrapolating below the first center, clamped at the last)."""
+        i = np.clip(np.searchsorted(x, p) - 1, 0, x.size - 2)
+        return i, np.minimum((p - x[i]) / (x[i + 1] - x[i]), 1.0)
 
 
 def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index: int,
-                   n_in_chunk: int):
+                   n_in_chunk: int, links: _LinkAction | None = None):
     """Path weights for one deterministic chunk, one column per regulator.
 
     Paths are built in float32 by _bridge_tiles (position precision far
-    below the Monte Carlo noise), sums accumulate in float64.  Only the
-    bridges that stay above the origin are charged for the crossing
-    product, the well occupancy and the tail action; the others have a
-    crossing factor of exactly 0.  Square wells sharing one cutoff share
-    that occupancy and tail, so extra depths cost O(n_samples).
+    below the Monte Carlo noise), sums accumulate in float64.  Barrier mode
+    charges the bridges that stay above the origin for the crossing product
+    over all n_steps links; the others have a crossing factor of exactly 0.
+    Regulated mode builds only the first LINK_LEVELS levels and weighs their
+    links by `links` (built here when not given).
     """
     if mode == "free":
         return [np.ones(n_in_chunk)]
-    n = spec.n_steps
-    eps = spec.t / n
-    cut = regs[0].b if mode == "regulated" else 0.0
-    trapz_w = np.ones(n + 1, dtype=np.float32)
-    trapz_w[0] = trapz_w[-1] = 0.5
-    surv = np.zeros(n_in_chunk)
-    well_time = np.zeros(n_in_chunk)
-    tail_action = np.zeros(n_in_chunk)
-    for idx, live in _bridge_tiles(spec, chunk_index, n_in_chunk):
-        # q = x_j x_{j+1} / eps > 0 on a live row; 1 - e^{-q} instead of
-        # -expm1(-q): the difference only matters below f32 resolution
-        q = live[:, :-1] * live[:, 1:]
-        q *= np.float32(-1.0 / eps)
-        np.exp(q, out=q)
-        np.subtract(1.0, q, out=q)
-        surv[idx] = np.prod(q, axis=1)
-        if mode == "barrier":
-            continue
-        inside = live < np.float32(cut)
-        well_time[idx] = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
-        np.maximum(live, np.float32(cut), out=live)
-        np.multiply(live, live, out=live)
-        np.divide(np.float32(params.alpha), live, out=live)
-        live[inside] = 0.0
-        tail_action[idx] = eps * (live @ trapz_w).astype(np.float64)
     if mode == "barrier":
+        eps = spec.t / spec.n_steps
+        surv = np.zeros(n_in_chunk)
+        for idx, live in _bridge_tiles(spec, chunk_index, n_in_chunk):
+            # q = x_j x_{j+1} / eps > 0 on a live row; 1 - e^{-q} instead of
+            # -expm1(-q): the difference only matters below f32 resolution
+            q = live[:, :-1] * live[:, 1:]
+            q *= np.float32(-1.0 / eps)
+            np.exp(q, out=q)
+            np.subtract(1.0, q, out=q)
+            surv[idx] = np.prod(q, axis=1)
         return [surv]
-    alive = surv > 0.0
-    out = []
-    for reg in regs:
-        action = tail_action - (reg.g / cut ** 2) * well_time
-        with np.errstate(over="ignore"):  # an infinite weight fails in feynman_kac_batch
-            out.append(np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0))
-    return out
+    links = links or _LinkAction(params, regs, spec)
+    out = np.zeros((len(regs), n_in_chunk))
+    for idx, live in _bridge_tiles(spec, chunk_index, n_in_chunk, LINK_LEVELS):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight fails in
+            for w, log_w in zip(out, links(live.astype(np.float64))):  # feynman_kac_batch
+                w[idx] = np.exp(log_w)
+    return list(out)
 
 
 def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
@@ -259,8 +442,10 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     """Monte Carlo estimates (W, stderr) of the absorbed path expectation,
     one per regulator, all regulators sharing one path ensemble.
 
-    mode "regulated" weighs paths by exp(-int V) with the full regulated
-    potential; "barrier" keeps only absorption (V = 0 on x > 0); "free"
+    mode "regulated" weighs paths with the full regulated potential, by the
+    exact link kernel on the first LINK_LEVELS levels of each bridge (so
+    n_steps only sets the link lengths below 2^LINK_LEVELS steps); "barrier"
+    keeps only absorption (V = 0 on x > 0) on all n_steps links; "free"
     turns absorption off too (returns the free kernel, a pipeline check).
     Deterministic for fixed seed regardless of thread count: chunking is
     fixed at CHUNK_SAMPLES and the reduction runs in chunk order.  With
@@ -279,8 +464,8 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     n_regs = len(regs) if mode == "regulated" else 1
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
-
-    results = _map_in_order(lambda chunk: _chunk_weights(params, regs, spec, mode, *chunk),
+    links = _LinkAction(params, regs, spec) if mode == "regulated" else None
+    results = _map_in_order(lambda chunk: _chunk_weights(params, regs, spec, mode, *chunk, links),
                             chunks, threads)
     kern = free_kernel(spec.x, spec.y, spec.t)
     n = spec.n_samples

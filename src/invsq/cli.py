@@ -438,7 +438,8 @@ COMMANDS = {
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
-        Flag("n_steps", int, 2048),
+        Flag("n_steps", int, 2048, help="bridge steps; regulated mode weighs the links of "
+             "the first 4 midpoint levels (16 links) by the exact link kernel"),
         Flag("n_samples", int, 100000),
         Flag("seed", int, 20260808),
         Flag("mode", str, "regulated", choices=("regulated", "barrier", "free")),

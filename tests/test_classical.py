@@ -53,9 +53,8 @@ def test_mc_matches_quadrature_both_fixed_points(params316, gfix):
     out = cl.feynman_kac_batch(params316, regs, spec, threads=2)
     for (w, err), reg in zip(out, regs):
         ref = pg.propagator_quadrature(params316, reg, 1.0, 1.0, 4.0).value
-        # near g_- the weight distribution is heavy-tailed (the nascent
-        # bound state), so the sample stderr runs a little low; allow 4
-        # nominal standard errors at this ensemble size
+        # near g_- the weights are the wider (ESS/N 0.19 against 0.32 at g_+,
+        # the nascent bound state); allow 4 nominal standard errors
         assert abs(w - ref) <= 4.0 * err
 
 
@@ -91,7 +90,10 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
 
     Level l fills the midpoint of every interval of length >= 2 left by the
     levels before it, drawing from Philox(key).jumped(l) in row order over
-    the paths with no node <= 0 so far; then every path is charged.
+    the paths with no node <= 0 so far.  Barrier mode builds every level and
+    charges every path for the crossing product; regulated mode builds the
+    first cl.LINK_LEVELS levels and charges the paths still alive for their
+    links by cl._LinkAction.
     """
     if mode == "free":
         return [np.ones(n_in_chunk)]
@@ -101,8 +103,9 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
     nodes = np.zeros((n_in_chunk, n + 1), dtype=np.float32)  # a node never drawn stays 0
     nodes[:, 0], nodes[:, n] = spec.y, spec.x
     alive = np.ones(n_in_chunk, dtype=bool)
-    intervals, level = [(0, n)], 0
-    while intervals:
+    intervals, level, drawn = [(0, n)], 0, {0, n}
+    depth = None if mode == "barrier" else cl.LINK_LEVELS
+    while intervals and level != depth:
         split = [(i, (i + j) // 2, j) for i, j in intervals]
         lo, mid, hi = (list(v) for v in zip(*split))
         w_lo = np.float32([(j - m) / (j - i) for i, m, j in split])
@@ -115,31 +118,21 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
         new = z * sd + sub[:, lo] * w_lo + sub[:, hi] * w_hi
         nodes[np.ix_(rows, mid)] = new
         alive[rows] = new.min(axis=1) > 0.0
+        drawn.update(mid)
         intervals = [p for i, m, j in split for p in ((i, m), (m, j)) if p[1] - p[0] >= 2]
         level += 1
-    pair = nodes[:, :-1] * nodes[:, 1:]
-    pair *= np.float32(-1.0 / eps)
-    factors = np.exp(pair)
-    np.subtract(1.0, factors, out=factors)
-    np.maximum(factors, 0.0, out=factors)
-    surv = np.prod(factors, axis=1).astype(np.float64)
     if mode == "barrier":
-        return [surv]
-    cut = regs[0].b
-    trapz_w = np.ones(n + 1, dtype=np.float32)
-    trapz_w[0] = trapz_w[-1] = 0.5
-    inside = nodes < np.float32(cut)
-    well_time = eps * (inside.astype(np.float32) @ trapz_w).astype(np.float64)
-    clipped = np.maximum(nodes, np.float32(cut))
-    np.multiply(clipped, clipped, out=clipped)
-    tail = np.float32(params.alpha) / clipped
-    tail[inside] = 0.0
-    tail_action = eps * (tail @ trapz_w).astype(np.float64)
-    alive = surv > 0.0
-    out = []
-    for reg in regs:
-        action = tail_action - (reg.g / cut ** 2) * well_time
-        out.append(np.where(alive, surv * np.exp(np.where(alive, -action, 0.0)), 0.0))
+        pair = nodes[:, :-1] * nodes[:, 1:]
+        pair *= np.float32(-1.0 / eps)
+        factors = np.exp(pair)
+        np.subtract(1.0, factors, out=factors)
+        np.maximum(factors, 0.0, out=factors)
+        return [np.prod(factors, axis=1).astype(np.float64)]
+    rows = np.flatnonzero(alive)
+    skeleton = nodes[np.ix_(rows, sorted(drawn))].astype(np.float64)
+    out = [np.zeros(n_in_chunk) for _ in regs]
+    for w, log_w in zip(out, cl._LinkAction(params, regs, spec)(skeleton)):
+        w[rows] = np.exp(log_w)
     return out
 
 
@@ -159,9 +152,7 @@ def test_barrier_kernel_is_bit_identical_to_reference(params316):
 
 @pytest.mark.parametrize("which", [(0,), (0, 1)])
 def test_regulated_kernel_matches_reference(params316, gfix, which):
-    # the tail action is a float32 BLAS sum over fewer rows than before, which may
-    # round a path's sum differently by an ulp or two: these paths move by under
-    # 1e-6 relative (criterion 10's 10^6 paths by up to 1.9e-6)
+    # each path's links are summed on their own row, so the tile does not round them
     regs = [square_well(gfix[i], 0.05) for i in which]
     for chunk in KERNEL_CHUNKS:
         got = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
@@ -229,11 +220,38 @@ def test_chunk_weights_do_not_depend_on_the_tile(params316, gfix, monkeypatch, t
 
 
 def test_non_finite_estimate_fails_loudly(params316):
-    # three steps across a deep narrow well: path weights overflow to inf
+    # a well this deep binds at E ~ -10^3: e^{-E t} overflows the link kernel at t = 4
     spec = spec_for(1.0, 1.0, 4.0, n_steps=3, n_samples=5000, seed=1)
     for threads in (1, 2):
         with pytest.raises(NumericalError, match="not finite"):
-            cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec, threads=threads)
+            cl.feynman_kac_batch(params316, [square_well(9.0, 0.05)], spec, threads=threads)
+
+
+@pytest.mark.parametrize("t", [4.0 / 1024, 0.5, 8.0])
+def test_link_action_matches_the_quadrature_kernel(params316, gfix, t):
+    # two links of t/2: the nodes (a, c, a) weigh 2 log K(a, c, t/2) / G, K from the
+    # spectral quadrature; the points reach from the cut to the far-link series
+    tau = t / 2.0
+    sd = math.sqrt(2.0 * tau)
+    spec = spec_for(1.0, 1.0, t, n_steps=2, n_samples=10)
+    points = [(0.051, 0.051), (0.06, 0.08), (0.1, 0.3), (0.5, 0.7), (1.0, 1.2),
+              (0.05 + 3.9 * sd, 0.05 + 4.1 * sd), (0.05 + 4.1 * sd, 0.05 + 6.0 * sd)]
+    for g in gfix:
+        reg = square_well(g, 0.05)
+        links = cl._LinkAction(params316, [reg], spec)
+        for a, c in points:
+            [log_w] = links(np.array([[a, c, a]]))
+            exact = math.log(pg.propagator_quadrature(params316, reg, a, c, tau).value
+                             / cl.free_kernel(a, c, tau))
+            assert abs(log_w[0] / 2.0 - exact) <= 5e-4  # the table's grid error
+
+
+def test_pair_product_estimate_needs_no_fine_steps(params316, gfix):
+    # three links of 4/3: the exact link kernel makes the estimate unbiased at any step
+    spec = spec_for(1.0, 1.0, 4.0, n_steps=3, n_samples=20000)
+    regs = [square_well(g, 0.05) for g in gfix]
+    for (w, err), reg in zip(cl.feynman_kac_batch(params316, regs, spec, threads=2), regs):
+        assert abs(w - pg.propagator_quadrature(params316, reg, 1.0, 1.0, 4.0).value) <= 4.0 * err
 
 
 def test_weight_stats_recomputed_from_chunks(params316, gfix):

@@ -294,8 +294,8 @@ def test_feynman_kac_rejects_non_square_wells_before_drawing(threads, monkeypatc
 
 
 def test_feynman_kac_non_finite_estimate_exits_3(tmp_path, capsys):
-    # weights overflow at three steps: one JSON error line, not "stderr": NaN
-    code, lines, payload = run_cli(FK_ARGS + ["--g", "1.0", "--b", "0.05", "--n-steps", "3",
+    # a well this deep overflows the link kernel: one JSON error line, not "stderr": NaN
+    code, lines, payload = run_cli(FK_ARGS + ["--g", "9.0", "--b", "0.05", "--n-steps", "3",
                                               "--n-samples", "5000", "--seed", "1",
                                               "--out", str(tmp_path)], capsys)
     assert code == 3 and len(lines) == 1
