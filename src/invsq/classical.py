@@ -19,8 +19,8 @@ well and the steep tail, as the ratio to the same solve without V, which
 cancels most of the grid's error; links that never feel the well use the
 inverse-square kernel's Bessel-function ratio.  At x = y = 1, t = 4 the
 table moves W by about +0.01 % at g_+ and +0.05 % at g_- (a tenth and a
-quarter of the stderr at 10^6 paths).  Regulated mode uses LINK_LEVELS
-levels of the bridge (16 links): the weight's variance grows with the
+quarter of the stderr at 10^6 paths).  Regulated mode draws a bridge of
+min(n_steps, LINK_STEPS) equal links: the weight's variance grows with the
 link count, because short links leave the samples to find the paths that
 dwell near the well, and the squared weight's potential 2V binds (ESS/N
 at g_- is 0.35, 0.19, 0.07 and below 1e-3 at 8, 16, 32 and 4096 links,
@@ -64,7 +64,7 @@ import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,8 +82,8 @@ __all__ = [
 ]
 
 CHUNK_SAMPLES = 4096
-TILE_ROWS = 128  # paths built at once in a chunk: 2 MiB of float32 nodes at 4096 steps
-LINK_LEVELS = 4  # regulated mode weighs the 2^4 = 16 links of each bridge's first 4 levels
+TILE_ROWS = 128  # a tile's node budget: 128 bridges of 4096 steps, 2 MiB of float32
+LINK_STEPS = 16  # regulated mode draws bridges of at most this many links
 LINK_CELLS = 8  # link-table cells per link width sd = sqrt(2 tau), away from the well
 LINK_WELL_CELLS = 128  # link-table cells across the well, at least
 LINK_GROWTH = 1.02  # width ratio of neighbouring link-table cells between the two
@@ -186,28 +186,24 @@ def _midpoint_levels(n: int, eps: float):
     return levels, col_of
 
 
-def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int,
-                  depth: int | None = None):
+def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
     """Yield (rows, nodes) per tile of one chunk: the chunk rows whose bridge
-    stays above the origin, and their nodes in time order, float32 of shape
-    (len(rows), nodes built).  `nodes` is a buffer the next tile overwrites.
+    stays above the origin, and their n_steps + 1 nodes in time order,
+    float32.  `nodes` is a buffer the next tile overwrites.
 
     Level l of _midpoint_levels draws from Philox(key).jumped(l) in row order
     over the rows still alive; a row with a new node <= 0 is dropped before
-    the next level.  With `depth`, only the first `depth` levels are built.
+    the next level.
     """
     n = spec.n_steps
     levels, col_of = _midpoint_levels(n, spec.t / n)
-    levels = levels[:depth]
-    width = 2 + sum(level[-1].size for level in levels)
-    times = np.flatnonzero(col_of < width)
     key = spec.seed + (chunk_index << 64)
     gens = [np.random.Generator(np.random.Philox(key=key).jumped(lev))
             for lev in range(len(levels))]
-    # at most TILE_ROWS full bridges' nodes, and 8 TILE_ROWS rows of link weights
-    tile = min(TILE_ROWS * (n + 1) // width, 8 * TILE_ROWS, n_in_chunk)
-    nodes = np.empty((tile, width), dtype=np.float32)  # level order
-    work = np.empty(tile * width, dtype=np.float32)  # a level's draws, then the time order
+    # the node budget, and at most 8 TILE_ROWS rows: a short bridge's float64 link arrays
+    tile = min(TILE_ROWS * 4096 // n, 8 * TILE_ROWS, n_in_chunk)
+    nodes = np.empty((tile, n + 1), dtype=np.float32)  # level order
+    work = np.empty(tile * (n + 1), dtype=np.float32)  # a level's draws, then the time order
     nodes[:, 0], nodes[:, 1] = spec.y, spec.x
     for start in range(0, n_in_chunk, tile):
         rows = np.arange(start, min(start + tile, n_in_chunk))
@@ -229,8 +225,8 @@ def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int,
                     break
                 nodes[:rows.size, :col + size] = nodes[keep, :col + size]
         if rows.size:
-            out = work[:rows.size * times.size].reshape(rows.size, times.size)
-            yield rows, np.take(nodes[:rows.size], col_of[times], axis=1, out=out, mode="clip")
+            out = work[:rows.size * (n + 1)].reshape(rows.size, n + 1)
+            yield rows, np.take(nodes[:rows.size], col_of, axis=1, out=out, mode="clip")
 
 
 def _link_grid(cut: float, sd: float) -> np.ndarray:
@@ -341,14 +337,13 @@ def _link_table(alpha: float, g: float, cut: float, tau: float):
 
 
 class _LinkAction:
-    """log K(a, c, tau) / G(a, c, tau) per bridge link, one per regulator.
+    """log K(a, c, tau) / G(a, c, tau) per bridge link of length tau, one per regulator.
 
-    K is the regulated heat kernel with the absorbing wall, G the free one
-    without it, and tau the link's length; the links join the nodes of the
-    first LINK_LEVELS midpoint levels.  The product over links is then the
-    pair-product weight, whose bridge expectation is exactly W / G(x, y, t)
-    for any link length (Chapman-Kolmogorov).  Per link it is the crossing
-    factor log(1 - e^{-ac/tau}) plus log rho, rho = K / K_0 with K_0 the free
+    K is the regulated heat kernel with the absorbing wall and G the free
+    one without it.  The product over links is then the pair-product
+    weight, whose bridge expectation is exactly W / G(x, y, t) for any link
+    length (Chapman-Kolmogorov).  Per link it is the crossing factor
+    log(1 - e^{-ac/tau}) plus log rho, rho = K / K_0 with K_0 the free
     kernel with the wall:
     - a link whose lower end is at least cut + LINK_REACH sd (sd^2 = 2 tau)
       never feels the well (below e^-32), and rho is the inverse-square
@@ -356,42 +351,33 @@ class _LinkAction:
     - otherwise rho is interpolated bilinearly in _link_table.
     """
 
-    def __init__(self, params: ModelParams, regs, spec: PathEnsembleSpec):
-        n = spec.n_steps
-        levels, col_of = _midpoint_levels(n, spec.t / n)
-        width = 2 + sum(level[-1].size for level in levels[:LINK_LEVELS])
-        self.times = np.flatnonzero(col_of < width)
-        steps = np.diff(self.times)
+    def __init__(self, params: ModelParams, regs, tau: float):
         cut = regs[0].b
+        tables = [_link_table(params.alpha, reg.g, cut, tau) for reg in regs]
+        self.tau, self.x, self.tables = tau, tables[0][0], [table for _, table in tables]
+        self.reach = cut + LINK_REACH * math.sqrt(2.0 * tau)
         coef = _asymptotic_log_series(params.alpha)
-        self.groups = []  # (link columns, tau, centers, reach, series, log rho per regulator)
-        for m in np.unique(steps):
-            tau = spec.t * m / n
-            tables = [_link_table(params.alpha, reg.g, cut, tau) for reg in regs]
-            series = [ck * (2.0 * tau) ** (k + 1) for k, ck in enumerate(coef)]  # in 1/(ac)
-            self.groups.append((np.flatnonzero(steps == m), tau, tables[0][0],
-                                cut + LINK_REACH * math.sqrt(2.0 * tau), series,
-                                [table for _, table in tables]))
+        self.series = [ck * (2.0 * tau) ** (k + 1) for k, ck in enumerate(coef)]  # in 1/(ac)
 
     def __call__(self, nodes: np.ndarray) -> list:
-        """Per regulator, the summed log weight of each row of `nodes` (float64, all > 0,
-        columns at self.times)."""
-        total = [np.zeros(nodes.shape[0]) for _ in self.groups[0][-1]]
-        for cols, tau, x, reach, series, tables in self.groups:
-            a, c = nodes[:, cols], nodes[:, cols + 1]
-            ac = a * c
-            cross = np.log(-np.expm1(-ac / tau))
-            near = np.minimum(a, c) < reach
-            inv = 1.0 / np.where(near, 1.0, ac)
-            far = series[-1] * inv
-            for ck in series[-2::-1]:
-                far = (far + ck) * inv
-            ia, fa = self._cell(x, a)
-            ic, fc = self._cell(x, c)
-            for acc, table in zip(total, tables):
-                rho = ((1.0 - fa) * ((1.0 - fc) * table[ia, ic] + fc * table[ia, ic + 1])
-                       + fa * ((1.0 - fc) * table[ia + 1, ic] + fc * table[ia + 1, ic + 1]))
-                acc += np.sum(cross + np.where(near, rho, far), axis=1)
+        """Per regulator, the summed log weight of each row of `nodes` (all > 0, in time
+        order, tau apart), in float64."""
+        # contiguous float64 copies of the link ends: strided views are slower below
+        a, c = nodes[:, :-1].astype(np.float64), nodes[:, 1:].astype(np.float64)
+        ac = a * c
+        cross = np.log(-np.expm1(-ac / self.tau))
+        near = np.minimum(a, c) < self.reach
+        inv = 1.0 / np.where(near, 1.0, ac)
+        far = self.series[-1] * inv
+        for ck in self.series[-2::-1]:
+            far = (far + ck) * inv
+        ia, fa = self._cell(self.x, a)
+        ic, fc = self._cell(self.x, c)
+        total = []
+        for table in self.tables:
+            rho = ((1.0 - fa) * ((1.0 - fc) * table[ia, ic] + fc * table[ia, ic + 1])
+                   + fa * ((1.0 - fc) * table[ia + 1, ic] + fc * table[ia + 1, ic + 1]))
+            total.append(np.sum(cross + np.where(near, rho, far), axis=1))
         return total
 
     @staticmethod
@@ -410,11 +396,9 @@ def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index:
     below the Monte Carlo noise), sums accumulate in float64.  Barrier mode
     charges the bridges that stay above the origin for the crossing product
     over all n_steps links; the others have a crossing factor of exactly 0.
-    Regulated mode builds only the first LINK_LEVELS levels and weighs their
-    links by `links` (built here when not given).
+    Regulated mode draws bridges of min(n_steps, LINK_STEPS) links and
+    weighs them by `links` (built here when not given).
     """
-    if mode == "free":
-        return [np.ones(n_in_chunk)]
     if mode == "barrier":
         eps = spec.t / spec.n_steps
         surv = np.zeros(n_in_chunk)
@@ -427,11 +411,12 @@ def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index:
             np.subtract(1.0, q, out=q)
             surv[idx] = np.prod(q, axis=1)
         return [surv]
-    links = links or _LinkAction(params, regs, spec)
+    short = replace(spec, n_steps=min(spec.n_steps, LINK_STEPS))
+    links = links or _LinkAction(params, regs, short.t / short.n_steps)
     out = np.zeros((len(regs), n_in_chunk))
-    for idx, live in _bridge_tiles(spec, chunk_index, n_in_chunk, LINK_LEVELS):
+    for idx, live in _bridge_tiles(short, chunk_index, n_in_chunk):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight fails in
-            for w, log_w in zip(out, links(live.astype(np.float64))):  # feynman_kac_batch
+            for w, log_w in zip(out, links(live)):  # feynman_kac_batch
                 w[idx] = np.exp(log_w)
     return list(out)
 
@@ -443,10 +428,9 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     one per regulator, all regulators sharing one path ensemble.
 
     mode "regulated" weighs paths with the full regulated potential, by the
-    exact link kernel on the first LINK_LEVELS levels of each bridge (so
-    n_steps only sets the link lengths below 2^LINK_LEVELS steps); "barrier"
-    keeps only absorption (V = 0 on x > 0) on all n_steps links; "free"
-    turns absorption off too (returns the free kernel, a pipeline check).
+    exact link kernel on bridges of min(n_steps, LINK_STEPS) links (so
+    n_steps above LINK_STEPS does not change the estimate); "barrier" keeps
+    only absorption (V = 0 on x > 0) on all n_steps links.
     Deterministic for fixed seed regardless of thread count: chunking is
     fixed at CHUNK_SAMPLES and the reduction runs in chunk order.  With
     `stats`, puts per-regulator lists of the effective-sample fraction
@@ -455,8 +439,8 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     no path carries weight).  NumericalError when an estimate or its stderr
     is not finite.
     """
-    if mode not in ("regulated", "barrier", "free"):
-        raise ValueError("mode must be regulated, barrier, or free")
+    if mode not in ("regulated", "barrier"):
+        raise ValueError("mode must be regulated or barrier")
     if mode == "regulated" and not regs:
         raise ValueError("regulated mode needs at least one regulator")
     if mode == "regulated" and any(r.kind != "SquareWell" or r.b != regs[0].b for r in regs):
@@ -464,7 +448,8 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     n_regs = len(regs) if mode == "regulated" else 1
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
-    links = _LinkAction(params, regs, spec) if mode == "regulated" else None
+    links = (_LinkAction(params, regs, spec.t / min(spec.n_steps, LINK_STEPS))
+             if mode == "regulated" else None)
     results = _map_in_order(lambda chunk: _chunk_weights(params, regs, spec, mode, *chunk, links),
                             chunks, threads)
     kern = free_kernel(spec.x, spec.y, spec.t)
@@ -499,14 +484,13 @@ class TransferOperator:
     """One eps-step of the chain on a uniform midpoint grid.
 
     T(x, x') = (4 pi eps)^{-1/2} exp(-(x-x')^2 / 4 eps) e^{-eps(V(x)+V(x'))/2},
-    applied by FFT; with image=True the Gaussian is replaced by its
-    absorbed-wall (image-subtracted) version, the exact free half-line
-    step.  The grid pitch divides the cut b x0 so the well edge falls
-    on a cell boundary.
+    with the Gaussian replaced by its absorbed-wall (image-subtracted)
+    version, the exact free half-line step, applied by FFT.  The grid
+    pitch divides the cut b x0 so the well edge falls on a cell boundary.
     """
 
     def __init__(self, params: ModelParams, reg: Regulator, eps: float,
-                 x_max: float, n_grid: int, image: bool = True):
+                 x_max: float, n_grid: int):
         cut = reg.b
         self.h = cut / max(1, round(n_grid * cut / x_max))
         self.n = n_grid
@@ -523,25 +507,17 @@ class TransferOperator:
         kern[:self.n] = gk
         kern[m - self.n + 1:] = gk[1:][::-1]
         self._fk = np.fft.rfft(kern)
-        if image:
-            dall = np.arange(m) * self.h
-            self._fim = np.fft.rfft(pref * np.exp(-dall * dall / (4.0 * eps)))
-        else:
-            self._fim = None
+        dall = np.arange(m) * self.h
+        self._fim = np.fft.rfft(pref * np.exp(-dall * dall / (4.0 * eps)))
 
-    def gauss_apply(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        u = self.halfweight * psi
         pad = np.zeros(self.m)
         pad[:self.n] = u
         direct = np.fft.irfft(np.fft.rfft(pad) * self._fk, self.m)[:self.n]
-        if self._fim is None:
-            return direct
-        padr = np.zeros(self.m)
-        padr[:self.n] = u[::-1]
-        image = np.fft.irfft(np.fft.rfft(padr) * self._fim, self.m)[self.n:2 * self.n]
-        return direct - image
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.halfweight * self.gauss_apply(self.halfweight * psi)
+        pad[:self.n] = u[::-1]
+        image = np.fft.irfft(np.fft.rfft(pad) * self._fim, self.m)[self.n:2 * self.n]
+        return self.halfweight * (direct - image)
 
     def preconditioner(self, shift: float):
         """r -> (1 - G + eps shift)^{-1} r, G the Gaussian step with walls at 0 and x_max.
@@ -663,7 +639,7 @@ def free_energy_density(params: ModelParams, reg: Regulator,
                              f"{MAX_GRID} cells to resolve the step width {sigma_min:.4g}")
 
     def f_at(eps: float):
-        op = TransferOperator(params, reg, eps, x_max, n, image=True)
+        op = TransferOperator(params, reg, eps, x_max, n)
         start, stats = op.x * np.exp(-math.sqrt(shift) * op.x), {}
         # a fixed positive start, no warm start: results must not depend on which
         # thread solves which eps; called by the name bench/tracing.py wraps (ROADMAP 1)

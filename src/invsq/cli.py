@@ -99,7 +99,7 @@ def cmd_flow(ns):
     rows = []
     for b in bs:
         st = rgflow.flow(p, ns.gamma0, ns.b0, float(b))
-        rows.append((st.b, st.gamma, st.g, st.u, int(st.exited)))
+        rows.append((float(b), st.gamma, st.g, st.u, int(st.exited)))
     out = _outdir(ns) / "flow.csv"
     write_csv(out, _provenance(ns, gamma0=ns.gamma0, b0=ns.b0),
               ["b (dimensionless)", "gamma (dimensionless)", "g (dimensionless)",
@@ -181,18 +181,18 @@ def cmd_propagator(ns):
     reg = _regulator(ns, ns.g)
     smp = propagator.propagator_quadrature(p, reg, ns.x, ns.y, ns.t, rtol=ns.rtol)
     g_plus, g_minus = (spectrum.threshold(p, reg, nu) for nu in (p.nu_plus, p.nu_minus))
-    sign = 1 if abs(smp.g - g_plus) <= abs(smp.g - g_minus) else -1
-    u = smp.g - g_plus if sign == 1 else g_minus - smp.g
+    sign = 1 if abs(reg.g - g_plus) <= abs(reg.g - g_minus) else -1
+    u = reg.g - g_plus if sign == 1 else g_minus - reg.g
     out = _outdir(ns) / "propagator.csv"
     write_csv(out, _provenance(ns, rtol=ns.rtol),
               ["alpha (dimensionless)", "sign (nearest fixed point)",
                "b (dimensionless)", "u (reduced coupling)", "x (length)",
                "y (length)", "t (length^2)", "G (1/length)",
                "quad_error (1/length)"],
-              [(p.alpha, sign, smp.b, u, smp.x, smp.y, smp.t, smp.value,
+              [(p.alpha, sign, reg.b, u, ns.x, ns.y, ns.t, smp.value,
                 smp.quad_error)])
-    payload = {"alpha": p.alpha, "b": smp.b, "g": smp.g, "x": smp.x, "y": smp.y,
-               "t": smp.t, "G": smp.value, "quad_error": smp.quad_error,
+    payload = {"alpha": p.alpha, "b": reg.b, "g": reg.g, "x": ns.x, "y": ns.y,
+               "t": ns.t, "G": smp.value, "quad_error": smp.quad_error,
                "path": str(out)}
     return f"G={smp.value:.12g} (err {smp.quad_error:.1e})", payload
 
@@ -228,7 +228,7 @@ def cmd_collapse(ns):
                                       n_b=ns.n_b, n_u=ns.n_u, x=ns.x, t=ns.t)
     rows = list(zip(tab.z, tab.phi))
     out = _outdir(ns) / "collapse.csv"
-    write_csv(out, _provenance(ns, u0=tab.u0, spread=tab.spread,
+    write_csv(out, _provenance(ns, u0=ns.u0, spread=tab.spread,
                                exponent_steep=tab.exponent_steep,
                                exponent_shallow=tab.exponent_shallow, c=tab.c),
               ["z (b (u/u0)^{1/2 omega}, dimensionless)", "Phi (length^{-1/2} scale)"],
@@ -307,14 +307,12 @@ def cmd_limit_cycle(ns):
     p = derived_constants(ns.alpha)
     if ns.n_periods < 1:
         raise ValueError(f"--n-periods must be >= 1, got {ns.n_periods}")
-    states = []
+    states, rows = [], []
     for shift in range(ns.n_periods):
         b = ns.b * math.exp(-shift * math.pi / p.omega)
         states.append(rgflow.limit_cycle(p, b, ns.eps))
-    rows = []
-    for st in states:
-        for i, g in enumerate(st.g_branches):
-            rows.append((math.log(st.b), st.eps, i, g))
+        for i, g in enumerate(states[-1].g_branches):
+            rows.append((math.log(b), ns.eps, i, g))
     out = _outdir(ns) / "limit_cycle.csv"
     write_csv(out, _provenance(ns, abs_omega=p.omega, phi=states[0].phi),
               ["log_b (dimensionless)", "eps (-E x0^2, dimensionless)",
@@ -438,11 +436,11 @@ COMMANDS = {
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
-        Flag("n_steps", int, 2048, help="bridge steps; regulated mode weighs the links of "
-             "the first 4 midpoint levels (16 links) by the exact link kernel"),
+        Flag("n_steps", int, 2048, help="bridge steps; regulated mode draws min(n, 16) "
+             "steps and weighs each by the exact link kernel"),
         Flag("n_samples", int, 100000),
         Flag("seed", int, 20260808),
-        Flag("mode", str, "regulated", choices=("regulated", "barrier", "free")),
+        Flag("mode", str, "regulated", choices=("regulated", "barrier")),
         OUT,
         THREADS)),
     "chain": (cmd_chain, MODEL + WELL + DEPTH + (

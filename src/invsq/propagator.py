@@ -74,11 +74,6 @@ class RegimeWarning(UserWarning):
 
 @dataclass(frozen=True)
 class PropagatorSample:
-    x: float
-    y: float
-    t: float
-    b: float
-    g: float
     value: float
     quad_error: float
 
@@ -87,7 +82,6 @@ class PropagatorSample:
 class ScalingFunctionTable:
     z: tuple
     phi: tuple
-    u0: float
     spread: float
     amplitude: float
     exponent_steep: float
@@ -152,8 +146,7 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
         raise NumericalError(f"propagator quadrature ({normalization}, g={reg.g}, b={reg.b}) "
                              f"failed: value {res.value}, error {res.error}, "
                              f"converged {res.converged}")
-    return PropagatorSample(x=x, y=y, t=t, b=reg.b, g=reg.g,
-                            value=res.value, quad_error=res.error)
+    return PropagatorSample(value=res.value, quad_error=res.error)
 
 
 def fixed_point_propagator(params: ModelParams, sign: int,
@@ -296,6 +289,6 @@ def scaling_collapse(params: ModelParams, sign: int = +1,
     if spread > 0.05:
         warnings.warn(f"poor collapse: spread {spread:.3f} > 5%", RegimeWarning, stacklevel=2)
     a, p, c_amp, q, rms = fit_two_powers(np.array(zs), np.array(phis))
-    return ScalingFunctionTable(z=tuple(zs), phi=tuple(phis), u0=u0, spread=spread,
+    return ScalingFunctionTable(z=tuple(zs), phi=tuple(phis), spread=spread,
                                 amplitude=a, exponent_steep=p, c=c_amp / a,
                                 exponent_shallow=q, fit_rms=rms)

@@ -45,7 +45,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowState:
-    b: float
     gamma: float
     g: float
     u: float
@@ -54,9 +53,6 @@ class FlowState:
 
 @dataclass(frozen=True)
 class LimitCycleState:
-    abs_omega: float
-    b: float
-    eps: float
     phi: float
     g_branches: tuple
 
@@ -81,7 +77,7 @@ def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:
     if gamma0 == nm or gamma0 == np_:
         g0 = invert_gamma(gamma0)
         u = 0.0
-        return FlowState(b1, gamma0, g0, u, False)
+        return FlowState(gamma0, g0, u, False)
     r0 = (gamma0 - nm) / (gamma0 - np_)
     r1 = r0 * (b1 / b0) ** (2.0 * params.omega)
     if r1 == 1.0:
@@ -93,7 +89,7 @@ def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:
     except ValueError:
         g1 = math.nan
     # reduced coupling in the infrared convention u = gamma - nu_-
-    return FlowState(b1, gamma1, g1, gamma1 - nm, exited)
+    return FlowState(gamma1, g1, gamma1 - nm, exited)
 
 
 # ---------------------------------------------------------------------------
@@ -190,5 +186,4 @@ def limit_cycle(params: ModelParams, b: float, eps: float,
     branches: list[float] = []
     if rhs < 1.0:
         branches.append(invert_gamma(rhs))
-    return LimitCycleState(abs_omega=aw, b=b, eps=eps, phi=phi,
-                           g_branches=tuple(branches))
+    return LimitCycleState(phi=phi, g_branches=tuple(branches))

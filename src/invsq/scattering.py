@@ -35,16 +35,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ReflectionAmplitude:
     r: complex
-    k: float
-    mu: float
-    g: float
 
 
 @dataclass(frozen=True)
 class PhaseShift:
     delta: float
-    k: float
-    mu: float
 
 
 def phase_shift(params: ModelParams, reg: Regulator, k) -> PhaseShift:
@@ -63,13 +58,12 @@ def phase_shift(params: ModelParams, reg: Regulator, k) -> PhaseShift:
     delta = 0.25 * math.pi * (1.0 - 2.0 * w) + np.arctan2(
         c_minus * math.sin(w * math.pi), c_plus + c_minus * math.cos(w * math.pi))
     delta = delta - math.pi * np.round(delta / math.pi)
-    return PhaseShift(delta=delta, k=k, mu=kk * reg.b)
+    return PhaseShift(delta=delta)
 
 
 def reflection(params: ModelParams, reg: Regulator, k) -> ReflectionAmplitude:
     """r = -e^{2 i delta}, delta from the exterior pair (`phase_shift`); k may be an array."""
-    ps = phase_shift(params, reg, k)
-    return ReflectionAmplitude(r=-np.exp(2j * ps.delta), k=k, mu=ps.mu, g=reg.g)
+    return ReflectionAmplitude(r=-np.exp(2j * phase_shift(params, reg, k).delta))
 
 
 def phase_shift_sweep(params: ModelParams, reg: Regulator, ks) -> np.ndarray:

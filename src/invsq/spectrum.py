@@ -341,7 +341,7 @@ def _threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
     def f(g):
         return interior(reg, g, 0.0) - nu
 
-    g_bind, _ = existence_bounds(params, reg)
+    g_bind = existence_bounds(params, reg)
     g_nobind = threshold(params, square_well(0.0), nu) / reg.sup_profile()
     hi = min(1.05 * g_bind, SCAN_G_MAX)
     gs = np.concatenate([[0.5 * g_nobind], np.geomspace(g_nobind, hi, 24)])
@@ -384,17 +384,16 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
                        eps=tuple(eps.tolist()))
 
 
-def existence_bounds(params: ModelParams, reg: Regulator) -> tuple[float, float]:
-    """(variational binding depth, comparison no-binding depth).
-
-    Binding is guaranteed above the first (trial state x e^{-x/2});
-    impossible below the second (pointwise domination by the critical
-    square well).  The fitted g_* must land between them.
+def existence_bounds(params: ModelParams, reg: Regulator) -> float:
+    """The variational binding depth: a bound state exists above it (trial
+    state x e^{-x/2}).  The fitted g_* lands below it, and above the
+    comparison bound threshold(params, square_well(0.0), nu_-) / sup f, below
+    which binding is impossible (pointwise domination by the critical square
+    well).
     """
     params.require_main()
     moment = _quad("existence_bounds", lambda x: reg.profile(x) * x * x * np.exp(-x),
                    0.0, 1.0, rtol=1e-11)
     if moment <= 0.0:
         raise ValueError("profile moment int f x^2 e^-x vanishes: no variational bound")
-    g_bind = (0.5 + params.alpha / math.e) / moment
-    return g_bind, threshold(params, square_well(0.0), params.nu_minus) / reg.sup_profile()
+    return (0.5 + params.alpha / math.e) / moment

@@ -63,11 +63,17 @@ def _chain_partition(params, reg, spec: ChainSpec, image: bool = False) -> float
 
     Normalized with the (4 pi eps)^{-1/2} Gaussian factor per link, so Z
     approximates W(x, t=N eps; y) in the double-scaling limit.  image
-    defaults to the literal chain (absorption only at the sites).
+    defaults to the literal chain (absorption only at the sites): its step
+    is TransferOperator's without the image term.
     """
     from invsq.classical import TransferOperator
-    op = TransferOperator(params, reg, spec.epsilon, spec.x_max, spec.n_grid, image=image)
+    op = TransferOperator(params, reg, spec.epsilon, spec.x_max, spec.n_grid)
     pref = 1.0 / math.sqrt(4.0 * math.pi * spec.epsilon)
+
+    def literal_step(psi: np.ndarray) -> np.ndarray:
+        pad = np.zeros(op.m)
+        pad[:op.n] = op.halfweight * psi
+        return op.halfweight * np.fft.irfft(np.fft.rfft(pad) * op._fk, op.m)[:op.n]
 
     def end_link(z: float) -> np.ndarray:
         """The link from the pinned end z to every grid site."""
@@ -77,9 +83,10 @@ def _chain_partition(params, reg, spec: ChainSpec, image: bool = False) -> float
             col = col - pref * np.exp(-(op.x + z) ** 2 / (4.0 * spec.epsilon))
         return col * math.exp(-0.5 * spec.epsilon * vz) * op.halfweight
 
+    step = op.apply if image else literal_step
     u = end_link(spec.y)
     for _ in range(spec.n_links - 1):
-        u = op.apply(u)  # each application carries one grid weight h
+        u = step(u)  # each application carries one grid weight h
     return float(np.sum(u * end_link(spec.x)) * op.h)
 
 

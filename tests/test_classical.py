@@ -21,13 +21,6 @@ def spec_for(x, y, t, n_steps=1024, n_samples=50000, seed=SEED):
                                n_samples=n_samples, seed=seed)
 
 
-def test_free_mode_reproduces_heat_kernel(params316):
-    spec = spec_for(1.3, 1.0, 2.0, n_steps=128, n_samples=1000)
-    [(w, err)] = cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec, mode="free")
-    assert w == cl.free_kernel(1.3, 1.0, 2.0)
-    assert err == 0.0
-
-
 def test_barrier_mode_matches_image_kernel(params316, absorbed_kernel):
     for (x, y, t) in ((1.0, 1.0, 4.0), (0.5, 1.5, 2.0), (2.0, 1.0, 1.0)):
         spec = spec_for(x, y, t, n_steps=1024, n_samples=100000)
@@ -90,22 +83,19 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
 
     Level l fills the midpoint of every interval of length >= 2 left by the
     levels before it, drawing from Philox(key).jumped(l) in row order over
-    the paths with no node <= 0 so far.  Barrier mode builds every level and
-    charges every path for the crossing product; regulated mode builds the
-    first cl.LINK_LEVELS levels and charges the paths still alive for their
-    links by cl._LinkAction.
+    the paths with no node <= 0 so far.  Barrier mode charges every path for
+    the crossing product; regulated mode builds a bridge of
+    min(n_steps, cl.LINK_STEPS) steps and charges the paths still alive for
+    their links by cl._LinkAction.
     """
-    if mode == "free":
-        return [np.ones(n_in_chunk)]
-    n = spec.n_steps
+    n = spec.n_steps if mode == "barrier" else min(spec.n_steps, cl.LINK_STEPS)
     eps = spec.t / n
     key = spec.seed + (chunk_index << 64)
     nodes = np.zeros((n_in_chunk, n + 1), dtype=np.float32)  # a node never drawn stays 0
     nodes[:, 0], nodes[:, n] = spec.y, spec.x
     alive = np.ones(n_in_chunk, dtype=bool)
-    intervals, level, drawn = [(0, n)], 0, {0, n}
-    depth = None if mode == "barrier" else cl.LINK_LEVELS
-    while intervals and level != depth:
+    intervals, level = [(0, n)], 0
+    while intervals:
         split = [(i, (i + j) // 2, j) for i, j in intervals]
         lo, mid, hi = (list(v) for v in zip(*split))
         w_lo = np.float32([(j - m) / (j - i) for i, m, j in split])
@@ -118,7 +108,6 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
         new = z * sd + sub[:, lo] * w_lo + sub[:, hi] * w_hi
         nodes[np.ix_(rows, mid)] = new
         alive[rows] = new.min(axis=1) > 0.0
-        drawn.update(mid)
         intervals = [p for i, m, j in split for p in ((i, m), (m, j)) if p[1] - p[0] >= 2]
         level += 1
     if mode == "barrier":
@@ -129,17 +118,17 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
         np.maximum(factors, 0.0, out=factors)
         return [np.prod(factors, axis=1).astype(np.float64)]
     rows = np.flatnonzero(alive)
-    skeleton = nodes[np.ix_(rows, sorted(drawn))].astype(np.float64)
     out = [np.zeros(n_in_chunk) for _ in regs]
-    for w, log_w in zip(out, cl._LinkAction(params, regs, spec)(skeleton)):
+    for w, log_w in zip(out, cl._LinkAction(params, regs, spec.t / n)(nodes[rows])):
         w[rows] = np.exp(log_w)
     return out
 
 
 # a full chunk, the ragged 37-path chunk after it, and a chunk one partial tile past a full
-# one; 1000 steps is no power of 2, so the midpoint levels split intervals unevenly
+# one in either mode; 1000 steps is no power of 2, so barrier mode's midpoint levels split
+# intervals unevenly (regulated mode draws 16 steps)
 KERNEL_SPEC = spec_for(1.0, 1.0, 4.0, n_steps=1000, n_samples=cl.CHUNK_SAMPLES + 37)
-KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, cl.TILE_ROWS + 37)]
+KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, 8 * cl.TILE_ROWS + 37)]
 
 
 def test_barrier_kernel_is_bit_identical_to_reference(params316):
@@ -166,11 +155,11 @@ def test_regulated_kernel_matches_reference(params316, gfix, which):
             assert 0.5 < np.mean(dead) < 1.0  # most bridges die at x = y = 1, t = 4
 
 
-def test_regulated_chunk_memory_is_tile_sized(params316, gfix):
+def test_barrier_chunk_memory_is_tile_sized(params316):
     spec = spec_for(1.0, 1.0, 4.0, n_steps=4096, n_samples=cl.CHUNK_SAMPLES)
     tracemalloc.start()
     try:
-        cl._chunk_weights(params316, [square_well(gfix[0], 0.05)], spec, "regulated",
+        cl._chunk_weights(params316, [square_well(1.0, 0.05)], spec, "barrier",
                           0, cl.CHUNK_SAMPLES)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -233,17 +222,26 @@ def test_link_action_matches_the_quadrature_kernel(params316, gfix, t):
     # spectral quadrature; the points reach from the cut to the far-link series
     tau = t / 2.0
     sd = math.sqrt(2.0 * tau)
-    spec = spec_for(1.0, 1.0, t, n_steps=2, n_samples=10)
     points = [(0.051, 0.051), (0.06, 0.08), (0.1, 0.3), (0.5, 0.7), (1.0, 1.2),
               (0.05 + 3.9 * sd, 0.05 + 4.1 * sd), (0.05 + 4.1 * sd, 0.05 + 6.0 * sd)]
     for g in gfix:
         reg = square_well(g, 0.05)
-        links = cl._LinkAction(params316, [reg], spec)
+        links = cl._LinkAction(params316, [reg], tau)
         for a, c in points:
             [log_w] = links(np.array([[a, c, a]]))
             exact = math.log(pg.propagator_quadrature(params316, reg, a, c, tau).value
                              / cl.free_kernel(a, c, tau))
             assert abs(log_w[0] / 2.0 - exact) <= 5e-4  # the table's grid error
+
+
+def test_regulated_estimate_stops_at_the_step_cap(params316, gfix):
+    # above cl.LINK_STEPS steps a regulated run draws the same 16-step bridges, also at
+    # 1000 steps, whose first midpoint levels would split intervals unevenly
+    regs = [square_well(g, 0.05) for g in gfix]
+    runs = [cl.feynman_kac_batch(params316, regs, spec_for(1.0, 1.0, 4.0, n_steps=n,
+                                                           n_samples=5000), threads=2)
+            for n in (16, 1000, 4096)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_pair_product_estimate_needs_no_fine_steps(params316, gfix):
@@ -277,9 +275,6 @@ def test_weight_stats_leave_the_estimate_unchanged(params316, gfix):
     assert cl.feynman_kac_batch(params316, regs, spec, stats=stats) \
         == cl.feynman_kac_batch(params316, regs, spec)
     assert set(stats) == {"ess_fraction", "max_weight_share"}
-    free = {}
-    cl.feynman_kac_batch(params316, regs, spec, mode="free", stats=free)
-    assert free == {"ess_fraction": [1.0], "max_weight_share": [pytest.approx(1.0 / 5000)]}
 
 
 def test_path_spec_validation():

@@ -309,6 +309,13 @@ def test_feynman_kac_refuses_an_aliasing_seed_or_fractional_count(bad, tmp_path,
     assert_refused(run_cli(FK_ARGS + ["--g", "1.0", "--out", str(tmp_path)] + bad, capsys))
 
 
+def test_feynman_kac_has_no_free_mode(tmp_path, capsys):
+    # the free mode's weights were ones by construction: it checked nothing
+    assert_refused(run_cli(FK_ARGS + ["--g", "1.0", "--mode", "free", "--out", str(tmp_path)],
+                           capsys), "--mode")
+    assert not (tmp_path / "feynman_kac.csv").exists()
+
+
 def test_limit_cycle(tmp_path, capsys):
     code, _, payload = run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
                                 "--out", str(tmp_path)], capsys)

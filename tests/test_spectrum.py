@@ -321,8 +321,8 @@ def test_generic_bound_energy_shoots_once_per_solver_evaluation(params316, monke
 
 
 def test_threshold_solves_the_comparison_bound_once(params316, monkeypatch):
-    # both the comparison bound and existence_bounds read the square well's
-    # cached g_minus, so a fresh non-square threshold inverts gamma once
+    # the comparison bound reads the square well's cached g_minus, so a fresh
+    # non-square threshold inverts gamma once
     calls = []
     orig = sp.invert_gamma
     monkeypatch.setattr(sp, "invert_gamma", lambda nu: calls.append(nu) or orig(nu))
@@ -393,13 +393,16 @@ def test_existence_bounds_bracket(params316, gfix):
     _, g_minus = gfix
     # f == 1: variational bound uses int x^2 e^-x = 2 - 5/e and the
     # comparison bound is exactly g_-
-    ub, lb = sp.existence_bounds(params316, square_well(1.0))
+    nobind = sp.threshold(params316, square_well(0.0), params316.nu_minus)
+    ub = sp.existence_bounds(params316, square_well(1.0))
+    lb = nobind / square_well(1.0).sup_profile()
     moment = 2.0 - 5.0 / math.e
     assert ub == pytest.approx((0.5 + params316.alpha / math.e) / moment, rel=1e-10)
     assert lb == pytest.approx(g_minus, rel=1e-12)
     assert lb < ub  # and g_* = g_- sits inside [lb, ub)
 
-    ub_lin, lb_lin = sp.existence_bounds(params316, linear_well(1.0))
+    ub_lin = sp.existence_bounds(params316, linear_well(1.0))
+    lb_lin = nobind / linear_well(1.0).sup_profile()
     moment_lin = 6.0 - 16.0 / math.e
     assert ub_lin == pytest.approx((0.5 + params316.alpha / math.e) / moment_lin, rel=1e-10)
     fit_g_star = 2.6989686016  # frozen from the threshold solve
