@@ -3,15 +3,18 @@
 Brownian motion: W(x, t; y) is the Wiener expectation of exp(-int V) over
 variance-2dt Brownian bridges absorbed at the origin; it solves the same
 heat equation as the imaginary-time propagator and is estimated here by
-Monte Carlo.  Barrier mode (V = 0) weighs each of the n_steps links by its
-exact crossing correction 1 - exp(-x_j x_{j+1}/eps), which removes the
-O(sqrt(eps)) discrete-absorption bias.  Regulated mode weighs links by the
-exact link kernel, the pair-product action of path-integral Monte Carlo
-(D. M. Ceperley, Rev. Mod. Phys. 67 (1995) 279): a link of length tau from
-a to c carries K(a, c, tau) / G(a, c, tau), K the regulated heat kernel
-with the wall and G the free one without it.  Chapman-Kolmogorov makes the
-estimate unbiased for any link length, so the number of links only sets
-the variance; a discretized action exp(-eps sum V) is biased (+0.43 % at
+Monte Carlo.  Both modes draw bridges of min(n_steps, LINK_STEPS) equal
+links.  Barrier mode (V = 0) weighs a link of length tau from a to c by
+its crossing factor 1 - exp(-ac/tau), the exact probability that the
+link's bridge stays above the origin, so there is no discrete-absorption
+bias at any link length.  Regulated mode weighs links by the exact link
+kernel, the pair-product action of path-integral Monte Carlo (D. M.
+Ceperley, Rev. Mod. Phys. 67 (1995) 279): a link carries
+K(a, c, tau) / G(a, c, tau), K the regulated heat kernel with the wall and
+G the free one without it, which is the crossing factor times K / K_0, K_0
+the free kernel with the wall.  Chapman-Kolmogorov makes either estimate
+unbiased for any link length, so the number of links only sets the
+variance; a discretized action exp(-eps sum V) is biased (+0.43 % at
 g_+ with 4096 steps at x = y = 1, t = 4), and at g_- its discrete well
 binds.  A link kernel is computed once per (alpha, g, b, tau), and
 cached, by a finite-volume eigen-solve on a grid graded to resolve the
@@ -19,27 +22,25 @@ well and the steep tail, as the ratio to the same solve without V, which
 cancels most of the grid's error; links that never feel the well use the
 inverse-square kernel's Bessel-function ratio.  At x = y = 1, t = 4 the
 table moves W by about +0.01 % at g_+ and +0.05 % at g_- (a tenth and a
-quarter of the stderr at 10^6 paths).  Regulated mode draws a bridge of
-min(n_steps, LINK_STEPS) equal links: the weight's variance grows with the
-link count, because short links leave the samples to find the paths that
-dwell near the well, and the squared weight's potential 2V binds (ESS/N
-at g_- is 0.35, 0.19, 0.07 and below 1e-3 at 8, 16, 32 and 4096 links,
-at g_+ 0.37, 0.32, 0.29 and 0.13).
+quarter of the stderr at 10^6 paths).  Regulated mode's weight variance
+grows with the link count, because short links leave the samples to find
+the paths that dwell near the well, and the squared weight's potential 2V
+binds (ESS/N at g_- is 0.35, 0.19, 0.07 and below 1e-3 at 8, 16, 32 and
+4096 links, at g_+ 0.37, 0.32, 0.29 and 0.13).
 
 Monte Carlo numerics: paths come in chunks of CHUNK_SAMPLES, each with its
 own Philox key, so results do not depend on the thread count.  A chunk is
-built tile by tile, coarse to fine: node 0 and node n are pinned, and each
-level fills the midpoint of every interval the levels before it left, from
-its exact conditional law given the interval's ends (P. Levy's midpoint
-construction; Glasserman, Monte Carlo Methods in Financial Engineering,
-2004, sec. 3.1).  That is the bridge's joint law for any n >= 2.  Level l
-draws from its own substream Philox(key).jumped(l), in row order over the
-paths still alive, so a path's nodes depend on the seed, the chunk and its
-row, not on the tile.  A path with a node <= 0 has weight 0; a coarse node
-is also a fine node, so the path is dropped after the level that puts one
-there, before its finer nodes are drawn (in barrier mode at x = y = 1,
-t = 4, n = 4096 a path costs about 1,000 normals, and about a quarter of
-the paths pass every level).
+built in one piece (at most 17 nodes a bridge), coarse to fine: node 0
+and node n are pinned, and each level fills the midpoint of every
+interval the levels before it left, from its exact conditional law given
+the interval's ends (P. Levy's midpoint construction; Glasserman, Monte
+Carlo Methods in Financial Engineering, 2004, sec. 3.1).  That is the
+bridge's joint law for any n >= 2.  Level l draws from its own substream
+Philox(key).jumped(l), in row order over the paths still alive, so a
+path's nodes depend on the seed, the chunk and its row.  A path with a
+node <= 0 has weight 0; a coarse node is also a fine node, so the path is
+dropped after the level that puts one there, before its finer nodes are
+drawn.
 
 Chain: the same kernel read as a transfer matrix gives the partition
 function of a one-dimensional chain of N coupled coordinates in the
@@ -82,8 +83,7 @@ __all__ = [
 ]
 
 CHUNK_SAMPLES = 4096
-TILE_ROWS = 128  # a tile's node budget: 128 bridges of 4096 steps, 2 MiB of float32
-LINK_STEPS = 16  # regulated mode draws bridges of at most this many links
+LINK_STEPS = 16  # bridges have at most this many links
 LINK_CELLS = 8  # link-table cells per link width sd = sqrt(2 tau), away from the well
 LINK_WELL_CELLS = 128  # link-table cells across the well, at least
 LINK_GROWTH = 1.02  # width ratio of neighbouring link-table cells between the two
@@ -186,10 +186,9 @@ def _midpoint_levels(n: int, eps: float):
     return levels, col_of
 
 
-def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
-    """Yield (rows, nodes) per tile of one chunk: the chunk rows whose bridge
-    stays above the origin, and their n_steps + 1 nodes in time order,
-    float32.  `nodes` is a buffer the next tile overwrites.
+def _bridges(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
+    """(rows, nodes) of one chunk: the chunk rows whose bridge stays above the
+    origin, and their n_steps + 1 nodes in time order, float32.
 
     Level l of _midpoint_levels draws from Philox(key).jumped(l) in row order
     over the rows still alive; a row with a new node <= 0 is dropped before
@@ -198,35 +197,20 @@ def _bridge_tiles(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
     n = spec.n_steps
     levels, col_of = _midpoint_levels(n, spec.t / n)
     key = spec.seed + (chunk_index << 64)
-    gens = [np.random.Generator(np.random.Philox(key=key).jumped(lev))
-            for lev in range(len(levels))]
-    # the node budget, and at most 8 TILE_ROWS rows: a short bridge's float64 link arrays
-    tile = min(TILE_ROWS * 4096 // n, 8 * TILE_ROWS, n_in_chunk)
-    nodes = np.empty((tile, n + 1), dtype=np.float32)  # level order
-    work = np.empty(tile * (n + 1), dtype=np.float32)  # a level's draws, then the time order
+    rows = np.arange(n_in_chunk)
+    nodes = np.empty((n_in_chunk, n + 1), dtype=np.float32)  # level order
     nodes[:, 0], nodes[:, 1] = spec.y, spec.x
-    for start in range(0, n_in_chunk, tile):
-        rows = np.arange(start, min(start + tile, n_in_chunk))
-        for gen, (col, left, right, w_left, w_right, sd) in zip(gens, levels):
-            k, size = rows.size, sd.size
-            z = work[:k * size].reshape(k, size)
-            gen.standard_normal(out=z, dtype=np.float32)
-            new = nodes[:k, col:col + size]
-            np.multiply(z, sd, out=new)
-            for parent, weight in ((left, w_left), (right, w_right)):
-                # mode="clip" writes straight into z; "raise" would buffer a copy
-                np.take(nodes[:k], parent, axis=1, out=z, mode="clip")
-                z *= weight
-                new += z
-            keep = np.flatnonzero(new.min(axis=1) > 0.0)
-            if keep.size < k:
-                rows = rows[keep]
-                if not rows.size:
-                    break
-                nodes[:rows.size, :col + size] = nodes[keep, :col + size]
-        if rows.size:
-            out = work[:rows.size * (n + 1)].reshape(rows.size, n + 1)
-            yield rows, np.take(nodes[:rows.size], col_of, axis=1, out=out, mode="clip")
+    for lev, (col, left, right, w_left, w_right, sd) in enumerate(levels):
+        gen = np.random.Generator(np.random.Philox(key=key).jumped(lev))
+        new = gen.standard_normal((rows.size, sd.size), dtype=np.float32)
+        new *= sd
+        new += nodes[:, left] * w_left
+        new += nodes[:, right] * w_right
+        nodes[:, col:col + sd.size] = new
+        keep = new.min(axis=1) > 0.0
+        rows, nodes = rows[keep], nodes[keep]
+    # np.take keeps C order; a fancy index gives F order, which rounds the link sums differently
+    return rows, np.take(nodes, col_of, axis=1)
 
 
 def _link_grid(cut: float, sd: float) -> np.ndarray:
@@ -343,8 +327,10 @@ class _LinkAction:
     one without it.  The product over links is then the pair-product
     weight, whose bridge expectation is exactly W / G(x, y, t) for any link
     length (Chapman-Kolmogorov).  Per link it is the crossing factor
-    log(1 - e^{-ac/tau}) plus log rho, rho = K / K_0 with K_0 the free
-    kernel with the wall:
+    log(1 - e^{-ac/tau}), the exact probability that the link's bridge stays
+    above the origin, plus log rho, rho = K / K_0 with K_0 the free kernel
+    with the wall.  With no regulators (barrier mode, V = 0) it is one
+    column, the crossing factors alone.  For rho:
     - a link whose lower end is at least cut + LINK_REACH sd (sd^2 = 2 tau)
       never feels the well (below e^-32), and rho is the inverse-square
       kernel's I_nu(z)/I_{1/2}(z), z = ac/(2 tau), by its large-z series;
@@ -352,9 +338,12 @@ class _LinkAction:
     """
 
     def __init__(self, params: ModelParams, regs, tau: float):
+        self.tau, self.tables = tau, []
+        if not regs:
+            return
         cut = regs[0].b
         tables = [_link_table(params.alpha, reg.g, cut, tau) for reg in regs]
-        self.tau, self.x, self.tables = tau, tables[0][0], [table for _, table in tables]
+        self.x, self.tables = tables[0][0], [table for _, table in tables]
         self.reach = cut + LINK_REACH * math.sqrt(2.0 * tau)
         coef = _asymptotic_log_series(params.alpha)
         self.series = [ck * (2.0 * tau) ** (k + 1) for k, ck in enumerate(coef)]  # in 1/(ac)
@@ -366,6 +355,8 @@ class _LinkAction:
         a, c = nodes[:, :-1].astype(np.float64), nodes[:, 1:].astype(np.float64)
         ac = a * c
         cross = np.log(-np.expm1(-ac / self.tau))
+        if not self.tables:
+            return [np.sum(cross, axis=1)]
         near = np.minimum(a, c) < self.reach
         inv = 1.0 / np.where(near, 1.0, ac)
         far = self.series[-1] * inv
@@ -390,34 +381,23 @@ class _LinkAction:
 
 def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index: int,
                    n_in_chunk: int, links: _LinkAction | None = None):
-    """Path weights for one deterministic chunk, one column per regulator.
+    """Path weights for one deterministic chunk, one column per regulator
+    (one column in barrier mode).
 
-    Paths are built in float32 by _bridge_tiles (position precision far
-    below the Monte Carlo noise), sums accumulate in float64.  Barrier mode
-    charges the bridges that stay above the origin for the crossing product
-    over all n_steps links; the others have a crossing factor of exactly 0.
-    Regulated mode draws bridges of min(n_steps, LINK_STEPS) links and
-    weighs them by `links` (built here when not given).
+    Both modes draw bridges of min(n_steps, LINK_STEPS) equal links, in
+    float32 by _bridges (position precision far below the Monte Carlo
+    noise), and weigh them in float64 by `links` (built here when not
+    given): barrier mode by the crossing factors alone.  A bridge with a
+    node <= 0 has weight 0.
     """
-    if mode == "barrier":
-        eps = spec.t / spec.n_steps
-        surv = np.zeros(n_in_chunk)
-        for idx, live in _bridge_tiles(spec, chunk_index, n_in_chunk):
-            # q = x_j x_{j+1} / eps > 0 on a live row; 1 - e^{-q} instead of
-            # -expm1(-q): the difference only matters below f32 resolution
-            q = live[:, :-1] * live[:, 1:]
-            q *= np.float32(-1.0 / eps)
-            np.exp(q, out=q)
-            np.subtract(1.0, q, out=q)
-            surv[idx] = np.prod(q, axis=1)
-        return [surv]
     short = replace(spec, n_steps=min(spec.n_steps, LINK_STEPS))
-    links = links or _LinkAction(params, regs, short.t / short.n_steps)
-    out = np.zeros((len(regs), n_in_chunk))
-    for idx, live in _bridge_tiles(short, chunk_index, n_in_chunk):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight fails in
-            for w, log_w in zip(out, links(live)):  # feynman_kac_batch
-                w[idx] = np.exp(log_w)
+    links = links or _LinkAction(params, regs if mode == "regulated" else (),
+                                 short.t / short.n_steps)
+    rows, nodes = _bridges(short, chunk_index, n_in_chunk)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight fails in
+        log_w = links(nodes)  # feynman_kac_batch
+        out = np.zeros((len(log_w), n_in_chunk))
+        out[:, rows] = np.exp(log_w)
     return list(out)
 
 
@@ -427,10 +407,11 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     """Monte Carlo estimates (W, stderr) of the absorbed path expectation,
     one per regulator, all regulators sharing one path ensemble.
 
-    mode "regulated" weighs paths with the full regulated potential, by the
-    exact link kernel on bridges of min(n_steps, LINK_STEPS) links (so
-    n_steps above LINK_STEPS does not change the estimate); "barrier" keeps
-    only absorption (V = 0 on x > 0) on all n_steps links.
+    Both modes draw bridges of min(n_steps, LINK_STEPS) links, so n_steps
+    above LINK_STEPS does not change the estimate.  Mode "regulated" weighs
+    them with the full regulated potential, by the exact link kernel;
+    "barrier" keeps only absorption (V = 0 on x > 0), by the exact crossing
+    factor of each link.
     Deterministic for fixed seed regardless of thread count: chunking is
     fixed at CHUNK_SAMPLES and the reduction runs in chunk order.  With
     `stats`, puts per-regulator lists of the effective-sample fraction
@@ -448,8 +429,8 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     n_regs = len(regs) if mode == "regulated" else 1
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
-    links = (_LinkAction(params, regs, spec.t / min(spec.n_steps, LINK_STEPS))
-             if mode == "regulated" else None)
+    links = _LinkAction(params, regs if mode == "regulated" else (),
+                        spec.t / min(spec.n_steps, LINK_STEPS))
     results = _map_in_order(lambda chunk: _chunk_weights(params, regs, spec, mode, *chunk, links),
                             chunks, threads)
     kern = free_kernel(spec.x, spec.y, spec.t)

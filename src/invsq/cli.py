@@ -436,8 +436,8 @@ COMMANDS = {
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
-        Flag("n_steps", int, 2048, help="bridge steps; regulated mode draws min(n, 16) "
-             "steps and weighs each by the exact link kernel"),
+        Flag("n_steps", int, 2048, help="bridge steps; both modes draw min(n, 16) links "
+             "and weigh each exactly (link kernel, or crossing factor in barrier mode)"),
         Flag("n_samples", int, 100000),
         Flag("seed", int, 20260808),
         Flag("mode", str, "regulated", choices=("regulated", "barrier")),

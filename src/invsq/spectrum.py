@@ -38,7 +38,6 @@ __all__ = [
     "spectral_coefficients",
     "exterior_eigenfunction",
     "mean_position",
-    "mean_position_constant",
     "interior",
     "interior_logderiv",
     "threshold",
@@ -224,16 +223,6 @@ def mean_position(params: ModelParams, reg: Regulator) -> float:
     num_out = _quad("mean_position", lambda u: u * u * sf.kv(params.omega, u) ** 2, st.xi,
                     st.xi + 45.0, rtol=1e-11, initial_panels=8) * st.C ** 2 / kappa ** 2
     return num_in + num_out
-
-
-def mean_position_constant(params: ModelParams) -> float:
-    """lim <x> sqrt(|E|) as the binding vanishes.
-
-    Exact K_omega moment ratio pi (1/4 - omega^2) tan(pi omega) / (4 omega);
-    the pure-exponential-tail estimate 1/2 is its omega -> 1/2 limit.
-    """
-    w = params.omega
-    return math.pi * (0.25 - w * w) * math.tan(math.pi * w) / (4.0 * w)
 
 
 # ---------------------------------------------------------------------------

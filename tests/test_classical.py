@@ -22,7 +22,7 @@ def spec_for(x, y, t, n_steps=1024, n_samples=50000, seed=SEED):
 
 
 def test_barrier_mode_matches_image_kernel(params316, absorbed_kernel):
-    for (x, y, t) in ((1.0, 1.0, 4.0), (0.5, 1.5, 2.0), (2.0, 1.0, 1.0)):
+    for (x, y, t) in ((1.0, 1.0, 4.0), (0.5, 1.5, 2.0), (2.0, 1.0, 1.0), (0.2, 0.3, 4.0)):
         spec = spec_for(x, y, t, n_steps=1024, n_samples=100000)
         [(w, err)] = cl.feynman_kac_batch(params316, [square_well(1.0, 0.05)], spec,
                                           mode="barrier")
@@ -79,16 +79,16 @@ def test_threads_below_one_are_refused_before_drawing(params316, monkeypatch, th
 
 
 def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
-    """The chunk kernel untiled: the whole chunk built coarse to fine in time order.
+    """The chunk kernel written out: the whole chunk built coarse to fine in time order.
 
-    Level l fills the midpoint of every interval of length >= 2 left by the
-    levels before it, drawing from Philox(key).jumped(l) in row order over
-    the paths with no node <= 0 so far.  Barrier mode charges every path for
-    the crossing product; regulated mode builds a bridge of
-    min(n_steps, cl.LINK_STEPS) steps and charges the paths still alive for
-    their links by cl._LinkAction.
+    Both modes build a bridge of min(n_steps, cl.LINK_STEPS) steps.  Level l
+    fills the midpoint of every interval of length >= 2 left by the levels
+    before it, drawing from Philox(key).jumped(l) in row order over the paths
+    with no node <= 0 so far.  Only the paths still alive carry weight:
+    barrier mode charges them for the float64 sum of their log crossing
+    factors, regulated mode for their links by cl._LinkAction.
     """
-    n = spec.n_steps if mode == "barrier" else min(spec.n_steps, cl.LINK_STEPS)
+    n = min(spec.n_steps, cl.LINK_STEPS)
     eps = spec.t / n
     key = spec.seed + (chunk_index << 64)
     nodes = np.zeros((n_in_chunk, n + 1), dtype=np.float32)  # a node never drawn stays 0
@@ -110,25 +110,22 @@ def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
         alive[rows] = new.min(axis=1) > 0.0
         intervals = [p for i, m, j in split for p in ((i, m), (m, j)) if p[1] - p[0] >= 2]
         level += 1
-    if mode == "barrier":
-        pair = nodes[:, :-1] * nodes[:, 1:]
-        pair *= np.float32(-1.0 / eps)
-        factors = np.exp(pair)
-        np.subtract(1.0, factors, out=factors)
-        np.maximum(factors, 0.0, out=factors)
-        return [np.prod(factors, axis=1).astype(np.float64)]
     rows = np.flatnonzero(alive)
+    if mode == "barrier":
+        live = nodes[rows].astype(np.float64)
+        w = np.zeros(n_in_chunk)
+        w[rows] = np.exp(np.sum(np.log(-np.expm1(-live[:, :-1] * live[:, 1:] / eps)), axis=1))
+        return [w]
     out = [np.zeros(n_in_chunk) for _ in regs]
-    for w, log_w in zip(out, cl._LinkAction(params, regs, spec.t / n)(nodes[rows])):
+    for w, log_w in zip(out, cl._LinkAction(params, regs, eps)(nodes[rows])):
         w[rows] = np.exp(log_w)
     return out
 
 
-# a full chunk, the ragged 37-path chunk after it, and a chunk one partial tile past a full
-# one in either mode; 1000 steps is no power of 2, so barrier mode's midpoint levels split
-# intervals unevenly (regulated mode draws 16 steps)
+# a full chunk, the ragged 37-path chunk after it, and a chunk of 1061 paths; at 1000 steps
+# both modes draw 16
 KERNEL_SPEC = spec_for(1.0, 1.0, 4.0, n_steps=1000, n_samples=cl.CHUNK_SAMPLES + 37)
-KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, 8 * cl.TILE_ROWS + 37)]
+KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, 1061)]
 
 
 def test_barrier_kernel_is_bit_identical_to_reference(params316):
@@ -141,7 +138,7 @@ def test_barrier_kernel_is_bit_identical_to_reference(params316):
 
 @pytest.mark.parametrize("which", [(0,), (0, 1)])
 def test_regulated_kernel_matches_reference(params316, gfix, which):
-    # each path's links are summed on their own row, so the tile does not round them
+    # each path's links are summed on their own row, so the chunk size does not round them
     regs = [square_well(gfix[i], 0.05) for i in which]
     for chunk in KERNEL_CHUNKS:
         got = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
@@ -164,7 +161,8 @@ def test_barrier_chunk_memory_is_tile_sized(params316):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20  # one untiled (4096, 4097) float32 temporary is 64 MiB
+    # the step cap guards this: one (4096, 4097) float32 bridge array is 64 MiB
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("y, x", [(50.0, 50.0), (50.0, 53.0)])
@@ -173,10 +171,9 @@ def test_bridge_nodes_have_the_bridge_law(y, x):
     # far from the wall no bridge dies, so every row is a draw from the bridge law
     n, t, chunks = 7, 1.0, 4
     spec = spec_for(x, y, t, n_steps=n, n_samples=chunks * cl.CHUNK_SAMPLES)
-    tiles = [(rows.copy(), nodes.copy()) for c in range(chunks)
-             for rows, nodes in cl._bridge_tiles(spec, c, cl.CHUNK_SAMPLES)]
-    rows = np.concatenate([r for r, _ in tiles])
-    nodes = np.concatenate([v for _, v in tiles]).astype(np.float64)
+    built = [cl._bridges(spec, c, cl.CHUNK_SAMPLES) for c in range(chunks)]
+    rows = np.concatenate([r for r, _ in built])
+    nodes = np.concatenate([v for _, v in built]).astype(np.float64)
     assert np.array_equal(rows, np.tile(np.arange(cl.CHUNK_SAMPLES), chunks))
     assert np.all(nodes[:, 0] == y) and np.all(nodes[:, n] == x)
     s = np.arange(1, n) * t / n
@@ -191,21 +188,6 @@ def test_bridge_nodes_have_the_bridge_law(y, x):
     inner = nodes[:, 1:n]
     assert np.all(np.abs(inner.mean(axis=0) - line) <= 4.0 * mean_err)
     assert np.all(np.abs(np.cov(inner, rowvar=False) - cov) <= 4.0 * cov_err)
-
-
-@pytest.mark.parametrize("tile", [37, 4096])
-def test_chunk_weights_do_not_depend_on_the_tile(params316, gfix, monkeypatch, tile):
-    regs = [square_well(gfix[0], 0.05)]
-    chunk = (0, cl.CHUNK_SAMPLES)
-    [bar] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
-    [reg] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
-    monkeypatch.setattr(cl, "TILE_ROWS", tile)
-    [w] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
-    assert np.array_equal(w, bar)
-    [w] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
-    dead = reg == 0.0
-    assert np.array_equal(w == 0.0, dead)
-    assert np.all(np.abs(w[~dead] / reg[~dead] - 1.0) <= 1e-6)
 
 
 def test_non_finite_estimate_fails_loudly(params316):
@@ -234,12 +216,13 @@ def test_link_action_matches_the_quadrature_kernel(params316, gfix, t):
             assert abs(log_w[0] / 2.0 - exact) <= 5e-4  # the table's grid error
 
 
-def test_regulated_estimate_stops_at_the_step_cap(params316, gfix):
-    # above cl.LINK_STEPS steps a regulated run draws the same 16-step bridges, also at
-    # 1000 steps, whose first midpoint levels would split intervals unevenly
+@pytest.mark.parametrize("mode", ["regulated", "barrier"])
+def test_estimate_stops_at_the_step_cap(params316, gfix, mode):
+    # above cl.LINK_STEPS steps a run draws the same 16-step bridges, also at 1000 steps,
+    # whose first midpoint levels would split intervals unevenly
     regs = [square_well(g, 0.05) for g in gfix]
     runs = [cl.feynman_kac_batch(params316, regs, spec_for(1.0, 1.0, 4.0, n_steps=n,
-                                                           n_samples=5000), threads=2)
+                                                           n_samples=5000), mode, threads=2)
             for n in (16, 1000, 4096)]
     assert runs[0] == runs[1] == runs[2]
 

