@@ -29,18 +29,12 @@ binds (ESS/N at g_- is 0.35, 0.19, 0.07 and below 1e-3 at 8, 16, 32 and
 4096 links, at g_+ 0.37, 0.32, 0.29 and 0.13).
 
 Monte Carlo numerics: paths come in chunks of CHUNK_SAMPLES, each with its
-own Philox key, so results do not depend on the thread count.  A chunk is
-built in one piece (at most 17 nodes a bridge), coarse to fine: node 0
-and node n are pinned, and each level fills the midpoint of every
-interval the levels before it left, from its exact conditional law given
-the interval's ends (P. Levy's midpoint construction; Glasserman, Monte
-Carlo Methods in Financial Engineering, 2004, sec. 3.1).  That is the
-bridge's joint law for any n >= 2.  Level l draws from its own substream
-Philox(key).jumped(l), in row order over the paths still alive, so a
-path's nodes depend on the seed, the chunk and its row.  A path with a
-node <= 0 has weight 0; a coarse node is also a fine node, so the path is
-dropped after the level that puts one there, before its finer nodes are
-drawn.
+own Philox key, so results do not depend on the thread count.  A chunk
+draws one normal array and builds every bridge in time order as a random
+walk less the line to its end point (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2004, sec. 3.1), which is the bridge's joint law
+for any n; a path's nodes depend on the seed, the chunk and its row.  A
+path with a node <= 0 has weight 0.
 
 Chain: the same kernel read as a transfer matrix gives the partition
 function of a one-dimensional chain of N coupled coordinates in the
@@ -52,11 +46,12 @@ by the same exponent 1/omega as the quantum binding energy.
 Transfer-matrix numerics: uniform grid with a cell edge exactly at the
 well boundary (the near-threshold energy is violently sensitive to the
 effective well width, so the edge must not be grid-quantized), Gaussian
-step applied by FFT with the image (absorbed-wall) term, leading
-eigenvalue by LOBPCG preconditioned with the free step in a walled box,
-(1 - G + eps s)^{-1}, applied by DST - the spectral gap e^{-eps E0} - 1
-is far too small for power iteration, and the preconditioner takes the
-Laplacian's spread out of the iteration count (10-20 steps per solve).
+step in a box with absorbing walls at 0 and x_max, applied by FFT of the
+odd extension, leading eigenvalue by LOBPCG preconditioned with the free
+step in the same box, (1 - G + eps s)^{-1}, diagonal in that transform -
+the spectral gap e^{-eps E0} - 1 is far too small for power iteration,
+and the preconditioner takes the Laplacian's spread out of the iteration
+count (10-20 steps per solve).
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,62 +150,23 @@ def _map_in_order(work, items, threads: int) -> list:
 # Feynman-Kac Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _midpoint_levels(n: int, eps: float):
-    """The coarse-to-fine (Levy midpoint) construction of a bridge on nodes 0..n.
+def _bridges(spec: PathEnsembleSpec, n: int, chunk_index: int, n_in_chunk: int):
+    """(rows, nodes) of one chunk of n-link bridges: the chunk rows whose bridge stays
+    above the origin, and their n + 1 nodes in time order, float32.
 
-    Nodes 0 and n are pinned.  Each level fills the midpoint m = (i + j) // 2
-    of every interval [i, j] the earlier levels left with j - i >= 2, from its
-    exact conditional law: the line between nodes i and j plus sd Z, with
-    sd^2 = 2 eps (m - i)(j - m)/(j - i).  Nodes are kept in level order (node
-    0, node n, then each level's midpoints in time order), so the nodes built
-    so far are a prefix of the columns.  Returns per level (its first column,
-    the left and right parents' columns, their float32 weights, and sd), and
-    the column of each node.
+    The chunk draws one (n_in_chunk, n) normal array from Philox(key); node k
+    is y + (x - y) k/n + sd (S_k - (k/n) S_n), S the running sum of a row's
+    normals (S_0 = 0) and sd = sqrt(2 t/n).
     """
-    col_of = np.empty(n + 1, dtype=np.intp)
-    col_of[0], col_of[n] = 0, 1
-    lo, hi = np.array([0]), np.array([n])
-    levels, col = [], 2
-    while lo.size:
-        mid = (lo + hi) // 2
-        col_of[mid] = np.arange(col, col + mid.size)
-        span = hi - lo
-        levels.append((col, col_of[lo], col_of[hi],
-                       ((hi - mid) / span).astype(np.float32),
-                       ((mid - lo) / span).astype(np.float32),
-                       np.sqrt(2.0 * eps * (mid - lo) * (hi - mid) / span).astype(np.float32)))
-        col += mid.size
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
-        split = hi - lo >= 2
-        lo, hi = lo[split], hi[split]
-    return levels, col_of
-
-
-def _bridges(spec: PathEnsembleSpec, chunk_index: int, n_in_chunk: int):
-    """(rows, nodes) of one chunk: the chunk rows whose bridge stays above the
-    origin, and their n_steps + 1 nodes in time order, float32.
-
-    Level l of _midpoint_levels draws from Philox(key).jumped(l) in row order
-    over the rows still alive; a row with a new node <= 0 is dropped before
-    the next level.
-    """
-    n = spec.n_steps
-    levels, col_of = _midpoint_levels(n, spec.t / n)
-    key = spec.seed + (chunk_index << 64)
-    rows = np.arange(n_in_chunk)
-    nodes = np.empty((n_in_chunk, n + 1), dtype=np.float32)  # level order
-    nodes[:, 0], nodes[:, 1] = spec.y, spec.x
-    for lev, (col, left, right, w_left, w_right, sd) in enumerate(levels):
-        gen = np.random.Generator(np.random.Philox(key=key).jumped(lev))
-        new = gen.standard_normal((rows.size, sd.size), dtype=np.float32)
-        new *= sd
-        new += nodes[:, left] * w_left
-        new += nodes[:, right] * w_right
-        nodes[:, col:col + sd.size] = new
-        keep = new.min(axis=1) > 0.0
-        rows, nodes = rows[keep], nodes[keep]
-    # np.take keeps C order; a fancy index gives F order, which rounds the link sums differently
-    return rows, np.take(nodes, col_of, axis=1)
+    gen = np.random.Generator(np.random.Philox(key=spec.seed + (chunk_index << 64)))
+    walk = np.zeros((n_in_chunk, n + 1), dtype=np.float32)
+    np.cumsum(gen.standard_normal((n_in_chunk, n), dtype=np.float32), axis=1, out=walk[:, 1:])
+    frac = np.arange(n + 1, dtype=np.float32) / np.float32(n)
+    nodes = ((walk - frac * walk[:, -1:]) * np.float32(math.sqrt(2.0 * spec.t / n))
+             + (np.float32(spec.y) + np.float32(spec.x - spec.y) * frac))
+    nodes[:, n] = spec.x
+    rows = np.flatnonzero(nodes.min(axis=1) > 0.0)
+    return rows, nodes[rows]
 
 
 def _link_grid(cut: float, sd: float) -> np.ndarray:
@@ -379,21 +335,16 @@ class _LinkAction:
         return i, np.minimum((p - x[i]) / (x[i + 1] - x[i]), 1.0)
 
 
-def _chunk_weights(params, regs, spec: PathEnsembleSpec, mode: str, chunk_index: int,
-                   n_in_chunk: int, links: _LinkAction | None = None):
-    """Path weights for one deterministic chunk, one column per regulator
-    (one column in barrier mode).
+def _chunk_weights(links: _LinkAction, n: int, spec: PathEnsembleSpec, chunk_index: int,
+                   n_in_chunk: int):
+    """Path weights for one deterministic chunk of n-link bridges, one column per
+    regulator of `links` (one column in barrier mode).
 
-    Both modes draw bridges of min(n_steps, LINK_STEPS) equal links, in
-    float32 by _bridges (position precision far below the Monte Carlo
-    noise), and weigh them in float64 by `links` (built here when not
-    given): barrier mode by the crossing factors alone.  A bridge with a
-    node <= 0 has weight 0.
+    The bridges are drawn in float32 by _bridges (position precision far
+    below the Monte Carlo noise) and weighed in float64 by `links`.  A bridge
+    with a node <= 0 has weight 0.
     """
-    short = replace(spec, n_steps=min(spec.n_steps, LINK_STEPS))
-    links = links or _LinkAction(params, regs if mode == "regulated" else (),
-                                 short.t / short.n_steps)
-    rows, nodes = _bridges(short, chunk_index, n_in_chunk)
+    rows, nodes = _bridges(spec, n, chunk_index, n_in_chunk)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite weight fails in
         log_w = links(nodes)  # feynman_kac_batch
         out = np.zeros((len(log_w), n_in_chunk))
@@ -429,9 +380,9 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     n_regs = len(regs) if mode == "regulated" else 1
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
-    links = _LinkAction(params, regs if mode == "regulated" else (),
-                        spec.t / min(spec.n_steps, LINK_STEPS))
-    results = _map_in_order(lambda chunk: _chunk_weights(params, regs, spec, mode, *chunk, links),
+    n_links = min(spec.n_steps, LINK_STEPS)
+    links = _LinkAction(params, regs if mode == "regulated" else (), spec.t / n_links)
+    results = _map_in_order(lambda chunk: _chunk_weights(links, n_links, spec, *chunk),
                             chunks, threads)
     kern = free_kernel(spec.x, spec.y, spec.t)
     n = spec.n_samples
@@ -465,9 +416,12 @@ class TransferOperator:
     """One eps-step of the chain on a uniform midpoint grid.
 
     T(x, x') = (4 pi eps)^{-1/2} exp(-(x-x')^2 / 4 eps) e^{-eps(V(x)+V(x'))/2},
-    with the Gaussian replaced by its absorbed-wall (image-subtracted)
-    version, the exact free half-line step, applied by FFT.  The grid
-    pitch divides the cut b x0 so the well edge falls on a cell boundary.
+    with the Gaussian replaced by the free step in the box with absorbing
+    walls at 0 and x_max, G(x - x') - G(x + x') - G(2 x_max - x - x') up to
+    images below G(x_max).  The odd extension [r, -r[::-1]] on the 2n ring
+    makes that step a circular convolution, diagonal in a DST-II by rfft
+    with the real spectrum _fk of the wrapped Gaussian.  The grid pitch
+    divides the cut b x0 so the well edge falls on a cell boundary.
     """
 
     def __init__(self, params: ModelParams, reg: Regulator, eps: float,
@@ -487,28 +441,20 @@ class TransferOperator:
         kern = np.zeros(m)
         kern[:self.n] = gk
         kern[m - self.n + 1:] = gk[1:][::-1]
-        self._fk = np.fft.rfft(kern)
-        dall = np.arange(m) * self.h
-        self._fim = np.fft.rfft(pref * np.exp(-dall * dall / (4.0 * eps)))
+        self._fk = np.fft.rfft(kern).real
+
+    def _walled(self, r: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+        """r times `spectrum` in the odd extension's transform."""
+        return np.fft.irfft(np.fft.rfft(np.concatenate([r, -r[::-1]])) * spectrum,
+                            self.m)[:self.n]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        u = self.halfweight * psi
-        pad = np.zeros(self.m)
-        pad[:self.n] = u
-        direct = np.fft.irfft(np.fft.rfft(pad) * self._fk, self.m)[:self.n]
-        pad[:self.n] = u[::-1]
-        image = np.fft.irfft(np.fft.rfft(pad) * self._fim, self.m)[self.n:2 * self.n]
-        return self.halfweight * (direct - image)
+        return self.halfweight * self._walled(self.halfweight * psi, self._fk)
 
     def preconditioner(self, shift: float):
-        """r -> (1 - G + eps shift)^{-1} r, G the Gaussian step with walls at 0 and x_max.
-
-        The odd extension [r, -r[::-1]] on the 2n ring diagonalizes G (a
-        DST-II by rfft) with eigenvalues the rfft of the Gaussian kernel.
-        """
-        inv = 1.0 / (1.0 - self._fk.real + self.eps * shift)
-        n, m = self.n, self.m
-        return lambda r: np.fft.irfft(np.fft.rfft(np.concatenate([r, -r[::-1]])) * inv, m)[:n]
+        """r -> (1 - G + eps shift)^{-1} r, G the Gaussian step in the walled box."""
+        inv = 1.0 / (1.0 - self._fk + self.eps * shift)
+        return lambda r: self._walled(r, inv)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -265,14 +265,18 @@ def cmd_phase_curve(ns):
 
 def cmd_feynman_kac(ns):
     p = derived_constants(ns.alpha)
+    if ns.mode == "barrier" and (ns.g is not None or ns.profile is not None
+                                 or ns.scheme != "square" or ns.b != 1.0):
+        raise ValueError("barrier mode has no well: it takes no --g, --profile, --b "
+                         "or --scheme")
+    regs = [_regulator(ns, ns.g)] if ns.mode == "regulated" else []
     spec = classical.PathEnsembleSpec(y=ns.y, x=ns.x, t=ns.t, n_steps=ns.n_steps,
                                       n_samples=ns.n_samples, seed=ns.seed)
     stats = {}
-    [(w, err)] = classical.feynman_kac_batch(p, [_regulator(ns, ns.g)], spec, ns.mode,
-                                             ns.threads, stats=stats)
+    [(w, err)] = classical.feynman_kac_batch(p, regs, spec, ns.mode, ns.threads, stats=stats)
     diagnostics = {"ess_fraction": stats["ess_fraction"][0],
                    "max_weight_share": stats["max_weight_share"][0]}
-    rows = [(ns.x, ns.y, ns.t, ns.n_steps, ns.n_samples, w, err)]
+    rows = [(ns.x, ns.y, ns.t, min(ns.n_steps, classical.LINK_STEPS), ns.n_samples, w, err)]
     out = _outdir(ns) / "feynman_kac.csv"
     write_csv(out, _provenance(ns, mode=ns.mode, seed=ns.seed, **diagnostics),
               ["x (length)", "y (length)", "t (length^2)", "N", "n_samples",
@@ -432,12 +436,12 @@ COMMANDS = {
         Flag("g0", required=True),
         Flag("mu1", required=True),
         OUT)),
-    "feynman-kac": (cmd_feynman_kac, MODEL + WELL + DEPTH + (
+    "feynman-kac": (cmd_feynman_kac, MODEL + WELL + OPTIONAL_DEPTH + (
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
-        Flag("n_steps", int, 2048, help="bridge steps; both modes draw min(n, 16) links "
-             "and weigh each exactly (link kernel, or crossing factor in barrier mode)"),
+        Flag("n_steps", int, 16, help="bridge links, at most 16 are drawn; each is weighed "
+             "exactly (link kernel, or crossing factor in barrier mode)"),
         Flag("n_samples", int, 100000),
         Flag("seed", int, 20260808),
         Flag("mode", str, "regulated", choices=("regulated", "barrier")),
@@ -445,7 +449,7 @@ COMMANDS = {
         THREADS)),
     "chain": (cmd_chain, MODEL + WELL + DEPTH + (
         Flag("eps_list", finite_list, "0.1,0.05,0.025", help="time steps in units of (b x0)^2; "
-             "the grid pitch divides b x0 (results for b x0 != 1 differ from earlier versions)"),
+             "the grid pitch divides b x0"),
         OUT,
         THREADS)),
     "limit-cycle": (cmd_limit_cycle, MODEL + (

@@ -64,7 +64,7 @@ def _chain_partition(params, reg, spec: ChainSpec, image: bool = False) -> float
     Normalized with the (4 pi eps)^{-1/2} Gaussian factor per link, so Z
     approximates W(x, t=N eps; y) in the double-scaling limit.  image
     defaults to the literal chain (absorption only at the sites): its step
-    is TransferOperator's without the image term.
+    is TransferOperator's without the image terms.
     """
     from invsq.classical import TransferOperator
     op = TransferOperator(params, reg, spec.epsilon, spec.x_max, spec.n_grid)

@@ -79,47 +79,49 @@ def test_threads_below_one_are_refused_before_drawing(params316, monkeypatch, th
 
 
 def _reference_chunk_weights(params, regs, spec, mode, chunk_index, n_in_chunk):
-    """The chunk kernel written out: the whole chunk built coarse to fine in time order.
+    """The chunk kernel written out: each row's bridge built on its own, in time order.
 
-    Both modes build a bridge of min(n_steps, cl.LINK_STEPS) steps.  Level l
-    fills the midpoint of every interval of length >= 2 left by the levels
-    before it, drawing from Philox(key).jumped(l) in row order over the paths
-    with no node <= 0 so far.  Only the paths still alive carry weight:
-    barrier mode charges them for the float64 sum of their log crossing
+    Both modes build bridges of n = min(n_steps, cl.LINK_STEPS) links from the
+    chunk's (n_in_chunk, n) float32 normal array, drawn from Philox(key): node
+    k of a row is y + (x - y) k/n + sd (S_k - (k/n) S_n), S the running sum of
+    the row's normals, in float32.  Only the rows with every node > 0 carry
+    weight: barrier mode charges them for the float64 sum of their log crossing
     factors, regulated mode for their links by cl._LinkAction.
     """
     n = min(spec.n_steps, cl.LINK_STEPS)
     eps = spec.t / n
-    key = spec.seed + (chunk_index << 64)
-    nodes = np.zeros((n_in_chunk, n + 1), dtype=np.float32)  # a node never drawn stays 0
-    nodes[:, 0], nodes[:, n] = spec.y, spec.x
-    alive = np.ones(n_in_chunk, dtype=bool)
-    intervals, level = [(0, n)], 0
-    while intervals:
-        split = [(i, (i + j) // 2, j) for i, j in intervals]
-        lo, mid, hi = (list(v) for v in zip(*split))
-        w_lo = np.float32([(j - m) / (j - i) for i, m, j in split])
-        w_hi = np.float32([(m - i) / (j - i) for i, m, j in split])
-        sd = np.float32([math.sqrt(2.0 * eps * (m - i) * (j - m) / (j - i)) for i, m, j in split])
-        rows = np.flatnonzero(alive)
-        gen = np.random.Generator(np.random.Philox(key=key).jumped(level))
-        z = gen.standard_normal((rows.size, len(split)), dtype=np.float32)
-        sub = nodes[rows]
-        new = z * sd + sub[:, lo] * w_lo + sub[:, hi] * w_hi
-        nodes[np.ix_(rows, mid)] = new
-        alive[rows] = new.min(axis=1) > 0.0
-        intervals = [p for i, m, j in split for p in ((i, m), (m, j)) if p[1] - p[0] >= 2]
-        level += 1
-    rows = np.flatnonzero(alive)
+    gen = np.random.Generator(np.random.Philox(key=spec.seed + (chunk_index << 64)))
+    normals = gen.standard_normal((n_in_chunk, n), dtype=np.float32)
+    f32 = np.float32
+    sd, y, dx = f32(math.sqrt(2.0 * eps)), f32(spec.y), f32(spec.x - spec.y)
+    frac = [f32(k) / f32(n) for k in range(n + 1)]
+    rows, live = [], []
+    for row, steps in enumerate(normals):
+        walk = [f32(0.0)]
+        for z in steps:
+            walk.append(walk[-1] + z)
+        nodes = [(walk[k] - frac[k] * walk[n]) * sd + (y + dx * frac[k]) for k in range(n)]
+        nodes.append(f32(spec.x))
+        if min(nodes) > 0.0:
+            rows.append(row)
+            live.append(nodes)
+    live = np.array(live, dtype=np.float32).reshape(len(rows), n + 1)
     if mode == "barrier":
-        live = nodes[rows].astype(np.float64)
         w = np.zeros(n_in_chunk)
-        w[rows] = np.exp(np.sum(np.log(-np.expm1(-live[:, :-1] * live[:, 1:] / eps)), axis=1))
+        for row, nodes in zip(rows, live.astype(np.float64)):
+            w[row] = np.exp(np.sum(np.log(-np.expm1(-nodes[:-1] * nodes[1:] / eps))))
         return [w]
     out = [np.zeros(n_in_chunk) for _ in regs]
-    for w, log_w in zip(out, cl._LinkAction(params, regs, eps)(nodes[rows])):
+    for w, log_w in zip(out, cl._LinkAction(params, regs, eps)(live)):
         w[rows] = np.exp(log_w)
     return out
+
+
+def _kernel_weights(params, regs, spec, mode, chunk):
+    """cl._chunk_weights on one chunk, with the link action feynman_kac_batch builds."""
+    n = min(spec.n_steps, cl.LINK_STEPS)
+    links = cl._LinkAction(params, regs if mode == "regulated" else (), spec.t / n)
+    return cl._chunk_weights(links, n, spec, *chunk)
 
 
 # a full chunk, the ragged 37-path chunk after it, and a chunk of 1061 paths; at 1000 steps
@@ -131,7 +133,7 @@ KERNEL_CHUNKS = [(0, cl.CHUNK_SAMPLES), (1, 37), (2, 1061)]
 def test_barrier_kernel_is_bit_identical_to_reference(params316):
     regs = [square_well(1.0, 0.05)]
     for chunk in KERNEL_CHUNKS:
-        [w] = cl._chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
+        [w] = _kernel_weights(params316, regs, KERNEL_SPEC, "barrier", chunk)
         [ref] = _reference_chunk_weights(params316, regs, KERNEL_SPEC, "barrier", *chunk)
         assert w.dtype == ref.dtype and np.array_equal(w, ref)
 
@@ -141,7 +143,7 @@ def test_regulated_kernel_matches_reference(params316, gfix, which):
     # each path's links are summed on their own row, so the chunk size does not round them
     regs = [square_well(gfix[i], 0.05) for i in which]
     for chunk in KERNEL_CHUNKS:
-        got = cl._chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
+        got = _kernel_weights(params316, regs, KERNEL_SPEC, "regulated", chunk)
         ref = _reference_chunk_weights(params316, regs, KERNEL_SPEC, "regulated", *chunk)
         assert len(got) == len(regs)
         for w, r in zip(got, ref):
@@ -156,8 +158,7 @@ def test_barrier_chunk_memory_is_tile_sized(params316):
     spec = spec_for(1.0, 1.0, 4.0, n_steps=4096, n_samples=cl.CHUNK_SAMPLES)
     tracemalloc.start()
     try:
-        cl._chunk_weights(params316, [square_well(1.0, 0.05)], spec, "barrier",
-                          0, cl.CHUNK_SAMPLES)
+        cl.feynman_kac_batch(params316, [], spec, "barrier")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -167,11 +168,10 @@ def test_barrier_chunk_memory_is_tile_sized(params316):
 
 @pytest.mark.parametrize("y, x", [(50.0, 50.0), (50.0, 53.0)])
 def test_bridge_nodes_have_the_bridge_law(y, x):
-    # n = 7 is no power of 2 (its levels split intervals of 7, then 3 and 4, then 2); this
-    # far from the wall no bridge dies, so every row is a draw from the bridge law
+    # this far from the wall no bridge dies, so every row is a draw from the bridge law
     n, t, chunks = 7, 1.0, 4
     spec = spec_for(x, y, t, n_steps=n, n_samples=chunks * cl.CHUNK_SAMPLES)
-    built = [cl._bridges(spec, c, cl.CHUNK_SAMPLES) for c in range(chunks)]
+    built = [cl._bridges(spec, n, c, cl.CHUNK_SAMPLES) for c in range(chunks)]
     rows = np.concatenate([r for r, _ in built])
     nodes = np.concatenate([v for _, v in built]).astype(np.float64)
     assert np.array_equal(rows, np.tile(np.arange(cl.CHUNK_SAMPLES), chunks))
@@ -218,8 +218,7 @@ def test_link_action_matches_the_quadrature_kernel(params316, gfix, t):
 
 @pytest.mark.parametrize("mode", ["regulated", "barrier"])
 def test_estimate_stops_at_the_step_cap(params316, gfix, mode):
-    # above cl.LINK_STEPS steps a run draws the same 16-step bridges, also at 1000 steps,
-    # whose first midpoint levels would split intervals unevenly
+    # above cl.LINK_STEPS steps a run draws the same 16-step bridges
     regs = [square_well(g, 0.05) for g in gfix]
     runs = [cl.feynman_kac_batch(params316, regs, spec_for(1.0, 1.0, 4.0, n_steps=n,
                                                            n_samples=5000), mode, threads=2)
@@ -241,7 +240,7 @@ def test_weight_stats_recomputed_from_chunks(params316, gfix):
     stats = {}
     cl.feynman_kac_batch(params316, regs, spec, threads=2, stats=stats)
     chunks = [(0, cl.CHUNK_SAMPLES), (1, cl.CHUNK_SAMPLES), (2, 100)]
-    per_chunk = [cl._chunk_weights(params316, regs, spec, "regulated", *c) for c in chunks]
+    per_chunk = [_kernel_weights(params316, regs, spec, "regulated", c) for c in chunks]
     for j in range(len(regs)):
         w = np.concatenate([res[j] for res in per_chunk])
         assert stats["ess_fraction"][j] == pytest.approx(
@@ -482,6 +481,29 @@ def test_free_energy_refuses_an_unresolved_grid(params316, gfix, d):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="grid unresolved"):
             cl.free_energy_density(params316, reg)
+
+
+def test_transfer_step_is_the_walled_box_kernel(params316):
+    # the step's matrix: the Gaussian less its images in the walls at 0 and x_max
+    op = cl.TransferOperator(params316, square_well(2.0, 1.0), 0.05, 4.0, 64)
+    assert op.x_max == 4.0
+    dense = np.array([op.apply(e) for e in np.eye(op.n)]).T
+    xi, xj = np.meshgrid(op.x, op.x, indexing="ij")
+    gauss = np.vectorize(lambda d: cl.free_kernel(d, 0.0, op.eps))
+    want = (np.outer(op.halfweight, op.halfweight) * op.h
+            * (gauss(xi - xj) - gauss(xi + xj) - gauss(2.0 * op.x_max - xi - xj)))
+    assert np.max(np.abs(dense - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_preconditioner_inverts_the_free_walled_step(params316):
+    # with V = 0 the step is the free walled step G, which the preconditioner inverts
+    op = cl.TransferOperator(params316, square_well(2.0, 1.0), 0.05, 4.0, 64)
+    op.halfweight = np.ones(op.n)
+    shift = 0.3
+    solve = op.preconditioner(shift)
+    r = np.sin(op.x) + op.x
+    back = solve(r - op.apply(r) + op.eps * shift * r)
+    assert np.max(np.abs(back - r)) <= 1e-13 * np.max(np.abs(r))
 
 
 def _leading(op, shift):

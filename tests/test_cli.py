@@ -316,6 +316,47 @@ def test_feynman_kac_has_no_free_mode(tmp_path, capsys):
     assert not (tmp_path / "feynman_kac.csv").exists()
 
 
+@pytest.mark.parametrize("well", [["--g", "1.0"], ["--profile", "p.json"],
+                                  ["--scheme", "linear"], ["--b", "0.05"]])
+def test_feynman_kac_barrier_mode_refuses_well_flags(well, tmp_path, capsys):
+    # barrier mode weighs by absorption alone, so a well it would ignore is refused
+    assert_refused(run_cli(FK_ARGS + ["--mode", "barrier", "--out", str(tmp_path)] + well,
+                           capsys), "barrier mode has no well")
+    assert not (tmp_path / "feynman_kac.csv").exists()
+
+
+def test_feynman_kac_barrier_mode_passes_no_regulator(monkeypatch, tmp_path, capsys):
+    seen = []
+    batch = classical.feynman_kac_batch
+
+    def spy(params, regs, *args, **kwargs):
+        seen.append(list(regs))
+        return batch(params, regs, *args, **kwargs)
+
+    monkeypatch.setattr(classical, "feynman_kac_batch", spy)
+    code, _, payload = run_cli(FK_ARGS + ["--mode", "barrier", "--n-samples", "5000",
+                                          "--out", str(tmp_path)], capsys)
+    assert code == 0 and seen == [[]]
+    assert 0.0 < payload["W"]
+
+
+def test_feynman_kac_regulated_mode_needs_a_depth(tmp_path, capsys):
+    assert_refused(run_cli(FK_ARGS + ["--out", str(tmp_path)], capsys), "--g")
+    assert not (tmp_path / "feynman_kac.csv").exists()
+
+
+@pytest.mark.parametrize("steps, links", [([], 16), (["--n-steps", "5"], 5),
+                                          (["--n-steps", "4096"], 16)])
+def test_feynman_kac_csv_records_the_links_drawn(steps, links, tmp_path, capsys):
+    code, _, _ = run_cli(FK_ARGS + ["--mode", "barrier", "--n-samples", "100",
+                                    "--out", str(tmp_path)] + steps, capsys)
+    assert code == 0
+    lines = (tmp_path / "feynman_kac.csv").read_text().splitlines()
+    header = [l for l in lines if not l.startswith("#")]
+    row = dict(zip(header[0].split(","), header[1].split(",")))
+    assert row["N"] == str(links)
+
+
 def test_limit_cycle(tmp_path, capsys):
     code, _, payload = run_cli(["limit-cycle", "--alpha", "-0.30", "--eps", "1e-6",
                                 "--out", str(tmp_path)], capsys)
