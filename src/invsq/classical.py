@@ -352,7 +352,7 @@ def _chunk_weights(links: _LinkAction, n: int, spec: PathEnsembleSpec, chunk_ind
     return list(out)
 
 
-def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
+def feynman_kac_batch(params: ModelParams | None, regs, spec: PathEnsembleSpec,
                       mode: str = "regulated", threads: int = 1, *,
                       stats: dict | None = None):
     """Monte Carlo estimates (W, stderr) of the absorbed path expectation,
@@ -362,7 +362,7 @@ def feynman_kac_batch(params: ModelParams, regs, spec: PathEnsembleSpec,
     above LINK_STEPS does not change the estimate.  Mode "regulated" weighs
     them with the full regulated potential, by the exact link kernel;
     "barrier" keeps only absorption (V = 0 on x > 0), by the exact crossing
-    factor of each link.
+    factor of each link, and reads neither params nor regs (None and [] do).
     Deterministic for fixed seed regardless of thread count: chunking is
     fixed at CHUNK_SAMPLES and the reduction runs in chunk order.  With
     `stats`, puts per-regulator lists of the effective-sample fraction

@@ -264,11 +264,13 @@ def cmd_phase_curve(ns):
 
 
 def cmd_feynman_kac(ns):
-    p = derived_constants(ns.alpha)
     if ns.mode == "barrier" and (ns.g is not None or ns.profile is not None
                                  or ns.scheme != "square" or ns.b != 1.0):
         raise ValueError("barrier mode has no well: it takes no --g, --profile, --b "
                          "or --scheme")
+    if ns.mode == "regulated" and ns.alpha is None:
+        raise ValueError("regulated mode needs --alpha")
+    p = None if ns.alpha is None else derived_constants(ns.alpha)
     regs = [_regulator(ns, ns.g)] if ns.mode == "regulated" else []
     spec = classical.PathEnsembleSpec(y=ns.y, x=ns.x, t=ns.t, n_steps=ns.n_steps,
                                       n_samples=ns.n_samples, seed=ns.seed)
@@ -371,6 +373,8 @@ class Flag(NamedTuple):
 
 
 MODEL = (Flag("alpha", required=True, help="dimensionless coupling of alpha/x^2"),)
+OPTIONAL_MODEL = (Flag("alpha", help="dimensionless coupling of alpha/x^2 "
+                       "(regulated mode; barrier mode does not read it)"),)
 WELL = (Flag("scheme", str, "square", choices=tuple(SCHEMES)),
         Flag("b", default=1.0, help="width factor: the well fills 0 < x < b x0"),
         Flag("profile", str, help="JSON file with {x: [...], f: [...]} (generic)"))
@@ -436,7 +440,7 @@ COMMANDS = {
         Flag("g0", required=True),
         Flag("mu1", required=True),
         OUT)),
-    "feynman-kac": (cmd_feynman_kac, MODEL + WELL + OPTIONAL_DEPTH + (
+    "feynman-kac": (cmd_feynman_kac, OPTIONAL_MODEL + WELL + OPTIONAL_DEPTH + (
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),

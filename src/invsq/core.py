@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import brent
+from .numerics import brent, brent_batch
 
 __all__ = [
     "MODE_MAIN",
@@ -92,10 +92,18 @@ def gamma_cot(z):
     return float(out[0]) if scalar else out
 
 
-def invert_gamma(gamma_value: float) -> float:
-    """g on the first branch (0, pi^2) with sqrt(g) cot sqrt(g) = gamma_value."""
-    if gamma_value >= 1.0:
+def invert_gamma(gamma_value):
+    """g on the first branch (0, pi^2) with sqrt(g) cot sqrt(g) = gamma_value.
+
+    A 1-d array of values goes through one `brent_batch` solve, each element
+    equal to its scalar `brent` inversion.
+    """
+    if np.any(np.asarray(gamma_value) >= 1.0):
         raise ValueError(f"gamma={gamma_value} not attained on the first branch (max 1 at g=0)")
+    if np.ndim(gamma_value):
+        target = np.asarray(gamma_value, dtype=float)
+        return brent_batch(lambda g, i: gamma_cot(g) - target[i],
+                           np.full(target.shape, 1e-14), PI_SQ - 1e-11, xtol=1e-14)
     return brent(lambda g: gamma_cot(g) - gamma_value, 1e-14, PI_SQ - 1e-11, xtol=1e-14)
 
 

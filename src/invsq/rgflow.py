@@ -101,21 +101,20 @@ def contour_coupling(params: ModelParams, c_plus: float, c_minus: float, xi) -> 
 
     Inverting the matching formula gives gamma(g + xi^2) = 1/2 +
     xi (c_+ J'_omega + c_- J'_-omega)/(c_+ J_omega + c_- J_-omega) in closed
-    form, so each xi costs one root inversion of gamma.  Taking the pair
+    form, and one `invert_gamma` call solves the whole grid.  Taking the pair
     rather than its ratio covers C_- = 0 and either sign.  NaN marks the
     xi with no g on the first branch.
     """
     params.require_main()
     w = params.omega
     xi = np.asarray(xi, dtype=float)
-    jw, jmw = sf.jv([w, -w], xi)
-    jpw, jpmw = sf.jvp([w, -w], xi)
+    (jw, jmw), (jpw, jpmw) = sf.jv_jvp([w, -w], xi)
     denom = c_plus * jw + c_minus * jmw
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma_target = 0.5 + xi * (c_plus * jpw + c_minus * jpmw) / denom
     z = np.full(xi.shape, math.nan)
-    for i in np.flatnonzero((denom != 0.0) & (gamma_target < 1.0)):
-        z[i] = invert_gamma(float(gamma_target[i]))
+    solve = (denom != 0.0) & (gamma_target < 1.0)
+    z[solve] = invert_gamma(gamma_target[solve])
     g = z - xi * xi
     return np.where((g > 0.0) & (g < PI_SQ), g, math.nan)
 

@@ -19,11 +19,18 @@ Strategy:
   differencing.
 
 Everything is vectorized over the argument; scalars in, scalar out.  `jv`,
-`jvp` and `iv_scaled` also take a 1-d array of orders and return one row
-per order, shape (len(nu),) + shape(x), each row equal to the scalar-order
-call.  Target accuracy is 1e-10 relative (to the oscillation envelope where the
-function has zeros), good enough that downstream quadratures at
-1e-8..1e-9 are never kernel-limited.
+`jvp`, `jv_jvp` and `iv_scaled` also take a 1-d array of orders and return
+one row per order, shape (len(nu),) + shape(x), each row equal to the
+scalar-order call.  Per-call numpy overhead, not arithmetic, dominates the
+small arrays of the continuum path, so its callers batch: `jv_jvp` gives J
+and J' = (J_{nu-1} - J_{nu+1})/2 of both orders +-omega from one jv call of
+six orders (`spectrum.spectral_coefficients`, `rgflow.contour_coupling`),
+and `spectrum.exterior_eigenfunction` evaluates psi_E at x and y in one jv
+call.  `jvp` is the derivative half of `jv_jvp`.  The bound-state side
+(`kv`, `kv_log_derivative`) is called inside scalar root solves, one point
+at a time, and has no batched form.  Target accuracy is 1e-10 relative (to
+the oscillation envelope where the function has zeros), good enough that
+downstream quadratures at 1e-8..1e-9 are never kernel-limited.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "kv",
     "iv_scaled",
     "jvp",
+    "jv_jvp",
 ]
 
 _SERIES_TERMS = 48
@@ -60,8 +68,8 @@ def _check_order(nu, *, bessel_k: bool = False):
     orders = np.asarray(nu, dtype=float)
     if orders.ndim > (0 if bessel_k else 1):
         raise ValueError(f"order must be a scalar{'' if bessel_k else ' or 1-d'}: nu={nu}")
-    for o in orders.ravel():
-        if not np.isfinite(o) or abs(o) >= 3.0:
+    for o in orders.ravel().tolist():
+        if not math.isfinite(o) or abs(o) >= 3.0:
             raise ValueError(f"order out of supported range: nu={o}")
         if o == round(o) and (o < 0.0 or bessel_k):
             raise ValueError(f"integer order not supported here: nu={o}")
@@ -79,13 +87,19 @@ def _series_cyl(nu: float | np.ndarray, x: np.ndarray, sign: float):
     """
     q = 0.25 * x * x
     k_min = math.sqrt(np.max(q, initial=0.0)) + 3.0
+    sq = sign * q
+    if np.ndim(nu):  # den[k - 1] = k (nu + k), a column of them for a column nu
+        ks = np.arange(1.0, _SERIES_TERMS + 1.0)
+        den = (ks * (nu + ks)).T[:, :, None]
+    else:
+        den = [k * (nu + k) for k in range(1, _SERIES_TERMS + 1)]
     term = np.ones_like(x)
     total = np.ones_like(x)
     settled = 0
     for k in range(1, _SERIES_TERMS + 1):
-        term = term * (sign * q) / (k * (nu + k))
+        term = term * sq / den[k - 1]
         new = total + term
-        settled = settled + 1 if k > k_min and np.array_equal(new, total) else 0
+        settled = settled + 1 if k > k_min and (new == total).all() else 0
         total = new
         if settled == 2:
             break
@@ -219,11 +233,13 @@ def _dispatch(x, small_fn, large_fn, switch, nu=0.0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("argument must be positive and finite")
-    val = np.empty(np.shape(nu)[:1] + x.shape)
+    shape = np.shape(nu)[:1] + x.shape
     lo = x <= switch
-    if np.any(lo):
+    if lo.all() or not lo.any():
+        val = (small_fn if lo.all() else large_fn)(x.ravel()).reshape(shape)
+    else:
+        val = np.empty(shape)
         val[..., lo] = small_fn(x[lo])
-    if np.any(~lo):
         val[..., ~lo] = large_fn(x[~lo])
     if not scalar:
         return val
@@ -251,15 +267,21 @@ def kv(nu, x):
 
 # Derivatives from recurrences (exact identities, no differencing).
 
+def jv_jvp(nu, x):
+    """(J_nu(x), J'_nu(x)), J' = (J_{nu-1} - J_{nu+1}) / 2, from one jv call of
+    the orders nu, nu - 1 and nu + 1; a 1-d nu gives one row per order in each."""
+    orders = np.atleast_1d(np.asarray(nu, dtype=float))
+    n = len(orders)
+    j = jv(np.concatenate([orders, orders - 1.0, orders + 1.0]), x)
+    val, der = j[:n], 0.5 * (j[n:2 * n] - j[2 * n:])
+    if np.ndim(nu):
+        return val, der
+    return (float(val[0]), float(der[0])) if np.ndim(x) == 0 else (val[0], der[0])
+
+
 def jvp(nu, x):
-    """J'_nu(x) = (J_{nu-1} - J_{nu+1}) / 2, both neighbours from one jv call."""
-    nu = np.asarray(nu, dtype=float)
-    j = jv(np.concatenate([np.atleast_1d(nu - 1.0), np.atleast_1d(nu + 1.0)]), x)
-    half = len(j) // 2
-    out = 0.5 * (j[:half] - j[half:])
-    if nu.ndim:
-        return out
-    return float(out[0]) if np.ndim(x) == 0 else out[0]
+    """J'_nu(x), the derivative half of `jv_jvp`."""
+    return jv_jvp(nu, x)[1]
 
 
 def kv_log_derivative(nu, x):

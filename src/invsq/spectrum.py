@@ -184,8 +184,7 @@ def spectral_coefficients(params: ModelParams, reg: Regulator, k):
     k = np.asarray(k, dtype=float)
     xi = reg.b * k
     gt = interior(reg, reg.g, -xi * xi) - 0.5
-    jw, jmw = sf.jv([w, -w], xi)
-    jpw, jpmw = sf.jvp([w, -w], xi)
+    (jw, jmw), (jpw, jpmw) = sf.jv_jvp([w, -w], xi)
     num = -xi * jpmw + jmw * gt
     den = xi * jpw - jw * gt
     q = num * num + den * den + 2.0 * num * den * math.cos(math.pi * w)
@@ -197,9 +196,10 @@ def exterior_eigenfunction(params: ModelParams, k, x, c_plus, c_minus):
     """psi_E(x) = C_+ sqrt(kx) J_omega(kx) + C_- sqrt(kx) J_{-omega}(kx), x >= b x0.
 
     With (C_+, C_-) from spectral_coefficients this is the delta(E - E')
-    normalized eigenfunction; k and the coefficients broadcast, x is a scalar.
+    normalized eigenfunction; k and the coefficients broadcast.  A 1-d x
+    gives one row per point, shape (len(x),) + shape(k), from one jv call.
     """
-    kx = k * x
+    kx = np.multiply.outer(x, k)
     root = np.sqrt(kx)
     jw, jmw = sf.jv([params.omega, -params.omega], kx)
     return c_plus * root * jw + c_minus * root * jmw

@@ -265,6 +265,7 @@ def test_propagator_unconverged_quadrature_exits_3(tmp_path, capsys):
 
 
 FK_ARGS = ["feynman-kac", "--alpha", "-0.1875", "--x", "1", "--y", "1", "--t", "4"]
+FK_ARGS_NO_ALPHA = ["feynman-kac", "--x", "1", "--y", "1", "--t", "4"]
 
 
 def test_feynman_kac_reports_weight_diagnostics(tmp_path, capsys):
@@ -338,6 +339,20 @@ def test_feynman_kac_barrier_mode_passes_no_regulator(monkeypatch, tmp_path, cap
                                           "--out", str(tmp_path)], capsys)
     assert code == 0 and seen == [[]]
     assert 0.0 < payload["W"]
+
+
+def test_feynman_kac_regulated_mode_needs_alpha(tmp_path, capsys):
+    assert_refused(run_cli(FK_ARGS_NO_ALPHA + ["--g", "1.0", "--out", str(tmp_path)], capsys),
+                   "--alpha")
+    assert not (tmp_path / "feynman_kac.csv").exists()
+
+
+def test_feynman_kac_barrier_mode_runs_without_alpha(tmp_path, capsys):
+    # absorption alone does not depend on alpha: with or without it, the same W
+    runs = [run_cli(args + ["--mode", "barrier", "--n-samples", "5000", "--out", str(tmp_path)],
+                    capsys) for args in (FK_ARGS_NO_ALPHA, FK_ARGS)]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert runs[0][2]["W"] == runs[1][2]["W"] > 0.0
 
 
 def test_feynman_kac_regulated_mode_needs_a_depth(tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invsq.numerics import (NumericalError, brent, fit_loglog,
+from invsq.core import gamma_cot, invert_gamma
+from invsq.numerics import (NumericalError, brent, brent_batch, fit_loglog,
                             fit_two_powers, quad_gk, rk45)
 
 
@@ -24,6 +25,62 @@ def test_brent_requires_bracket():
 def test_brent_recovers_planted_root(r, scale):
     f = lambda x: scale * (x - r) * (x * x + 1.0)
     assert brent(f, -1.0, 1.0) == pytest.approx(r, abs=1e-10)
+
+
+GAMMA_BRACKET = (1e-14, math.pi ** 2 - 1e-11)
+
+
+def gamma_targets():
+    """About 200 gamma values in (-50, 1), one of them gamma(1e-14): f is 0 at the bracket end."""
+    rng = np.random.default_rng(31)
+    return np.concatenate([rng.uniform(-50.0, 1.0, 200), [gamma_cot(GAMMA_BRACKET[0])],
+                           [-49.999, 0.999999, 0.5]])
+
+
+def test_brent_batch_is_brent_to_the_bit():
+    targets = gamma_targets()
+    calls = []
+
+    def f(g, i):
+        calls.append(np.array(i))
+        return gamma_cot(g) - targets[i]
+
+    got = brent_batch(f, np.full(targets.shape, GAMMA_BRACKET[0]), GAMMA_BRACKET[1], xtol=1e-14)
+    counts = []
+    for target, root in zip(targets, got):
+        n = [0]
+
+        def g_of(g, target=target):
+            n[0] += 1
+            return gamma_cot(g) - target
+
+        assert root == brent(g_of, *GAMMA_BRACKET, xtol=1e-14)
+        counts.append(n[0])
+    assert got[200] == GAMMA_BRACKET[0]
+    # f sees the active subset only: each element as often as brent evaluates it
+    assert np.array_equal(np.bincount(np.concatenate(calls), minlength=targets.size), counts)
+    assert all(len(later) <= len(earlier) for earlier, later in zip(calls[1:], calls[2:]))
+    assert np.array_equal(invert_gamma(targets), got)
+
+
+@pytest.mark.parametrize("r", (-0.9, -0.3, 0.0, 0.2, 0.7))
+def test_brent_batch_matches_brent_on_planted_roots(r):
+    scales = np.geomspace(0.1, 10.0, 7)
+    lo, hi = np.full(7, -1.0), np.linspace(0.75, 3.0, 7)
+    got = brent_batch(lambda x, i: scales[i] * (x - r) * (x * x + 1.0), lo, hi)
+    for s, a, b, root in zip(scales, lo, hi, got):
+        assert root == brent(lambda x: s * (x - r) * (x * x + 1.0), a, b)
+
+
+def test_brent_batch_root_at_either_end_and_empty_batch():
+    got = brent_batch(lambda x, i: x - np.array([0.0, 1.0, 0.5])[i], [0.0, 0.0, 0.0], 1.0)
+    assert np.array_equal(got, [0.0, 1.0, 0.5])
+    assert brent_batch(lambda x, i: x, np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_brent_batch_requires_brackets():
+    with pytest.raises(NumericalError, match="bracket 1"):
+        brent_batch(lambda x, i: x * x + np.array([-1.0, 1.0])[i], [-2.0, -2.0], 0.0)
 
 
 def test_quad_oscillatory_decaying():

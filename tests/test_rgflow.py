@@ -208,15 +208,14 @@ def test_limit_cycle_requires_limit_cycle_mode(params316):
         rg.limit_cycle(params316, 1.0, 1e-6)
 
 
-@pytest.mark.parametrize("c_plus, c_minus", ((1.0, 0.5), (1.0, 0.0), (0.0, 1.0), (-0.3, 1.0)))
-def test_contour_coupling_matches_the_scalar_order_target(params316, c_plus, c_minus):
+def contour_coupling_scalar_loop(params, c_plus, c_minus, xi):
+    """contour_coupling from scalar-order J calls and one scalar invert_gamma (brent) per xi."""
     from invsq import specfun as sf
 
     def jvp(nu, x):
         return 0.5 * (sf.jv(nu - 1.0, x) - sf.jv(nu + 1.0, x))
 
-    w = params316.omega
-    xi = np.concatenate([np.geomspace(0.01, 20.0, 60), [math.nextafter(14.0, 0.0), 14.0]])
+    w = params.omega
     denom = c_plus * sf.jv(w, xi) + c_minus * sf.jv(-w, xi)
     with np.errstate(divide="ignore", invalid="ignore"):
         target = 0.5 + xi * (c_plus * jvp(w, xi) + c_minus * jvp(-w, xi)) / denom
@@ -224,7 +223,28 @@ def test_contour_coupling_matches_the_scalar_order_target(params316, c_plus, c_m
     for i in np.flatnonzero((denom != 0.0) & (target < 1.0)):
         z[i] = rg.invert_gamma(float(target[i]))
     g = z - xi * xi
-    want = np.where((g > 0.0) & (g < math.pi ** 2), g, math.nan)
+    return np.where((g > 0.0) & (g < math.pi ** 2), g, math.nan)
+
+
+def test_contour_coupling_batch_is_the_scalar_loop(params316):
+    from invsq import scattering as sc
+    # criterion 9's constant-phase curve through (mu, g) = (0.5, 1.2) out to 1e-6
+    c_plus, c_minus = sp.spectral_coefficients(params316, square_well(1.2, 0.5), 1.0)
+    mus = np.geomspace(0.5, 1e-6, sc.CURVE_POINTS)
+    grids = [(float(c_plus), float(c_minus), mus)]
+    # golden/contours.csv: ratios 1, 2, 4 on 40 geometric xi from 1e-4 to 0.5
+    grids += [(r, 1.0, np.geomspace(1e-4, 0.5, 40)) for r in (1.0, 2.0, 4.0)]
+    for c_p, c_m, xi in grids:
+        got = rg.contour_coupling(params316, c_p, c_m, xi)
+        assert np.array_equal(got, contour_coupling_scalar_loop(params316, c_p, c_m, xi),
+                              equal_nan=True)
+        assert np.any(np.isfinite(got))
+
+
+@pytest.mark.parametrize("c_plus, c_minus", ((1.0, 0.5), (1.0, 0.0), (0.0, 1.0), (-0.3, 1.0)))
+def test_contour_coupling_matches_the_scalar_order_target(params316, c_plus, c_minus):
+    xi = np.concatenate([np.geomspace(0.01, 20.0, 60), [math.nextafter(14.0, 0.0), 14.0]])
     got = rg.contour_coupling(params316, c_plus, c_minus, xi)
-    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got, contour_coupling_scalar_loop(params316, c_plus, c_minus, xi),
+                          equal_nan=True)
     assert np.any(np.isfinite(got))

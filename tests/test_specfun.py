@@ -277,6 +277,7 @@ def test_order_vectors_give_the_scalar_calls_row_by_row(x):
         for nu, row in zip(ROW_ORDERS, rows):
             assert np.array_equal(row, f(nu, x))
     assert type(sf.jv(0.25, 3.0)) is float and type(sf.jvp(0.25, 3.0)) is float
+    assert all(type(v) is float for v in sf.jv_jvp(0.25, 3.0))
 
 
 @pytest.mark.parametrize("name, nu, x", (

@@ -506,7 +506,7 @@ def test_interior_logderiv_nan_depth_raises():
 
 
 # ---------------------------------------------------------------------------
-# One Bessel call per (J, J') pair changes no bit of the continuum states
+# One Bessel call for J and J' of both orders changes no bit of the continuum states
 # ---------------------------------------------------------------------------
 
 def jvp_two_calls(nu, x):
@@ -544,3 +544,13 @@ def test_continuum_states_match_the_scalar_order_formulas(params316, wells, kind
             root = np.sqrt(kx)
             want = cp * root * sf.jv(w, kx) + cm * root * sf.jv(-w, kx)
             assert np.array_equal(sp.exterior_eigenfunction(params316, k, x, cp, cm), want)
+        # the propagator integrand's psi_E(x), psi_E(y) from one jv call on k x, k y
+        rows = sp.exterior_eigenfunction(params316, k, (1.0, 2.5), cp, cm)
+        assert rows.shape == (2,) + np.shape(k)
+        for x, row in zip((1.0, 2.5), rows):
+            assert np.array_equal(row, sp.exterior_eigenfunction(params316, k, x, cp, cm))
+        xi = reg.b * k
+        for nu in (w, -w):
+            assert np.array_equal(sf.jvp(nu, xi), jvp_two_calls(nu, xi))
+            val, der = sf.jv_jvp(nu, xi)
+            assert np.array_equal(val, sf.jv(nu, xi)) and np.array_equal(der, sf.jvp(nu, xi))
