@@ -78,10 +78,17 @@ def gamma_cot(z):
     """sqrt(z) cot sqrt(z), continued through z = 0 (value 1).
 
     Vectorized; poles at z = (n pi)^2, n >= 1, are left to float inf/nan
-    behavior of the caller's bracketing.
+    behavior of the caller's bracketing.  A scalar z skips the array
+    bookkeeping (the root solves call it one point at a time) and gives the
+    array call's bits.
     """
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.ndim(z) == 0:
+        z = float(z)
+        if abs(z) < 1e-8:
+            return 1.0 - z / 3.0 - z * z / 45.0
+        r = np.sqrt(complex(z))
+        return float((r / np.tan(r)).real)
+    z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     tiny = np.abs(z) < 1e-8
     # cot series: sqrt(z) cot sqrt(z) = 1 - z/3 - z^2/45 - ...
@@ -89,7 +96,7 @@ def gamma_cot(z):
     rest = ~tiny
     r = np.sqrt(z[rest].astype(complex))
     out[rest] = np.real(r / np.tan(r))
-    return float(out[0]) if scalar else out
+    return out
 
 
 def invert_gamma(gamma_value):

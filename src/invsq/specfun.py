@@ -28,7 +28,12 @@ six orders (`spectrum.spectral_coefficients`, `rgflow.contour_coupling`),
 and `spectrum.exterior_eigenfunction` evaluates psi_E at x and y in one jv
 call.  `jvp` is the derivative half of `jv_jvp`.  The bound-state side
 (`kv`, `kv_log_derivative`) is called inside scalar root solves, one point
-at a time, and has no batched form.  Target accuracy is 1e-10 relative (to
+at a time, so a float argument in its series regions (x <= 1 for the
+log-derivative, x <= 4 for K) sums the series in Python floats,
+`_series_scalar`, with the array path's operations in the array path's
+order; exp and log stay numpy's, whose results on a float equal their
+array results where `math`'s do not, so every bit is the array call's.
+Target accuracy is 1e-10 relative (to
 the oscillation envelope where the function has zeros), good enough that
 downstream quadratures at 1e-8..1e-9 are never kernel-limited.
 """
@@ -104,6 +109,32 @@ def _series_cyl(nu: float | np.ndarray, x: np.ndarray, sign: float):
         if settled == 2:
             break
     return total
+
+
+def _series_scalar(orders, x: float, sign: float) -> list:
+    """`_series_cyl` of a float x for each order, in Python floats.
+
+    The same den k (nu + k), products in the same order and the same joint
+    stopping rule, so each sum equals the array path's to the bit without
+    its per-call numpy overhead.
+    """
+    q = 0.25 * x * x
+    k_min = math.sqrt(q) + 3.0
+    sq = sign * q
+    terms = [1.0] * len(orders)
+    totals = [1.0] * len(orders)
+    settled = 0
+    for k in range(1, _SERIES_TERMS + 1):
+        unchanged = True
+        for i, nu in enumerate(orders):
+            terms[i] = terms[i] * sq / (k * (nu + k))
+            new = totals[i] + terms[i]
+            unchanged = unchanged and new == totals[i]
+            totals[i] = new
+        settled = settled + 1 if k > k_min and unchanged else 0
+        if settled == 2:
+            break
+    return totals
 
 
 def _gamma1p(nu):
@@ -214,11 +245,18 @@ def _kv_mid_or_large(nu: float, x: np.ndarray):
     return val
 
 
-def _kv_connection(nu: float, x: np.ndarray):
-    """pi (I_{-nu} - I_nu) / (2 sin(pi nu)); fine for x <= ~4, nu noninteger."""
+def _kv_connection(nu: float, x):
+    """pi (I_{-nu} - I_nu) / (2 sin(pi nu)); fine for x <= ~4, nu noninteger.
+
+    A float x sums both series in `_series_scalar`."""
     anu = abs(nu)
-    im = _iv_series(-anu, x)
-    ip = _iv_series(anu, x)
+    if np.ndim(x):
+        im = _iv_series(-anu, x)
+        ip = _iv_series(anu, x)
+    else:
+        sm, sp = _series_scalar((-anu, anu), x, 1.0)
+        im = _prefactor(-anu, x) * sm
+        ip = _prefactor(anu, x) * sp
     s = math.sin(math.pi * anu)
     return 0.5 * math.pi * (im - ip) / s
 
@@ -227,12 +265,18 @@ def _kv_connection(nu: float, x: np.ndarray):
 # Public raw evaluators (float or ndarray in, same out)
 # ---------------------------------------------------------------------------
 
+def _positive(x) -> np.ndarray:
+    """x as a float array, refused unless every element is positive and finite."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
+        raise ValueError("argument must be positive and finite")
+    return x
+
+
 def _dispatch(x, small_fn, large_fn, switch, nu=0.0):
     """small_fn below switch, large_fn above; one row per order of a column nu."""
     scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("argument must be positive and finite")
+    x = np.atleast_1d(_positive(x))
     shape = np.shape(nu)[:1] + x.shape
     lo = x <= switch
     if lo.all() or not lo.any():
@@ -262,6 +306,8 @@ def iv_scaled(nu, x):
 def kv(nu, x):
     """Modified Bessel K_nu(x), x > 0, noninteger nu."""
     nu = _check_order(nu, bessel_k=True)
+    if np.ndim(x) == 0 and 0.0 < x <= _X_SWITCH_K:
+        return float(_kv_connection(nu, float(x)))
     return _dispatch(x, lambda t: _kv_connection(nu, t), lambda t: _kv_mid_or_large(nu, t), _X_SWITCH_K)
 
 
@@ -284,8 +330,19 @@ def jvp(nu, x):
     return jv_jvp(nu, x)[1]
 
 
+def _kv_log_derivative_series(anu: float, x):
+    """kv_log_derivative's small-x form; a float x sums in `_series_scalar`."""
+    orders = (-anu, anu, 1.0 - anu, 1.0 + anu)
+    sums = (_series_scalar(orders, x, 1.0) if np.ndim(x) == 0
+            else _series_cyl(np.array(orders)[:, None], x, 1.0))
+    sm, sp, tm, tp = (s / math.gamma(1.0 + o) for s, o in zip(sums, orders))
+    tm, tp = 0.5 * x * x * tm, 0.5 * x * x * tp
+    w = np.exp(2.0 * anu * np.log(0.5 * x))
+    return ((-anu * sm + tm) - w * (anu * sp + tp)) / (sm - w * sp)
+
+
 def kv_log_derivative(nu, x):
-    """x K'_nu(x) / K_nu(x), stable down to arbitrarily small x.
+    """x K'_nu(x) / K_nu(x), x > 0, stable down to arbitrarily small x.
 
     For small x the K prefactor powers (x/2)^{+-nu} are cancelled
     algebraically: with S_pm the unit-prefactor I series and T_pm their
@@ -297,18 +354,19 @@ def kv_log_derivative(nu, x):
     For x > 1 the recurrence x K'_nu = -nu K_nu - x K_{nu-1} needs two K's.
     """
     anu = abs(_check_order(nu, bessel_k=True))
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.ndim(x) == 0:
+        x = float(x)
+        if not 0.0 < x < math.inf:
+            raise ValueError("argument must be positive and finite")
+        if x <= 1.0:
+            return float(_kv_log_derivative_series(anu, x))
+        return -anu - x * kv(anu - 1.0, x) / kv(anu, x)
+    x = _positive(x)
     out = np.empty_like(x)
     small = x <= 1.0
     if np.any(small):
-        xs = x[small]
-        orders = np.array([[-anu], [anu], [1.0 - anu], [1.0 + anu]])
-        sm, sp, tm, tp = _series_cyl(orders, xs, 1.0) / _gamma1p(orders)
-        tm, tp = 0.5 * xs * xs * tm, 0.5 * xs * xs * tp
-        w = np.exp(2.0 * anu * np.log(0.5 * xs))
-        out[small] = ((-anu * sm + tm) - w * (anu * sp + tp)) / (sm - w * sp)
+        out[small] = _kv_log_derivative_series(anu, x[small])
     if np.any(~small):
         xl = x[~small]
         out[~small] = -anu - xl * kv(anu - 1.0, xl) / kv(anu, xl)
-    return float(out[0]) if scalar else out
+    return out

@@ -252,7 +252,7 @@ def _step_product(m):
     return m[..., 0, :, :]
 
 
-def _magnus_propagator(h, f1, f2, g, eps):
+def _magnus_propagator(grid, g, eps):
     """Propagator of (phi, phi') over [0, 1] for columns g, eps of shape (rows, 1).
 
     On each step Omega = [[c, h], [h qbar, -c]] from the Gauss-point values
@@ -260,10 +260,11 @@ def _magnus_propagator(h, f1, f2, g, eps):
     Omega^2 = s^2 I, so exp Omega = cosh(s) I + sinh(s)/s Omega (cos and
     sin/r with r^2 = -s^2 when s^2 < 0).
     """
+    h, ch2, half_h, f1, f2 = grid
     q1 = eps - g * f1
     q2 = eps - g * f2
-    c = (math.sqrt(3.0) / 12.0) * h * h * (q1 - q2)
-    hq = 0.5 * h * (q1 + q2)
+    c = ch2 * (q1 - q2)
+    hq = half_h * (q1 + q2)
     s2 = c * c + h * hq
     s = np.sqrt(np.abs(s2))
     grow = s2 >= 0.0
@@ -271,9 +272,34 @@ def _magnus_propagator(h, f1, f2, g, eps):
     nonzero = s > 0.0
     sinc = np.where(grow, np.sinh(s), np.sin(s)) / np.where(nonzero, s, 1.0)
     sinc = np.where(nonzero, sinc, 1.0)
-    steps = np.stack([np.stack([cosine + sinc * c, sinc * h], -1),
-                      np.stack([sinc * hq, cosine - sinc * c], -1)], -2)
+    steps = np.empty(s.shape + (2, 2))
+    steps[..., 0, 0] = cosine + sinc * c
+    steps[..., 0, 1] = sinc * h
+    steps[..., 1, 0] = sinc * hq
+    steps[..., 1, 1] = cosine - sinc * c
     return _step_product(steps)
+
+
+@functools.lru_cache(maxsize=32)
+def _magnus_grid(kind: str, profile_x: tuple, profile_f: tuple):
+    """(h, sqrt(3)/12 h^2, h/2, f1, f2) of the Magnus grid: the steps h and the
+    profile at each step's two Gauss points, read-only.  Built once per
+    profile: the depth g and the width b do not enter, and keying on the
+    profile alone spares every call a Regulator rebuild."""
+    reg = Regulator(kind, 0.0, 1.0, profile_x, profile_f)
+    x = np.linspace(0.0, 1.0, MAGNUS_STEPS + 1)
+    if kind == KIND_GENERIC:
+        # merge the table's nodes (sort and drop repeats; np.unique would
+        # import numpy.ma, about 1 MiB, on first use)
+        x = np.sort(np.concatenate([x, np.clip(profile_x, 0.0, 1.0)]))
+        x = x[np.concatenate([[True], np.diff(x) > 0.0])]
+    h = np.diff(x)
+    f1, f2 = np.split(reg.profile(np.concatenate([x[:-1] + h * (0.5 - _GAUSS),
+                                                  x[:-1] + h * (0.5 + _GAUSS)])), 2)
+    grid = (h, (math.sqrt(3.0) / 12.0) * h * h, 0.5 * h, f1, f2)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
 
 
 def interior_logderiv(reg: Regulator, g, eps):
@@ -282,24 +308,16 @@ def interior_logderiv(reg: Regulator, g, eps):
 
     Fourth-order Magnus integration of phi'' = (eps - g f(x)) phi on a
     fixed grid (Iserles & Norsett, Phil. Trans. R. Soc. A 357 (1999) 983),
-    vectorized over the steps.  g and eps broadcast; a scalar pair returns
-    a float.
+    vectorized over the steps of the grid that `_magnus_grid` builds once
+    per profile.  g and eps broadcast; a scalar pair returns a float.
     """
-    x = np.linspace(0.0, 1.0, MAGNUS_STEPS + 1)
-    if reg.kind == KIND_GENERIC:
-        # merge the table's nodes (sort and drop repeats; np.unique would
-        # import numpy.ma, about 1 MiB, on first use)
-        x = np.sort(np.concatenate([x, np.clip(reg.profile_x, 0.0, 1.0)]))
-        x = x[np.concatenate([[True], np.diff(x) > 0.0])]
-    h = np.diff(x)
-    f1, f2 = np.split(reg.profile(np.concatenate([x[:-1] + h * (0.5 - _GAUSS),
-                                                  x[:-1] + h * (0.5 + _GAUSS)])), 2)
+    grid = _magnus_grid(reg.kind, reg.profile_x, reg.profile_f)
     g, eps = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(eps, dtype=float))
     out = np.empty(g.shape)
     flat_g, flat_eps, flat_out = g.reshape(-1, 1), eps.reshape(-1, 1), out.reshape(-1)
     for i in range(0, flat_out.size, MAGNUS_ROWS):
         rows = slice(i, i + MAGNUS_ROWS)
-        m = _magnus_propagator(h, f1, f2, flat_g[rows], flat_eps[rows])
+        m = _magnus_propagator(grid, flat_g[rows], flat_eps[rows])
         # (phi, phi') at x = 1 is the second column: the start is (0, 1)
         phi, dphi = m[:, 0, 1], m[:, 1, 1]
         if not np.all(np.isfinite(phi) & (phi != 0.0)):

@@ -59,6 +59,23 @@ def test_gamma_of_g_values():
         invert_gamma(1.0)
 
 
+def test_gamma_cot_scalar_calls_match_the_array_call_to_the_bit():
+    # tiny z takes the series; negative z the coth branch; the rest straddles
+    # the first poles (n pi)^2 within a few ulps
+    poles = [(n * math.pi) ** 2 for n in (1, 2, 3)]
+    z = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9,
+                         math.nextafter(1e-8, 0.0), 1e-8, -1e-8],
+                        -np.geomspace(1e-12, 1e3, 60), np.linspace(-40.0, 100.0, 281),
+                        [math.nextafter(p, d) for p in poles for d in (0.0, math.inf)],
+                        [p * (1.0 + e) for p in poles for e in (-1e-12, 1e-12, -1e-6, 1e-6)],
+                        poles])
+    rows = gamma_cot(z)
+    for zi, row in zip(z, rows):
+        one = gamma_cot(float(zi))
+        assert type(one) is float
+        assert np.array_equal(one, row), zi
+
+
 @given(st.floats(1e-6, PI_SQ - 1e-6), st.floats(1e-6, PI_SQ - 1e-6))
 def test_gamma_monotone_decreasing(g1, g2):
     lo, hi = min(g1, g2), max(g1, g2)

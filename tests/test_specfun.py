@@ -1,6 +1,7 @@
 """Special-function kernel against frozen high-precision values and the
 standard identities (Wronskians, recurrences, small-argument laws)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -129,6 +130,13 @@ def test_domain_errors():
         sf.jv(0.25, 0.0)
     with pytest.raises(ValueError):
         sf.jv(3.5, 1.0)  # outside supported order range
+    # K and its log-derivative refuse x <= 0 and non-finite x, scalar or array
+    for f in (sf.kv, sf.kv_log_derivative):
+        for bad in (-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, np.float64(0.0),
+                    np.array(-1.0), np.array([0.5, -1.0]), np.array([0.5, 0.0]),
+                    np.array([0.5, math.nan]), np.array([[3.0, math.inf]])):
+            with pytest.raises(ValueError, match="argument must be positive and finite"):
+                f(0.25, bad)
 
 
 @given(nu=st.floats(0.05, 0.45), x=st.floats(0.01, 40.0))
@@ -294,3 +302,43 @@ def test_nonnegative_integer_orders_of_j_and_i_still_work():
     assert sf.jv(0.0, 1e-3) == pytest.approx(1.0, rel=1e-6)
     assert sf.jv([1.0, 2.0], 30.0).shape == (2,)
     assert sf.iv_scaled(1.0, 2.0) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# A float argument takes the Python-float series and gives the array call's bits
+# ---------------------------------------------------------------------------
+
+def k_points():
+    """A log grid from 1e-300 through both K switches, each +-1 ulp, and past x = 4."""
+    near = [math.nextafter(s, d) for s in (1.0, 4.0) for d in (0.0, math.inf)]
+    return np.concatenate([np.geomspace(1e-300, 4.0, 300), [1.0, 4.0], near, [4.5, 8.0, 95.0]])
+
+
+@pytest.mark.parametrize("alpha", (-3.0 / 16.0, -0.1, -0.04))
+def test_scalar_k_calls_match_the_array_calls_to_the_bit(alpha):
+    w = math.sqrt(0.25 + alpha)
+    x = k_points()
+    for nu, f in itertools.product((w, -w, w - 1.0, w + 1.0), (sf.kv, sf.kv_log_derivative)):
+        # K of order |nu| > 1 overflows to inf below x ~ 1e-200 on both paths
+        with np.errstate(over="ignore"):
+            rows = f(nu, x)
+            for xi, row in zip(x, rows):
+                one = f(nu, float(xi))
+                assert type(one) is float
+                # past x = 4 K is a matrix product whose rounding depends on
+                # how many points share it, so a float meets a one-point array
+                want = row if xi <= 4.0 else f(nu, np.array([xi]))[0]
+                assert np.array_equal(one, want), (f.__name__, nu, xi)
+
+
+def test_scalar_k_calls_do_not_build_arrays_for_the_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("array series called for a float argument")
+
+    monkeypatch.setattr(sf, "_series_cyl", refuse)
+    for x in (1e-300, 1e-5, 0.5, 1.0, 2.0, 4.0):
+        assert math.isfinite(sf.kv(0.25, x))
+    for x in (1e-300, 1e-5, 0.5, 1.0, 2.0, 4.0):
+        assert math.isfinite(sf.kv_log_derivative(0.25, x))
+    with pytest.raises(AssertionError):
+        sf.kv(0.25, np.array([2.0]))

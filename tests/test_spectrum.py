@@ -448,15 +448,42 @@ def test_interior_logderiv_matches_airy(g, eps):
     assert got == pytest.approx(_airy_logderiv(g, eps), rel=1e-11)
 
 
+PCHIP_X = np.linspace(0.0, 1.0, 6)
+
+
 def test_interior_logderiv_batches_over_g_and_eps():
+    # more pairs than one Magnus row block, and each row gives the scalar call's bits
     g = np.array([[1.5], [2.5], [3.0]])
-    eps = np.array([0.0, 1e-3])
-    got = sp.interior_logderiv(linear_well(1.0), g, eps)
-    assert got.shape == (3, 2)
-    for i in range(3):
-        for j in range(2):
-            one = sp.interior_logderiv(linear_well(1.0), float(g[i, 0]), float(eps[j]))
-            assert got[i, j] == pytest.approx(one, rel=1e-13)
+    eps = np.array([0.0, 1e-3, -2.25])
+    for reg in (linear_well(1.0), generic_well(1.0, PCHIP_X, 1.0 - 0.2 * PCHIP_X ** 2)):
+        got = sp.interior_logderiv(reg, g, eps)
+        assert got.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                one = sp.interior_logderiv(reg, float(g[i, 0]), float(eps[j]))
+                assert np.array_equal(got[i, j], one)
+
+
+def test_magnus_grid_is_built_once_per_profile():
+    sp._magnus_grid.cache_clear()
+    first = sp.interior_logderiv(linear_well(1.0), 2.0, 0.0)
+    # another depth or width of the same profile reuses the grid
+    for reg in (linear_well(2.5), replace(linear_well(1.0), b=0.3)):
+        assert sp.interior_logderiv(reg, 2.0, 0.0) == first
+    info = sp._magnus_grid.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    # Generic tables that differ only in profile_f are different profiles
+    a = sp.interior_logderiv(generic_well(1.0, PCHIP_X, 1.0 - 0.2 * PCHIP_X ** 2), 2.0, 0.0)
+    b = sp.interior_logderiv(generic_well(1.0, PCHIP_X, 1.0 - 0.1 * PCHIP_X ** 2), 2.0, 0.0)
+    assert a != b and sp._magnus_grid.cache_info().currsize == 3
+
+
+def test_magnus_grid_arrays_are_read_only():
+    reg = linear_well(1.0)
+    sp.interior_logderiv(reg, 2.0, 0.0)
+    for arr in sp._magnus_grid(reg.kind, reg.profile_x, reg.profile_f):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_linear_threshold_matches_airy(params316):
