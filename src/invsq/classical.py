@@ -66,8 +66,7 @@ import numpy as np
 
 from .core import ModelParams, Regulator
 from .numerics import NumericalError
-from .spectrum import NoBoundState, generic_bound_energy
-from .spectrum import bound_state  # noqa: F401  (bench/tracing.py looks bound_state up here)
+from .spectrum import bound_state
 
 __all__ = [
     "PathEnsembleSpec",
@@ -546,10 +545,8 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     """
     if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) < len(eps_list):
         raise ValueError(f"eps_list needs distinct finite steps > 0, got {list(eps_list)}")
-    try:
-        e0 = -generic_bound_energy(params, reg)
-    except NoBoundState:
-        e0 = None
+    st = bound_state(params, reg)
+    e0 = None if st is None else st.energy
     # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}
     cut = reg.b
     if e0 is not None:

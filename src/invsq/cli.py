@@ -157,9 +157,9 @@ def cmd_bound_state(ns):
 def cmd_exponent(ns):
     p = derived_constants(ns.alpha)
     reg = _regulator(ns, 0.0)  # the fit sets each depth from the profile's own g_*
-    du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
                                            n_points=ns.n_points)
+    du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
     rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, reg.b * math.sqrt(e), fit.exponent)
             for d, e in zip(du, fit.eps)]
     out = _outdir(ns) / f"exponent_{reg.kind.lower()}.csv"
@@ -311,8 +311,6 @@ def cmd_chain(ns):
 
 def cmd_limit_cycle(ns):
     p = derived_constants(ns.alpha)
-    if ns.n_periods < 1:
-        raise ValueError(f"--n-periods must be >= 1, got {ns.n_periods}")
     states, rows = [], []
     for shift in range(ns.n_periods):
         b = ns.b * math.exp(-shift * math.pi / p.omega)
@@ -362,6 +360,14 @@ def finite(text: str) -> float:
     return float(finite_list(text))
 
 
+def count(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count: it must be >= 1")
+    return n
+
+
 class Flag(NamedTuple):
     """One flag: --name (with '-' for '_') on the command line, name in a run spec."""
     name: str
@@ -389,13 +395,13 @@ COMMANDS = {
         Flag("gamma0", required=True),
         Flag("b0", default=1.0),
         Flag("b1", required=True),
-        Flag("steps", int, 1),
+        Flag("steps", count, 1),
         OUT)),
     "contours": (cmd_contours, MODEL + (
         Flag("ratios", finite_list, "1"),
         Flag("xi_min", default=1e-4),
         Flag("xi_max", default=0.5),
-        Flag("n_xi", int, 40),
+        Flag("n_xi", count, 40),
         OUT)),
     "bound-state": (cmd_bound_state, MODEL + WELL + OPTIONAL_DEPTH + (
         Flag("g_list", finite_list, help="comma-separated depths: write the sweep CSV instead"),
@@ -433,7 +439,7 @@ COMMANDS = {
     "phase-shift": (cmd_phase_shift, MODEL + WELL + DEPTH + (
         Flag("k_min", default=1e-4),
         Flag("k_max", default=1.0),
-        Flag("n_k", int, 50),
+        Flag("n_k", count, 50),
         OUT)),
     "phase-curve": (cmd_phase_curve, MODEL + (
         Flag("mu0", required=True),
@@ -459,7 +465,7 @@ COMMANDS = {
     "limit-cycle": (cmd_limit_cycle, MODEL + (
         Flag("b", default=1.0),
         Flag("eps", required=True),
-        Flag("n_periods", int, 1),
+        Flag("n_periods", count, 1),
         OUT)),
     "regen-golden": (cmd_regen_golden, (OUT,)),
 }

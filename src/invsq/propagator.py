@@ -118,6 +118,8 @@ def propagator_quadrature(params: ModelParams, reg: Regulator,
         raise ValueError("propagator sampled inside the regulated region (need x, y > b x0)")
     if t <= 0.0:
         raise ValueError("require t > 0")
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     if reg.g > threshold(params, reg, params.nu_minus):
         raise ValueError(f"g={reg.g} is above the {reg.kind} regulator's g_minus: "
                          "the quadrature omits the bound state")

@@ -19,20 +19,21 @@ Strategy:
   differencing.
 
 Everything is vectorized over the argument; scalars in, scalar out.  `jv`,
-`jvp`, `jv_jvp` and `iv_scaled` also take a 1-d array of orders and return
+`jv_jvp` and `iv_scaled` also take a 1-d array of orders and return
 one row per order, shape (len(nu),) + shape(x), each row equal to the
 scalar-order call.  Per-call numpy overhead, not arithmetic, dominates the
 small arrays of the continuum path, so its callers batch: `jv_jvp` gives J
 and J' = (J_{nu-1} - J_{nu+1})/2 of both orders +-omega from one jv call of
 six orders (`spectrum.spectral_coefficients`, `rgflow.contour_coupling`),
 and `spectrum.exterior_eigenfunction` evaluates psi_E at x and y in one jv
-call.  `jvp` is the derivative half of `jv_jvp`.  The bound-state side
-(`kv`, `kv_log_derivative`) is called inside scalar root solves, one point
-at a time, so a float argument in its series regions (x <= 1 for the
-log-derivative, x <= 4 for K) sums the series in Python floats,
-`_series_scalar`, with the array path's operations in the array path's
-order; exp and log stay numpy's, whose results on a float equal their
-array results where `math`'s do not, so every bit is the array call's.
+call.  The bound-state side (`kv`, `kv_log_derivative`) is called inside
+scalar root solves, one point at a time, so a float argument in its series
+regions (x <= 1 for the log-derivative, x <= 4 for K) sums the series in
+Python floats, `_series_scalar`, with the array path's operations in the
+array path's order; exp and log stay numpy's, whose results on a float
+equal their array results where `math`'s do not, so every bit is the array
+call's.  Beyond x = 4 the trapezoid rule is a row sum, so there too a point
+gets the same bits however many points share its call.
 Target accuracy is 1e-10 relative (to
 the oscillation envelope where the function has zeros), good enough that
 downstream quadratures at 1e-8..1e-9 are never kernel-limited.
@@ -48,7 +49,6 @@ __all__ = [
     "jv",
     "kv",
     "iv_scaled",
-    "jvp",
     "jv_jvp",
 ]
 
@@ -224,7 +224,9 @@ def _kv_integral(nu: float, x: np.ndarray):
     for x up to ~_X_KASYM, beyond which the asymptotic expansion takes
     over.  For x >= 4 the t > 4.4 tail is below exp(-4 cosh 4.4).
     """
-    return np.exp(-np.outer(x, _K_COSH)) @ (_K_W * np.cosh(nu * _K_T))
+    # a row sum, not a matrix product: BLAS would round each point according
+    # to how many share the call, and a float must equal its array call
+    return np.sum(np.exp(-np.outer(x, _K_COSH)) * (_K_W * np.cosh(nu * _K_T)), axis=1)
 
 
 def _kv_asym(nu: float, x: np.ndarray):
@@ -323,11 +325,6 @@ def jv_jvp(nu, x):
     if np.ndim(nu):
         return val, der
     return (float(val[0]), float(der[0])) if np.ndim(x) == 0 else (val[0], der[0])
-
-
-def jvp(nu, x):
-    """J'_nu(x), the derivative half of `jv_jvp`."""
-    return jv_jvp(nu, x)[1]
 
 
 def _kv_log_derivative_series(anu: float, x):

@@ -2,10 +2,12 @@
 
 Every regulator's ground state comes from one matching solve in log xi,
 xi = b x0 sqrt(-E): the interior log-derivative at the cut against the
-exterior 1/2 + xi K'_omega(xi)/K_omega(xi).  That interior side, `interior`,
-is sqrt(g - xi^2) cot sqrt(g - xi^2) for the square well and Magnus shooting
-for every other profile; continuum states (xi^2 < 0) match it against
-J_{+-omega} tails, and `threshold` solves it for g_pm.  Includes the
+exterior 1/2 + xi K'_omega(xi)/K_omega(xi).  `bound_state` is its one entry
+point, for every kind, and returns None when there is no bound state.  That
+interior side, `interior`, is sqrt(g - xi^2) cot sqrt(g - xi^2) for the
+square well and Magnus shooting for every other profile; continuum states
+(xi^2 < 0) match it against J_{+-omega} tails, and `threshold` solves it for
+g_pm.  Includes the
 near-threshold binding-energy law, the divergence of the mean position, and
 the regulator-independence (the "universality") of the exponent 1/omega.
 
@@ -30,7 +32,6 @@ from .numerics import NumericalError, brent, quad_gk, fit_loglog
 from .numerics import rk45  # noqa: F401  (bench/tracing.py looks rk45 up here)
 
 __all__ = [
-    "NoBoundState",
     "BoundState",
     "CriticalFit",
     "bound_state",
@@ -41,14 +42,9 @@ __all__ = [
     "interior",
     "interior_logderiv",
     "threshold",
-    "generic_bound_energy",
     "generic_bound_threshold",
     "existence_bounds",
 ]
-
-
-class NoBoundState(ValueError):
-    """The regulated Hamiltonian has no bound state at the requested depth."""
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,17 @@ class BoundState:
 
     A (interior sinusoid) and C (exterior sqrt(x) K_omega tail) are scaled
     so the state has unit L2 norm; norm is the normalization integral of
-    the raw C = 1 matching solution.
+    the raw C = 1 matching solution.  They are known in closed form for the
+    square well only: for every other kind A, C and norm are None, since
+    the interior integral needs the interior solution itself, not just its
+    log-derivative at the cut.
     """
 
     energy: float
     xi: float
-    A: float
-    C: float
-    norm: float
+    A: float | None = None
+    C: float | None = None
+    norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -133,21 +132,23 @@ def _k_tail(w: float, xi: float) -> float:
 
 
 def bound_state(params: ModelParams, reg: Regulator) -> BoundState | None:
-    """Ground state of the square-well-regulated Hamiltonian, None below threshold.
+    """Ground state of reg at its depth reg.g, None at or below its own g_minus.
 
-    The threshold is g = g_minus independent of b (xi -> 0 in the matching
-    equation).  For deep wells the deepest root (largest xi) is taken; it
-    lives between the last cotangent pole and xi = sqrt(g).
+    E = -(xi/(b x0))^2 from the one matching solve, for every kind; the
+    amplitudes only for the square well (see BoundState).  For deep square
+    wells the deepest root (largest xi) is taken; it lives between the last
+    cotangent pole and xi = sqrt(g).  ValueError for a non-square well with
+    g sup f >= pi^2, where the matching solve does not apply.
     """
     params.require_main()
-    if reg.kind != KIND_SQUARE:
-        raise ValueError("bound_state: square-well regulator required (use the generic path otherwise)")
     g = reg.g
     if g <= threshold(params, reg, params.nu_minus):
         return None
     xi = _ground_xi(params, reg)
     cut = reg.b
     energy = -((xi / cut) ** 2)
+    if reg.kind != KIND_SQUARE:
+        return BoundState(energy=energy, xi=xi)
     # match with C = 1, then normalize
     w_in = math.sqrt(g - xi * xi) / cut
     a_raw = math.sqrt(xi) * sf.kv(params.omega, xi) / math.sin(w_in * cut)
@@ -215,6 +216,9 @@ def mean_position(params: ModelParams, reg: Regulator) -> float:
     st = bound_state(params, reg)
     if st is None:
         raise ValueError(f"no bound state at g={reg.g}")
+    if st.A is None:
+        raise ValueError(f"mean_position: the {reg.kind} ground state has no closed-form "
+                         "interior (square wells only)")
     cut = reg.b
     k = math.sqrt(reg.g - st.xi ** 2) / cut
     kappa = st.xi / cut
@@ -362,19 +366,6 @@ def _threshold(params: ModelParams, reg: Regulator, nu: float) -> float:
     return brent(f, float(gs[i]), float(gs[i + 1]), xtol=1e-13)
 
 
-def generic_bound_energy(params: ModelParams, reg: Regulator) -> float:
-    """eps = -E > 0 of reg's ground state at its own depth reg.g, in physical
-    units (1/length^2): E = -(xi/(b x0))^2, xi from the one matching solve.
-
-    NoBoundState (a ValueError) when there is none; ValueError for a
-    non-square well with g sup f >= pi^2, where that solve does not apply.
-    """
-    params.require_main()
-    if reg.g <= threshold(params, reg, params.nu_minus):
-        raise NoBoundState(f"no bound state at g={reg.g}")
-    return (_ground_xi(params, reg) / reg.b) ** 2
-
-
 def generic_bound_threshold(params: ModelParams, reg: Regulator,
                             window=(1e-4, 1e-2), n_points: int = 20) -> CriticalFit:
     """Locate g_*, fit log eps against log (g - g_*), return the slope.
@@ -383,9 +374,15 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
     regime but above root-finder noise; the slope estimates 1/omega for
     any bounded integrable profile.
     """
+    if not min(window) > 0.0:
+        raise ValueError(f"the fit window of g - g_* needs both ends > 0, got {tuple(window)}")
     du = np.geomspace(window[0], window[1], n_points)
     g_star = threshold(params, reg, params.nu_minus)
-    eps = np.array([generic_bound_energy(params, replace(reg, g=g_star + d)) for d in du])
+    states = [bound_state(params, replace(reg, g=g_star + d)) for d in du]
+    if None in states:
+        raise ValueError(f"no bound state at g - g_* = {du[states.index(None)]:.3g}: the fit "
+                         "window must lie above g_* by more than its rounding")
+    eps = np.array([-st.energy for st in states])
     slope, amplitude, resid = fit_loglog(du, eps)
     return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
                        eps=tuple(eps.tolist()))

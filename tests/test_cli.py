@@ -61,6 +61,17 @@ def test_bound_state_none_and_value(capsys):
     assert payload["bound"]["energy"] < 0.0
 
 
+def test_bound_state_of_a_linear_well_has_no_amplitudes(capsys):
+    from invsq import spectrum
+    from invsq.core import derived_constants, linear_well
+    code, lines, payload = run_cli(["bound-state", "--alpha", "-0.1875", "--scheme", "linear",
+                                    "--g", "3"], capsys)
+    assert code == 0 and len(json_lines(lines)) == 1
+    st = spectrum.bound_state(derived_constants(-0.1875), linear_well(3.0))
+    assert payload["bound"] == {"energy": st.energy, "xi": st.xi,
+                                "A": None, "C": None, "norm": None}
+
+
 def test_contours_csv(tmp_path, capsys):
     code, _, payload = run_cli(["contours", "--alpha", "-0.1875", "--ratios", "1,2",
                                 "--n-xi", "8", "--out", str(tmp_path)], capsys)
@@ -152,9 +163,15 @@ def test_phase_shift_solves_the_sweep_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("n_xi", [0, 1])
 def test_contours_with_no_or_one_xi(n_xi, tmp_path, capsys):
-    code, _, payload = run_cli(["contours", "--alpha", "-0.1875", "--n-xi", str(n_xi),
-                                "--out", str(tmp_path)], capsys)
-    assert code == 0 and payload["rows"] == n_xi
+    # --n-xi is a count: no xi is refused before any CSV is written
+    result = run_cli(["contours", "--alpha", "-0.1875", "--n-xi", str(n_xi),
+                      "--out", str(tmp_path)], capsys)
+    if n_xi == 0:
+        assert_refused(result, "--n-xi")
+        assert not any(tmp_path.iterdir())
+    else:
+        code, _, payload = result
+        assert code == 0 and payload["rows"] == n_xi
 
 
 def test_phase_curve_leaving_the_branch_exits_2(tmp_path, capsys):
@@ -387,9 +404,28 @@ def test_limit_cycle(tmp_path, capsys):
     (["exponent", "--alpha", "-0.1875", "--n-points", "1"], "2 points"),
     (["collapse", "--alpha", "-0.1875", "--n-b", "0"], "4 points"),
     (["collapse", "--alpha", "-0.1875", "--n-u", "0"], "4 points"),
-    (["collapse", "--alpha", "-0.1875", "--n-b", "1", "--n-u", "1"], "4 points")])
+    (["collapse", "--alpha", "-0.1875", "--n-b", "1", "--n-u", "1"], "4 points"),
+    (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--b1", "0.5", "--steps", "0"], "--steps"),
+    (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--b1", "0.5", "--steps", "-3"], "--steps"),
+    (["phase-shift", "--alpha", "-0.1875", "--g", "1.0", "--n-k", "0"], "--n-k")])
 def test_too_few_points_or_periods_exit_2(args, detail, tmp_path, capsys):
-    # one exponent point fits no line, and the collapse fits 4 parameters
+    # one exponent point fits no line, and the collapse fits 4 parameters; a count
+    # flag below 1 used to write one flow row or an empty CSV
+    assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, detail", [
+    (["propagator", "--alpha", "-0.1875", "--g", "1.0", "--x", "2", "--y", "2", "--t", "1",
+      "--rtol", "0"], "rtol"),
+    (["propagator", "--alpha", "-0.1875", "--g", "1.0", "--x", "2", "--y", "2", "--t", "1",
+      "--rtol", "1"], "rtol")] + [
+    (["exponent", "--alpha", "-0.1875", "--scheme", "linear", "--n-points", "3",
+      "--window-lo", lo, "--window-hi", hi], "window")
+    for lo, hi in (("-1e-2", "1e-2"), ("0", "1e-2"), ("1e-4", "-1e-3"), ("1e-20", "1e-18"))])
+def test_tolerance_or_window_out_of_range_exits_2(args, detail, tmp_path, capsys):
+    # rtol = 0 used to run an unconverged quadrature (exit 3); a fit depth at or
+    # below g_*, or one that rounds to g_*, has no bound state to fit
     assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
     assert not any(tmp_path.iterdir())
 
@@ -550,20 +586,20 @@ def test_abbreviated_flags_are_refused(tmp_path, capsys):
 def test_exponent_shoots_each_energy_once(tmp_path, capsys, monkeypatch):
     from invsq import spectrum
     found = []
-    orig = spectrum.generic_bound_energy
+    orig = spectrum.bound_state
 
     def counted(*args):
         found.append(orig(*args))
         return found[-1]
 
-    monkeypatch.setattr(spectrum, "generic_bound_energy", counted)
+    monkeypatch.setattr(spectrum, "bound_state", counted)
     code, _, _ = run_cli(["exponent", "--alpha", "-0.1875", "--scheme", "linear",
                           "--n-points", "3", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert len(found) == 3
     lines = (tmp_path / "exponent_linearwell.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
-    assert [-float(r[4]) for r in rows] == found
+    assert [float(r[4]) for r in rows] == [st.energy for st in found]
 
 
 def test_run_spec_file(tmp_path, capsys):

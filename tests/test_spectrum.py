@@ -290,9 +290,8 @@ def test_generic_path_reproduces_square_well_threshold(params316, gfix):
 def test_generic_energy_matches_exact_matching(params316, gfix):
     _, g_minus = gfix
     g = g_minus + 5e-3
-    eps = sp.generic_bound_energy(params316, square_well(g))
     st = sp.bound_state(params316, square_well(g))
-    assert eps == -st.energy
+    assert st.energy == -st.xi ** 2 < 0.0  # E = -(xi/(b x0))^2 at b = 1
     # the Magnus shooter on the flat profile against gamma_cot, at the bound
     # state and across the bracket of the matching solve
     for xi2 in (0.0, st.xi ** 2, 1e-3, 0.5 * g, 0.99 * g):
@@ -310,7 +309,7 @@ def test_small_omega_exponents_on_every_regulator(alpha):
         assert fit.exponent == pytest.approx(1.0 / p.omega, rel=2e-2)
 
 
-def test_generic_bound_energy_shoots_once_per_solver_evaluation(params316, monkeypatch):
+def test_bound_state_shoots_once_per_solver_evaluation(params316, monkeypatch):
     # the bracket's lower end is evaluated by brent alone; the threshold
     # test in front of the solve is the cached g_minus
     reg = linear_well(sp.threshold(params316, linear_well(1.0), params316.nu_minus) + 0.1)
@@ -326,7 +325,7 @@ def test_generic_bound_energy_shoots_once_per_solver_evaluation(params316, monke
 
     monkeypatch.setattr(sp, "interior_logderiv", counted_shoot)
     monkeypatch.setattr(sp, "brent", counted_solve)
-    sp.generic_bound_energy(params316, reg)
+    sp.bound_state(params316, reg)
     assert evals and len(shots) == len(evals)
 
 
@@ -357,7 +356,7 @@ def test_non_square_wells_scale_with_the_cut(params316, wells):
     # the interior is shot in units of b x0, so E b^2 does not depend on b
     for kind in ("linear", "pchip"):
         g = sp.threshold(params316, wells[kind](1.0), params316.nu_minus) + 0.5
-        energies = [sp.generic_bound_energy(params316, wells[kind](g, b)) * b * b
+        energies = [-sp.bound_state(params316, wells[kind](g, b)).energy * b * b
                     for b in (1.0, 0.5, 0.1)]
         assert energies[1:] == energies[:1] * 2
 
@@ -367,19 +366,32 @@ def test_deep_non_square_wells_are_refused(params316):
     xs = np.linspace(0.0, 1.0, 21)
     for reg in (linear_well(PI_SQ), generic_well(1.01 * PI_SQ / 0.8, xs, 0.8 - 0.1 * xs)):
         with pytest.raises(ValueError, match="pi\\^2"):
-            sp.generic_bound_energy(params316, reg)
+            sp.bound_state(params316, reg)
         # the chain must not read the refusal as "no bound state"
         with pytest.raises(ValueError, match="pi\\^2"):
             free_energy_density(params316, reg)
     # just below pi^2 the linear well still binds
-    assert sp.generic_bound_energy(params316, linear_well(0.99 * PI_SQ)) > 0.0
+    assert sp.bound_state(params316, linear_well(0.99 * PI_SQ)).energy < 0.0
 
 
 def test_no_bound_state_is_reported_as_such(params316, gfix):
     _, g_minus = gfix
     for reg in (square_well(g_minus - 0.1), linear_well(2.0), square_well(0.0)):
-        with pytest.raises(sp.NoBoundState):
-            sp.generic_bound_energy(params316, reg)
+        assert sp.bound_state(params316, reg) is None
+
+
+def test_non_square_wells_bind_just_above_their_own_threshold(params316, wells):
+    for kind in ("linear", "pchip"):
+        g_star = sp.threshold(params316, wells[kind](1.0), params316.nu_minus)
+        assert sp.bound_state(params316, wells[kind](g_star * (1.0 - 1e-9))) is None
+        assert sp.bound_state(params316, wells[kind](g_star)) is None
+        st = sp.bound_state(params316, wells[kind](g_star * (1.0 + 1e-6)))
+        assert st.energy < 0.0 and st.A is st.C is st.norm is None
+
+
+def test_mean_position_refuses_a_state_without_amplitudes(params316):
+    with pytest.raises(ValueError, match="square wells only"):
+        sp.mean_position(params316, linear_well(3.0))
 
 
 def test_linear_well_universal_exponent(params316):
@@ -578,6 +590,6 @@ def test_continuum_states_match_the_scalar_order_formulas(params316, wells, kind
             assert np.array_equal(row, sp.exterior_eigenfunction(params316, k, x, cp, cm))
         xi = reg.b * k
         for nu in (w, -w):
-            assert np.array_equal(sf.jvp(nu, xi), jvp_two_calls(nu, xi))
             val, der = sf.jv_jvp(nu, xi)
-            assert np.array_equal(val, sf.jv(nu, xi)) and np.array_equal(der, sf.jvp(nu, xi))
+            assert np.array_equal(der, jvp_two_calls(nu, xi))
+            assert np.array_equal(val, sf.jv(nu, xi))
