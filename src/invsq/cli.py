@@ -360,6 +360,14 @@ def finite(text: str) -> float:
     return float(finite_list(text))
 
 
+def positive(text: str) -> float:
+    """A finite number flag's value that must be > 0 (an end of a geometric grid)."""
+    x = finite(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive: it must be > 0")
+    return x
+
+
 def count(text: str) -> int:
     """A count flag's value: an integer >= 1."""
     n = int(text)
@@ -393,14 +401,14 @@ COMMANDS = {
     "fixed-points": (cmd_fixed_points, MODEL),
     "flow": (cmd_flow, MODEL + (
         Flag("gamma0", required=True),
-        Flag("b0", default=1.0),
-        Flag("b1", required=True),
+        Flag("b0", positive, 1.0),
+        Flag("b1", positive, required=True),
         Flag("steps", count, 1),
         OUT)),
     "contours": (cmd_contours, MODEL + (
         Flag("ratios", finite_list, "1"),
-        Flag("xi_min", default=1e-4),
-        Flag("xi_max", default=0.5),
+        Flag("xi_min", positive, 1e-4),
+        Flag("xi_max", positive, 0.5),
         Flag("n_xi", count, 40),
         OUT)),
     "bound-state": (cmd_bound_state, MODEL + WELL + OPTIONAL_DEPTH + (
@@ -437,8 +445,8 @@ COMMANDS = {
         Flag("t", default=1e5),
         OUT)),
     "phase-shift": (cmd_phase_shift, MODEL + WELL + DEPTH + (
-        Flag("k_min", default=1e-4),
-        Flag("k_max", default=1.0),
+        Flag("k_min", positive, 1e-4),
+        Flag("k_max", positive, 1.0),
         Flag("n_k", count, 50),
         OUT)),
     "phase-curve": (cmd_phase_curve, MODEL + (
@@ -450,9 +458,9 @@ COMMANDS = {
         Flag("x", required=True),
         Flag("y", required=True),
         Flag("t", required=True),
-        Flag("n_steps", int, 16, help="bridge links, at most 16 are drawn; each is weighed "
+        Flag("n_steps", count, 16, help="bridge links, at most 16 are drawn; each is weighed "
              "exactly (link kernel, or crossing factor in barrier mode)"),
-        Flag("n_samples", int, 100000),
+        Flag("n_samples", count, 100000),
         Flag("seed", int, 20260808),
         Flag("mode", str, "regulated", choices=("regulated", "barrier")),
         OUT,

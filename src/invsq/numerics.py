@@ -4,6 +4,13 @@ least-squares fitting helpers.
 
 The quadrature evaluates whole batches of panels in single calls to the
 integrand, so integrands written with numpy stay fast in pure Python.
+Where the panel at the lower limit alone goes on failing, as at the
+k^{2 nu} branch point of the propagator integrand at k -> 0, one batch also
+evaluates the next LOOKAHEAD_DEPTH bisections toward that limit: a
+13-round cascade costs 2 calls instead of 13, and one bench `spectral` pass
+makes 110 integrand calls instead of 294.  The split decisions, the panels
+and the order of the sums are those of plain bisection, so every result is
+the same to the bit.
 
 `brent_batch` runs `brent` on an array of brackets, element by element
 the same arithmetic, so its roots equal the scalar ones to the bit.  Its
@@ -41,6 +48,10 @@ class NumericalError(RuntimeError):
 
 BRENT_MAXITER = 200
 QUAD_MAX_PANELS = 4096  # quad_gk stops refining at this many panels
+# bisections toward the lower limit that quad_gk evaluates ahead when that
+# panel alone fails; the propagator's k -> 0 cascades run 5 to 13 rounds,
+# and every depth from 4 to 12 cost the same there
+LOOKAHEAD_DEPTH = 8
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +211,31 @@ class QuadResult:
 
 
 def _panel_rule(f, a: np.ndarray, b: np.ndarray):
-    """Kronrod and Gauss estimates on a batch of panels."""
+    """Kronrod and Gauss estimates on a batch of panels.
+
+    Row sums, not matrix products: BLAS would round each panel according to
+    how many share the call, and a look-ahead panel must equal its later
+    evaluation to the bit.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    k = (vals @ _WK) * half
-    g = (vals[:, _GIDX] @ _WG) * half
+    k = np.sum(vals * _WK, axis=1) * half
+    g = np.sum(vals[:, _GIDX] * _WG, axis=1) * half
     return k, np.abs(k - g)
+
+
+def _lower_bisections(a: float, m: float):
+    """The LOOKAHEAD_DEPTH bisections of [a, m] toward a, as panel pairs:
+    [a, m1], [m1, m], then [a, m2], [m2, m1], ... with m_{i+1} = (a + m_i)/2."""
+    lo, hi = [], []
+    for _ in range(LOOKAHEAD_DEPTH):
+        half = 0.5 * (a + m)
+        lo += [a, half]
+        hi += [half, m]
+        m = half
+    return np.array(lo), np.array(hi)
 
 
 def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -216,13 +244,26 @@ def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
     f must accept a 1-D array of abscissas and return the integrand values;
     panels are evaluated in batches so the per-call numpy overhead is shared.
+    Each round bisects every panel whose error estimate exceeds its share of
+    the budget.  When the panel at the lower limit is the only one bisected
+    while others pass, an integrable singularity at a is the usual cause, and
+    it goes on failing round after round; so the same batch also evaluates
+    the next LOOKAHEAD_DEPTH bisections toward a, and later rounds take those
+    panels as computed.  A panel's estimates do not depend on its batch, so
+    the value, error and convergence are those of plain bisection to the bit.
+    n_evals counts the abscissas evaluated, look-ahead panels included.
     """
     if not (b > a):
         raise ValueError("require b > a")
+    if initial_panels < 1:
+        raise ValueError(f"initial_panels must be >= 1, got {initial_panels}")
+    if not rtol > 0.0:
+        raise ValueError(f"rtol must be > 0, got {rtol}")
     edges = np.linspace(a, b, initial_panels + 1)
     pa, pb = edges[:-1].copy(), edges[1:].copy()
     vals, errs = _panel_rule(f, pa, pb)
     n_evals = 15 * len(pa)
+    ahead = {}  # (left, right) -> (value, error) of look-ahead panels
     for _ in range(64):
         total = float(np.sum(vals))
         tot_err = float(np.sum(errs))
@@ -240,12 +281,28 @@ def quad_gk(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         mid = 0.5 * (pa[split] + pb[split])
         new_a = np.concatenate([pa[keep], pa[split], mid])
         new_b = np.concatenate([pb[keep], mid, pb[split]])
-        new_vals = np.concatenate([vals[keep], np.zeros(2 * int(np.sum(split)))])
-        new_errs = np.concatenate([errs[keep], np.zeros(2 * int(np.sum(split)))])
-        refresh = np.arange(len(pa[keep]), len(new_a))
-        v, e = _panel_rule(f, new_a[refresh], new_b[refresh])
-        new_vals[refresh], new_errs[refresh] = v, e
-        n_evals += 15 * len(refresh)
+        n_keep = len(new_a) - 2 * len(mid)
+        new_vals = np.concatenate([vals[keep], np.zeros(2 * len(mid))])
+        new_errs = np.concatenate([errs[keep], np.zeros(2 * len(mid))])
+        refresh = np.arange(n_keep, len(new_a))
+        if ahead:  # take the panels evaluated ahead, compute the rest
+            refresh = []
+            for i, key in enumerate(zip(new_a[n_keep:].tolist(), new_b[n_keep:].tolist()), n_keep):
+                if key in ahead:
+                    new_vals[i], new_errs[i] = ahead.pop(key)
+                else:
+                    refresh.append(i)
+        if len(refresh):
+            qa, qb = new_a[refresh], new_b[refresh]
+            if n_keep and len(mid) == 1 and new_a[n_keep] == a:  # the lower-limit panel alone
+                la, lb = _lower_bisections(a, float(mid[0]))
+                qa, qb = np.concatenate([qa, la]), np.concatenate([qb, lb])
+            v, e = _panel_rule(f, qa, qb)
+            n = len(refresh)
+            new_vals[refresh], new_errs[refresh] = v[:n], e[:n]
+            ahead.update(zip(zip(qa[n:].tolist(), qb[n:].tolist()),
+                             zip(v[n:].tolist(), e[n:].tolist())))
+            n_evals += 15 * len(qa)
         pa, pb, vals, errs = new_a, new_b, new_vals, new_errs
     total = float(np.sum(vals))
     tot_err = float(np.sum(errs))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -412,6 +413,27 @@ def test_too_few_points_or_periods_exit_2(args, detail, tmp_path, capsys):
     # one exponent point fits no line, and the collapse fits 4 parameters; a count
     # flag below 1 used to write one flow row or an empty CSV
     assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["contours", "--alpha", "-0.1875", "--n-xi", "3"], "--xi-min", "-1"),
+    (["contours", "--alpha", "-0.1875", "--n-xi", "3"], "--xi-max", "0"),
+    (["phase-shift", "--alpha", "-0.1875", "--g", "1.0", "--n-k", "3"], "--k-min", "0"),
+    (["phase-shift", "--alpha", "-0.1875", "--g", "1.0", "--n-k", "3"], "--k-max", "-1"),
+    (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--b1", "0.5", "--steps", "2"],
+     "--b0", "-1"),
+    (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--steps", "2"], "--b1", "0"),
+    (FK_ARGS + ["--g", "1.0"], "--n-samples", "0"),
+    (FK_ARGS + ["--g", "1.0"], "--n-steps", "0")])
+def test_grid_ends_and_ensemble_counts_are_refused_by_name(args, flag, value, tmp_path,
+                                                          capsys):
+    # these went on to np.geomspace or the ensemble builder, whose words name no
+    # flag, sometimes after a RuntimeWarning (raised here as an error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(args + [flag, value, "--out", str(tmp_path)], capsys)
+    assert_refused(result, flag)
     assert not any(tmp_path.iterdir())
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from invsq.core import gamma_cot, invert_gamma
+from invsq import numerics as nm
+from invsq import propagator as pg
+from invsq.core import gamma_cot, invert_gamma, square_well
 from invsq.numerics import (NumericalError, brent, brent_batch, fit_loglog,
                             fit_two_powers, quad_gk, rk45)
 
@@ -100,6 +102,82 @@ def test_quad_endpoint_power():
 def test_quad_gaussian_tail():
     res = quad_gk(lambda x: np.exp(-x * x), 0.0, 12.0, rtol=1e-12, initial_panels=4)
     assert res.value == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
+
+
+def test_quad_refuses_no_panels_and_a_tolerance_it_cannot_meet():
+    # no panels used to return 0.0 as converged; rtol = 0 refined to the panel cap
+    f = lambda x: np.exp(-x)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="initial_panels"):
+            quad_gk(f, 0.0, 1.0, initial_panels=n)
+    for rtol in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError, match="rtol"):
+            quad_gk(f, 0.0, 1.0, rtol=rtol)
+
+
+def plain_quad_gk(f, a, b, rtol=1e-9, initial_panels=1):
+    """quad_gk without look-ahead: each round evaluates the halves of the
+    panels it bisects and nothing else.  Returns (value, error, converged)."""
+    edges = np.linspace(a, b, initial_panels + 1)
+    pa, pb = edges[:-1].copy(), edges[1:].copy()
+    vals, errs = nm._panel_rule(f, pa, pb)
+    for _ in range(64):
+        total, tot_err = float(np.sum(vals)), float(np.sum(errs))
+        tol = rtol * abs(total)
+        if tot_err <= tol:
+            return total, tot_err, True
+        if len(pa) >= nm.QUAD_MAX_PANELS:
+            break
+        split = errs > 0.5 * (tol / len(pa))
+        if not np.any(split):
+            split = errs >= np.max(errs)
+        mid = 0.5 * (pa[split] + pb[split])
+        v, e = nm._panel_rule(f, np.concatenate([pa[split], mid]),
+                              np.concatenate([mid, pb[split]]))
+        pa, pb = (np.concatenate([pa[~split], pa[split], mid]),
+                  np.concatenate([pb[~split], mid, pb[split]]))
+        vals, errs = np.concatenate([vals[~split], v]), np.concatenate([errs[~split], e])
+    total, tot_err = float(np.sum(vals)), float(np.sum(errs))
+    return total, tot_err, tot_err <= rtol * abs(total)
+
+
+@pytest.mark.parametrize("case", ["power", "oscillatory", "closure"])
+def test_quad_look_ahead_is_plain_bisection_to_the_bit(case, params316, gfix, monkeypatch):
+    if case == "power":
+        f, a, b, kw = (lambda x: x ** -0.25), 1e-300, 1.0, {"rtol": 1e-9}
+    elif case == "oscillatory":
+        f, a, b, kw = (lambda x: np.sin(10.0 * x) * np.exp(-x)), 0.0, 40.0, \
+            {"rtol": 1e-11, "initial_panels": 8}
+    else:  # criterion 6's closure quadrature at g_-, b = 1e-4
+        seen = []
+        monkeypatch.setattr(pg, "quad_gk", lambda *args, **kw: seen.append((args, kw))
+                            or quad_gk(*args, **kw))
+        pg.propagator_quadrature(params316, square_well(gfix[1], 1e-4), 1.0, 1.0, 1.0)
+        [((f, a, b), kw)] = seen
+    points = []
+
+    def counted(x):
+        points.append(x.size)
+        return f(x)
+
+    res = quad_gk(counted, a, b, **kw)
+    assert (res.value, res.error, res.converged) == plain_quad_gk(f, a, b, **kw)
+    assert res.converged
+    # n_evals counts every abscissa evaluated, look-ahead panels included
+    assert res.n_evals == sum(points)
+
+
+def test_panel_rule_does_not_depend_on_its_batch():
+    # look-ahead panels are kept for later rounds, so a panel's sums must not
+    # depend on how many panels share its call (as a BLAS matrix product does)
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(0.0, 3.0, 37)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 0.5, 37)
+    f = lambda x: np.sin(7.0 * x) * np.exp(-x) + x ** -0.25
+    k, e = nm._panel_rule(f, lo, hi)
+    for i in range(37):
+        k1, e1 = nm._panel_rule(f, lo[i:i + 1], hi[i:i + 1])
+        assert (k1[0], e1[0]) == (k[i], e[i])
 
 
 def test_rk45_oscillator_roundtrip():

@@ -53,6 +53,10 @@ def test_domain_validation(params316):
         pg.propagator_quadrature(params316, square_well(1.0, 0.1), 1.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         pg.fixed_point_propagator(params316, 0, 1.0, 1.0, 1.0)
+    # extra_panels = -n0 leaves no panel; quad_gk used to return 0.0 as converged
+    with pytest.raises(ValueError, match="initial_panels"):
+        pg.propagator_quadrature(params316, square_well(1.0, 0.1), 1.0, 1.0, 1.0,
+                                 extra_panels=-8)
 
 
 def test_quadrature_refuses_couplings_with_a_bound_state(params316, wells):
@@ -150,6 +154,19 @@ def test_scaling_relation_and_composition_bound(params316):
     r14 = 1e-7  # exact-law residual bound at these tolerances
     r15 = pg.check_asymptotic_law(params316, b, u, -1, 1.0, 1.0, 1.0, lam)
     assert r16 <= 1.5 * (r14 + r15)
+
+
+def test_k_to_zero_cascade_is_evaluated_ahead(params316, gfix, monkeypatch):
+    # at g_- the k^{2 nu_-} branch point bisects the panel at k -> 0 for 13
+    # rounds; quad_gk evaluates those panels ahead in two batches, not 13
+    calls = []
+
+    def counting(f, a, b, **kw):
+        return quad_gk(lambda k: calls.append(k.size) or f(k), a, b, **kw)
+
+    monkeypatch.setattr(pg, "quad_gk", counting)
+    pg.propagator_quadrature(params316, square_well(gfix[1], 1e-4), 1.0, 1.0, 1.0)
+    assert len(calls) <= 4
 
 
 def test_unknown_normalization_rejected(params316):
