@@ -116,6 +116,11 @@ class PathEnsembleSpec:
         if not 0.0 < self.t < math.inf or self.n_steps < 2 or self.n_samples < 1:
             raise ValueError("bad ensemble shape")
 
+    @property
+    def n_links(self) -> int:
+        """Links of each bridge drawn: n_steps up to LINK_STEPS."""
+        return min(self.n_steps, LINK_STEPS)
+
 
 @dataclass(frozen=True)
 class FreeEnergyResult:
@@ -379,9 +384,8 @@ def feynman_kac_batch(params: ModelParams | None, regs, spec: PathEnsembleSpec,
     n_regs = len(regs) if mode == "regulated" else 1
     chunks = [(i, min(CHUNK_SAMPLES, spec.n_samples - start))
               for i, start in enumerate(range(0, spec.n_samples, CHUNK_SAMPLES))]
-    n_links = min(spec.n_steps, LINK_STEPS)
-    links = _LinkAction(params, regs if mode == "regulated" else (), spec.t / n_links)
-    results = _map_in_order(lambda chunk: _chunk_weights(links, n_links, spec, *chunk),
+    links = _LinkAction(params, regs if mode == "regulated" else (), spec.t / spec.n_links)
+    results = _map_in_order(lambda chunk: _chunk_weights(links, spec.n_links, spec, *chunk),
                             chunks, threads)
     kern = free_kernel(spec.x, spec.y, spec.t)
     n = spec.n_samples
@@ -538,13 +542,17 @@ def free_energy_density(params: ModelParams, reg: Regulator,
     The box extends BOX_KAPPA decay lengths of the bound state, and at
     least 8 b x0 (min_box when there is none); the grid resolves the
     smallest Gaussian step width sigma = sqrt(2 eps) by GRID_RESOLVE.  The
-    extrapolation order is measured from the three-point differences
-    unless `order` pins it (the well-edge discontinuity makes the leading
-    family eps^{3/2}).  NumericalError when MAX_GRID cells cannot give
-    that resolution across the box (a very shallow bound state).
+    extrapolation needs two or more distinct steps (ValueError otherwise);
+    its order is 1, or measured from the three-point differences of three
+    or more steps, unless `order` pins it (the well-edge discontinuity
+    makes the leading family eps^{3/2}).  NumericalError when MAX_GRID
+    cells cannot give that resolution across the box (a very shallow bound
+    state).
     """
-    if not all(0.0 < e < math.inf for e in eps_list) or len(set(eps_list)) < len(eps_list):
-        raise ValueError(f"eps_list needs distinct finite steps > 0, got {list(eps_list)}")
+    if (len(eps_list) < 2 or not all(0.0 < e < math.inf for e in eps_list)
+            or len(set(eps_list)) < len(eps_list)):
+        raise ValueError(f"eps_list needs two or more distinct finite steps > 0, "
+                         f"got {list(eps_list)}")
     st = bound_state(params, reg)
     e0 = None if st is None else st.energy
     # x_max, and the shift s of the eigen-solve's preconditioner (1 - G + eps s)^{-1}
@@ -574,16 +582,13 @@ def free_energy_density(params: ModelParams, reg: Regulator,
 
     solves = _map_in_order(f_at, eps_sorted, threads)
     fs = [f for f, _, _ in solves]
-    ratio = eps_sorted[-2] / eps_sorted[-1] if len(eps_sorted) >= 2 else 2.0
+    ratio = eps_sorted[-2] / eps_sorted[-1]
     if order is None and len(fs) >= 3:
         d1, d2 = fs[-2] - fs[-3], fs[-1] - fs[-2]
         if d1 * d2 > 0 and abs(d2) < abs(d1):
             order = math.log(d1 / d2) / math.log(ratio)
-    if len(fs) >= 2:
-        order = 1.0 if order is None else order
-        f_star = fs[-1] + (fs[-1] - fs[-2]) / (ratio ** order - 1.0)
-    else:
-        order, f_star = math.nan, fs[-1]
+    order = 1.0 if order is None else order
+    f_star = fs[-1] + (fs[-1] - fs[-2]) / (ratio ** order - 1.0)
     phase = PHASE_EXTENSIVE if e0 is not None else PHASE_NONEXTENSIVE
     return FreeEnergyResult(f_xy=f_star, E0=e0 if e0 is not None else 0.0, phase=phase,
                             eps_used=eps_sorted, f_raw=tuple(fs), order=order,

@@ -8,9 +8,12 @@ each field is the flag of its name with '_' for '-' (flags are never
 abbreviated), and a field given twice is refused.  So
 `invsq fixed-points --alpha -0.1875` and `invsq --spec spec.json` (with
 {"command": "fixed-points", "alpha": -0.1875}) are interchangeable.
-Lengths are in units of x0 = 1, so "b x0" in a CSV column label reads as
-b.  Numeric CSV output keeps 17 significant digits so downstream tolerance
-checks are meaningful.
+One runner, `run`, serves `main` and `regen-golden`: it builds the model
+ModelParams(--alpha) as ns.params, calls the handler, writes the CSV
+Table it returns (provenance "tool" and "alpha" first, 17 significant
+digits) to --out or $INVSQ_OUTDIR, and ends the summary with " -> path"
+and the JSON with "path".  Lengths are in units of x0 = 1, so "b x0" in
+a CSV column label reads as b.
 
 Exit codes: 0 success, 2 validation failure (a nan or +-inf input), 3 numerical
 failure, 4 I/O failure.  Failures print a machine-readable JSON error line.
@@ -30,8 +33,8 @@ import numpy as np
 
 from . import __version__
 from . import classical, propagator, rgflow, scattering, spectrum
-from .core import (KIND_GENERIC, KIND_LINEAR, KIND_SQUARE, Regulator,
-                   derived_constants, fixed_points, square_well)
+from .core import (KIND_GENERIC, KIND_LINEAR, KIND_SQUARE, ModelParams, Regulator,
+                   fixed_points, square_well)
 from .numerics import NumericalError
 
 OUTDIR_ENV = "INVSQ_OUTDIR"
@@ -39,9 +42,7 @@ SCHEMES = {"square": KIND_SQUARE, "linear": KIND_LINEAR, "generic": KIND_GENERIC
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def write_csv(path: Path, header_lines, columns, rows) -> None:
@@ -52,10 +53,6 @@ def write_csv(path: Path, header_lines, columns, rows) -> None:
         f.write(",".join(columns) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _outdir(ns) -> Path:
-    return Path(ns.out or os.environ.get(OUTDIR_ENV, "."))
 
 
 def _regulator(ns, g) -> Regulator:
@@ -75,56 +72,62 @@ def _regulator(ns, g) -> Regulator:
         raise ValueError(f"--profile needs a JSON object with x and f tables ({exc!r})") from exc
 
 
-def _provenance(ns, **extra) -> list[str]:
-    items = {"tool": f"invsq {__version__}", "alpha": getattr(ns, "alpha", None)}
-    items.update(extra)
-    return [f"{k} = {_fmt(v)}" for k, v in items.items() if v is not None]
+class Table(NamedTuple):
+    """A command's CSV: file name, column labels, rows, provenance after tool and alpha."""
+    name: str
+    columns: list
+    rows: list
+    provenance: dict
+
+
+def run(ns):
+    """(summary, payload) of a parsed command, its Table written and its path in both."""
+    alpha = getattr(ns, "alpha", None)
+    ns.params = None if alpha is None else ModelParams(alpha)
+    summary, payload, table = ns.handler(ns)
+    if table is None:
+        return summary, payload
+    out = Path(ns.out or os.environ.get(OUTDIR_ENV, ".")) / table.name
+    items = {"tool": f"invsq {__version__}", "alpha": alpha, **table.provenance}
+    write_csv(out, [f"{k} = {_fmt(v)}" for k, v in items.items() if v is not None],
+              table.columns, table.rows)
+    return f"{summary} -> {out}", {**payload, "path": str(out)}
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (summary: str, payload: dict)
+# command handlers: each returns (summary, payload, Table or None)
 # ---------------------------------------------------------------------------
 
 def cmd_fixed_points(ns):
-    p = derived_constants(ns.alpha)
+    p = ns.params
     g_plus, g_minus = fixed_points(p)
     payload = {"alpha": p.alpha, "omega": p.omega, "nu_plus": p.nu_plus,
                "nu_minus": p.nu_minus, "g_plus": g_plus, "g_minus": g_minus}
-    return f"g_plus={g_plus:.6f} g_minus={g_minus:.6f}", payload
+    return f"g_plus={g_plus:.6f} g_minus={g_minus:.6f}", payload, None
 
 
 def cmd_flow(ns):
-    p = derived_constants(ns.alpha)
     bs = np.geomspace(ns.b0, ns.b1, ns.steps) if ns.steps > 1 else [ns.b1]
-    rows = []
-    for b in bs:
-        st = rgflow.flow(p, ns.gamma0, ns.b0, float(b))
-        rows.append((float(b), st.gamma, st.g, st.u, int(st.exited)))
-    out = _outdir(ns) / "flow.csv"
-    write_csv(out, _provenance(ns, gamma0=ns.gamma0, b0=ns.b0),
-              ["b (dimensionless)", "gamma (dimensionless)", "g (dimensionless)",
-               "u (dimensionless)", "exited (0/1)"], rows)
+    states = [rgflow.flow(ns.params, ns.gamma0, ns.b0, float(b)) for b in bs]
+    rows = [(float(b), st.gamma, st.g, st.u, int(st.exited)) for b, st in zip(bs, states)]
     last = rows[-1]
-    return f"flow to b={last[0]:g}: gamma={last[1]:.8f} -> {out}", {"rows": len(rows), "path": str(out)}
+    return f"flow to b={last[0]:g}: gamma={last[1]:.8f}", {"rows": len(rows)}, Table(
+        "flow.csv", ["b (dimensionless)", "gamma (dimensionless)", "g (dimensionless)",
+                     "u (dimensionless)", "exited (0/1)"], rows,
+        {"gamma0": ns.gamma0, "b0": ns.b0})
 
 
 def cmd_contours(ns):
-    p = derived_constants(ns.alpha)
-    ratios = [float(r) for r in ns.ratios.split(",")]
     xi = np.geomspace(ns.xi_min, ns.xi_max, ns.n_xi)
-    rows = []
-    for r in ratios:
-        for (xiv, g) in rgflow.contour_constant_ratio(p, r, xi):
-            rows.append((xiv, g, r))
-    out = _outdir(ns) / "contours.csv"
-    write_csv(out, _provenance(ns, ratios=ns.ratios),
-              ["xi (b x0 sqrt(E), dimensionless)", "g (dimensionless)", "ratio (C+/C-)"],
-              rows)
-    return f"{len(rows)} contour points -> {out}", {"rows": len(rows), "path": str(out)}
+    rows = [(xiv, g, r) for r in (float(r) for r in ns.ratios.split(","))
+            for (xiv, g) in rgflow.contour_constant_ratio(ns.params, r, xi)]
+    return f"{len(rows)} contour points", {"rows": len(rows)}, Table(
+        "contours.csv", ["xi (b x0 sqrt(E), dimensionless)", "g (dimensionless)",
+                         "ratio (C+/C-)"], rows, {"ratios": ns.ratios})
 
 
 def cmd_bound_state(ns):
-    p = derived_constants(ns.alpha)
+    p = ns.params
     if ns.g is None and not ns.g_list:
         raise ValueError("bound-state needs --g or --g-list")
     if ns.g_list:
@@ -136,69 +139,58 @@ def cmd_bound_state(ns):
         for g in (float(v) for v in ns.g_list.split(",")):
             reg = square_well(g, ns.b)
             st = spectrum.bound_state(p, reg)
-            if st is None:
-                rows.append((p.alpha, reg.kind, reg.b, g, math.nan, math.nan, math.nan))
-            else:
-                rows.append((p.alpha, reg.kind, reg.b, g, st.energy, st.xi,
-                             spectrum.mean_position(p, reg)))
-        out = _outdir(ns) / "bound_state_sweep.csv"
-        write_csv(out, _provenance(ns, scheme=KIND_SQUARE),
-                  ["alpha (dimensionless)", "scheme", "b (dimensionless)",
-                   "g (dimensionless)", "E (1/length^2)", "xi (dimensionless)",
-                   "mean_x (length)"], rows)
-        return f"{len(rows)} sweep rows -> {out}", {"rows": len(rows), "path": str(out)}
+            rows.append((p.alpha, reg.kind, reg.b, g) + ((math.nan,) * 3 if st is None else
+                        (st.energy, st.xi, spectrum.mean_position(p, reg))))
+        return f"{len(rows)} sweep rows", {"rows": len(rows)}, Table(
+            "bound_state_sweep.csv", ["alpha (dimensionless)", "scheme", "b (dimensionless)",
+                                      "g (dimensionless)", "E (1/length^2)",
+                                      "xi (dimensionless)", "mean_x (length)"], rows,
+            {"scheme": KIND_SQUARE})
     st = spectrum.bound_state(p, _regulator(ns, ns.g))
     if st is None:
-        return "no bound state (g <= g_minus)", {"bound": None}
+        return "no bound state (g <= g_minus)", {"bound": None}, None
     payload = {"energy": st.energy, "xi": st.xi, "A": st.A, "C": st.C, "norm": st.norm}
-    return f"E={st.energy:.10g}", {"bound": payload}
+    return f"E={st.energy:.10g}", {"bound": payload}, None
 
 
 def cmd_exponent(ns):
-    p = derived_constants(ns.alpha)
+    p = ns.params
     reg = _regulator(ns, 0.0)  # the fit sets each depth from the profile's own g_*
     fit = spectrum.generic_bound_threshold(p, reg, window=(ns.window_lo, ns.window_hi),
                                            n_points=ns.n_points)
-    du = np.geomspace(ns.window_lo, ns.window_hi, ns.n_points)
-    rows = [(p.alpha, reg.kind, reg.b, fit.g_star + d, -e, reg.b * math.sqrt(e), fit.exponent)
-            for d, e in zip(du, fit.eps)]
-    out = _outdir(ns) / f"exponent_{reg.kind.lower()}.csv"
-    write_csv(out, _provenance(ns, scheme=reg.kind, g_star=fit.g_star,
-                               exponent=fit.exponent, amplitude=fit.amplitude,
-                               residual=fit.residual, tolerance="window "
-                               f"[{ns.window_lo},{ns.window_hi}]"),
-              ["alpha (dimensionless)", "scheme", "b (dimensionless)",
-               "g (dimensionless)", "E (1/length^2)", "xi (dimensionless)",
-               "slope (fit, dimensionless)"], rows)
-    payload = {"exponent": fit.exponent, "amplitude": fit.amplitude,
-               "g_star": fit.g_star, "residual": fit.residual,
-               "one_over_omega": 1.0 / p.omega, "path": str(out)}
-    return f"exponent={fit.exponent:.4f} (1/omega={1.0 / p.omega:.4f}) g*={fit.g_star:.6f}", payload
+    rows = [(p.alpha, reg.kind, reg.b, g, -e, reg.b * math.sqrt(e), fit.exponent)
+            for g, e in zip(fit.g, fit.eps)]
+    found = {"g_star": fit.g_star, "exponent": fit.exponent, "amplitude": fit.amplitude,
+             "residual": fit.residual}
+    return (f"exponent={fit.exponent:.4f} (1/omega={1.0 / p.omega:.4f}) g*={fit.g_star:.6f}",
+            {**found, "one_over_omega": 1.0 / p.omega}, Table(
+                f"exponent_{reg.kind.lower()}.csv",
+                ["alpha (dimensionless)", "scheme", "b (dimensionless)", "g (dimensionless)",
+                 "E (1/length^2)", "xi (dimensionless)", "slope (fit, dimensionless)"], rows,
+                {"scheme": reg.kind, **found,
+                 "tolerance": f"window [{ns.window_lo},{ns.window_hi}]"}))
 
 
 def cmd_propagator(ns):
-    p = derived_constants(ns.alpha)
+    p = ns.params
     reg = _regulator(ns, ns.g)
     smp = propagator.propagator_quadrature(p, reg, ns.x, ns.y, ns.t, rtol=ns.rtol)
     g_plus, g_minus = (spectrum.threshold(p, reg, nu) for nu in (p.nu_plus, p.nu_minus))
     sign = 1 if abs(reg.g - g_plus) <= abs(reg.g - g_minus) else -1
     u = reg.g - g_plus if sign == 1 else g_minus - reg.g
-    out = _outdir(ns) / "propagator.csv"
-    write_csv(out, _provenance(ns, rtol=ns.rtol),
-              ["alpha (dimensionless)", "sign (nearest fixed point)",
-               "b (dimensionless)", "u (reduced coupling)", "x (length)",
-               "y (length)", "t (length^2)", "G (1/length)",
-               "quad_error (1/length)"],
-              [(p.alpha, sign, reg.b, u, ns.x, ns.y, ns.t, smp.value,
-                smp.quad_error)])
     payload = {"alpha": p.alpha, "b": reg.b, "g": reg.g, "x": ns.x, "y": ns.y,
-               "t": ns.t, "G": smp.value, "quad_error": smp.quad_error,
-               "path": str(out)}
-    return f"G={smp.value:.12g} (err {smp.quad_error:.1e})", payload
+               "t": ns.t, "G": smp.value, "quad_error": smp.quad_error}
+    return f"G={smp.value:.12g} (err {smp.quad_error:.1e})", payload, Table(
+        "propagator.csv", ["alpha (dimensionless)", "sign (nearest fixed point)",
+                           "b (dimensionless)", "u (reduced coupling)", "x (length)",
+                           "y (length)", "t (length^2)", "G (1/length)",
+                           "quad_error (1/length)"],
+        [(p.alpha, sign, reg.b, u, ns.x, ns.y, ns.t, smp.value, smp.quad_error)],
+        {"rtol": ns.rtol})
 
 
 def cmd_scaling_check(ns):
-    p = derived_constants(ns.alpha)
+    p = ns.params
     if ns.law != "exact" and (ns.scheme != "square" or ns.g is not None
                               or ns.profile is not None):
         # the (b, u) laws build square wells of their own from --b and --u
@@ -219,48 +211,39 @@ def cmd_scaling_check(ns):
         r = propagator.check_scaling_relation(p, ns.b, u, sign, lam, ns.x, ns.y, ns.t)
     else:  # callan-symanzik, the last of the flag's choices
         r = propagator.callan_symanzik_residual(p, ns.b, u, sign, ns.x, ns.y, ns.t)
-    return f"{ns.law} residual = {r:.3e}", {"law": ns.law, "residual": r}
+    return f"{ns.law} residual = {r:.3e}", {"law": ns.law, "residual": r}, None
 
 
 def cmd_collapse(ns):
-    p = derived_constants(ns.alpha)
-    tab = propagator.scaling_collapse(p, sign=ns.sign, b0=ns.b0, u0=ns.u0,
+    tab = propagator.scaling_collapse(ns.params, sign=ns.sign, b0=ns.b0, u0=ns.u0,
                                       n_b=ns.n_b, n_u=ns.n_u, x=ns.x, t=ns.t)
-    rows = list(zip(tab.z, tab.phi))
-    out = _outdir(ns) / "collapse.csv"
-    write_csv(out, _provenance(ns, u0=ns.u0, spread=tab.spread,
-                               exponent_steep=tab.exponent_steep,
-                               exponent_shallow=tab.exponent_shallow, c=tab.c),
-              ["z (b (u/u0)^{1/2 omega}, dimensionless)", "Phi (length^{-1/2} scale)"],
-              rows)
-    payload = {"spread": tab.spread, "exponent_steep": tab.exponent_steep,
-               "exponent_shallow": tab.exponent_shallow, "c": tab.c, "path": str(out)}
+    fit = {"spread": tab.spread, "exponent_steep": tab.exponent_steep,
+           "exponent_shallow": tab.exponent_shallow, "c": tab.c}
     return (f"collapse spread={tab.spread:.4f} exponents=({tab.exponent_steep:.4f},"
-            f"{tab.exponent_shallow:.4f}) -> {out}"), payload
+            f"{tab.exponent_shallow:.4f})"), fit, Table(
+        "collapse.csv", ["z (b (u/u0)^{1/2 omega}, dimensionless)",
+                         "Phi (length^{-1/2} scale)"], list(zip(tab.z, tab.phi)),
+        {"u0": ns.u0, **fit})
 
 
 def cmd_phase_shift(ns):
-    p = derived_constants(ns.alpha)
     reg = _regulator(ns, ns.g)
     ks = np.geomspace(ns.k_min, ns.k_max, ns.n_k)
-    deltas = scattering.phase_shift_sweep(p, reg, ks)
+    deltas = scattering.phase_shift_sweep(ns.params, reg, ks)
     r = -np.exp(2j * deltas)
     rows = list(zip(ks * reg.b, [reg.g] * len(ks), r.real, r.imag, deltas))
-    out = _outdir(ns) / "phase_shift.csv"
-    write_csv(out, _provenance(ns, g=reg.g, b=reg.b),
-              ["mu (k b x0, dimensionless)", "g (dimensionless)",
-               "Re r (dimensionless)", "Im r (dimensionless)", "delta (rad)"], rows)
-    return f"{len(rows)} phase-shift points -> {out}", {"rows": len(rows), "path": str(out)}
+    return f"{len(rows)} phase-shift points", {"rows": len(rows)}, Table(
+        "phase_shift.csv", ["mu (k b x0, dimensionless)", "g (dimensionless)",
+                            "Re r (dimensionless)", "Im r (dimensionless)", "delta (rad)"],
+        rows, {"g": reg.g, "b": reg.b})
 
 
 def cmd_phase_curve(ns):
-    p = derived_constants(ns.alpha)
-    path = scattering.constant_phase_curve(p, ns.mu0, ns.g0, ns.mu1)
-    out = _outdir(ns) / "phase_curve.csv"
-    write_csv(out, _provenance(ns, mu0=ns.mu0, g0=ns.g0),
-              ["mu (dimensionless)", "g (dimensionless)"], path)
-    return f"curve of {len(path)} points, g({ns.mu1:g})={path[-1][1]:.8f} -> {out}", \
-        {"rows": len(path), "g_end": path[-1][1], "path": str(out)}
+    path = scattering.constant_phase_curve(ns.params, ns.mu0, ns.g0, ns.mu1)
+    return (f"curve of {len(path)} points, g({ns.mu1:g})={path[-1][1]:.8f}",
+            {"rows": len(path), "g_end": path[-1][1]},
+            Table("phase_curve.csv", ["mu (dimensionless)", "g (dimensionless)"], path,
+                  {"mu0": ns.mu0, "g0": ns.g0}))
 
 
 def cmd_feynman_kac(ns):
@@ -270,69 +253,60 @@ def cmd_feynman_kac(ns):
                          "or --scheme")
     if ns.mode == "regulated" and ns.alpha is None:
         raise ValueError("regulated mode needs --alpha")
-    p = None if ns.alpha is None else derived_constants(ns.alpha)
     regs = [_regulator(ns, ns.g)] if ns.mode == "regulated" else []
     spec = classical.PathEnsembleSpec(y=ns.y, x=ns.x, t=ns.t, n_steps=ns.n_steps,
                                       n_samples=ns.n_samples, seed=ns.seed)
     stats = {}
-    [(w, err)] = classical.feynman_kac_batch(p, regs, spec, ns.mode, ns.threads, stats=stats)
+    [(w, err)] = classical.feynman_kac_batch(ns.params, regs, spec, ns.mode, ns.threads,
+                                             stats=stats)
     diagnostics = {"ess_fraction": stats["ess_fraction"][0],
                    "max_weight_share": stats["max_weight_share"][0]}
-    rows = [(ns.x, ns.y, ns.t, min(ns.n_steps, classical.LINK_STEPS), ns.n_samples, w, err)]
-    out = _outdir(ns) / "feynman_kac.csv"
-    write_csv(out, _provenance(ns, mode=ns.mode, seed=ns.seed, **diagnostics),
-              ["x (length)", "y (length)", "t (length^2)", "N", "n_samples",
-               "W (1/length)", "stderr (1/length)"], rows)
-    return f"W = {w:.8g} +- {err:.2g} -> {out}", \
-        {"W": w, "stderr": err, "path": str(out), "diagnostics": diagnostics}
+    return f"W = {w:.8g} +- {err:.2g}", \
+        {"W": w, "stderr": err, "diagnostics": diagnostics}, Table(
+            "feynman_kac.csv", ["x (length)", "y (length)", "t (length^2)", "N", "n_samples",
+                                "W (1/length)", "stderr (1/length)"],
+            [(ns.x, ns.y, ns.t, spec.n_links, ns.n_samples, w, err)],
+            {"mode": ns.mode, "seed": ns.seed, **diagnostics})
 
 
 def cmd_chain(ns):
-    p = derived_constants(ns.alpha)
     reg = _regulator(ns, ns.g)
-    eps_list = tuple(float(e) for e in ns.eps_list.split(","))
-    res = classical.free_energy_density(p, reg, eps_list=eps_list,
-                                        threads=ns.threads)
+    res = classical.free_energy_density(ns.params, reg, threads=ns.threads,
+                                        eps_list=tuple(map(float, ns.eps_list.split(","))))
     rows = [(reg.g, e, res.n_grid, f, res.E0) for e, f in zip(res.eps_used, res.f_raw)]
     rows.append((reg.g, 0.0, res.n_grid, res.f_xy, res.E0))
     diagnostics = {"eigen_iterations": list(res.eigen_iterations),
                    "eigen_residual": res.eigen_residual}
-    out = _outdir(ns) / "chain.csv"
-    write_csv(out, _provenance(ns, phase=res.phase, order=res.order,
-                               eigen_iterations=" ".join(map(str, res.eigen_iterations)),
-                               eigen_residual=res.eigen_residual,
-                               note="epsilon = 0 row is the extrapolation"),
-              ["g (dimensionless)", "epsilon (length^2)", "n_grid",
-               "f (1/length^2)", "E0_ref (1/length^2)"], rows)
-    return (f"f={res.f_xy:.8g} (E0={res.E0:.8g}, {res.phase}) -> {out}"), \
-        {"f": res.f_xy, "E0": res.E0, "phase": res.phase, "path": str(out),
-         "diagnostics": diagnostics}
+    return f"f={res.f_xy:.8g} (E0={res.E0:.8g}, {res.phase})", \
+        {"f": res.f_xy, "E0": res.E0, "phase": res.phase, "diagnostics": diagnostics}, Table(
+            "chain.csv", ["g (dimensionless)", "epsilon (length^2)", "n_grid",
+                          "f (1/length^2)", "E0_ref (1/length^2)"], rows,
+            {"phase": res.phase, "order": res.order,
+             "eigen_iterations": " ".join(map(str, res.eigen_iterations)),
+             "eigen_residual": res.eigen_residual,
+             "note": "epsilon = 0 row is the extrapolation"})
 
 
 def cmd_limit_cycle(ns):
-    p = derived_constants(ns.alpha)
-    states, rows = [], []
-    for shift in range(ns.n_periods):
-        b = ns.b * math.exp(-shift * math.pi / p.omega)
-        states.append(rgflow.limit_cycle(p, b, ns.eps))
-        for i, g in enumerate(states[-1].g_branches):
-            rows.append((math.log(b), ns.eps, i, g))
-    out = _outdir(ns) / "limit_cycle.csv"
-    write_csv(out, _provenance(ns, abs_omega=p.omega, phi=states[0].phi),
-              ["log_b (dimensionless)", "eps (-E x0^2, dimensionless)",
-               "g_root_index", "g (dimensionless)"], rows)
+    p = ns.params
+    bs = [ns.b * math.exp(-shift * math.pi / p.omega) for shift in range(ns.n_periods)]
+    states = [rgflow.limit_cycle(p, b, ns.eps) for b in bs]
+    rows = [(math.log(b), ns.eps, i, g) for b, st in zip(bs, states)
+            for i, g in enumerate(st.g_branches)]
     gs = states[0].g_branches
-    return f"roots at b={ns.b:g}: {[f'{g:.8f}' for g in gs]} -> {out}", \
-        {"phi": states[0].phi, "roots": list(gs), "path": str(out)}
+    return f"roots at b={ns.b:g}: {[f'{g:.8f}' for g in gs]}", \
+        {"phi": states[0].phi, "roots": list(gs)}, Table(
+            "limit_cycle.csv", ["log_b (dimensionless)", "eps (-E x0^2, dimensionless)",
+                                "g_root_index", "g (dimensionless)"], rows,
+            {"abs_omega": p.omega, "phi": states[0].phi})
 
 
 def cmd_regen_golden(ns):
-    outdir = _outdir(ns)
-    results = {}
-    for key, job in GOLDEN_JOBS.items():
-        sub = _build_parser().parse_args(job.split() + ["--alpha=-0.1875", f"--out={outdir}"])
-        results[key] = sub.handler(sub)[1]
-    return f"golden data regenerated in {outdir}", results
+    out = [f"--out={ns.out}"] if ns.out else []
+    results = {key: run(_build_parser().parse_args(job.split() + ["--alpha=-0.1875"] + out))[1]
+               for key, job in GOLDEN_JOBS.items()}
+    return f"golden data regenerated in {Path(results['collapse']['path']).parent}", \
+        results, None
 
 
 # the runs behind golden/: result key -> command line, at alpha = -3/16
@@ -395,7 +369,7 @@ WELL = (Flag("scheme", str, "square", choices=tuple(SCHEMES)),
 DEPTH = (Flag("g", required=True, help="well depth"),)
 OPTIONAL_DEPTH = (Flag("g", help="well depth"),)
 OUT = Flag("out", str, help=f"output directory (default ${OUTDIR_ENV} or .)")
-THREADS = Flag("threads", int, 1)
+THREADS = Flag("threads", count, 1)
 
 COMMANDS = {
     "fixed-points": (cmd_fixed_points, MODEL),
@@ -417,7 +391,7 @@ COMMANDS = {
     "exponent": (cmd_exponent, MODEL + WELL + (
         Flag("window_lo", default=1e-4),
         Flag("window_hi", default=1e-2),
-        Flag("n_points", int, 20),
+        Flag("n_points", count, 20),
         OUT)),
     "propagator": (cmd_propagator, MODEL + WELL + DEPTH + (
         Flag("x", required=True),
@@ -439,8 +413,8 @@ COMMANDS = {
         Flag("sign", int, 1, choices=(1, -1)),
         Flag("b0", default=1.0),
         Flag("u0", default=2e-3),
-        Flag("n_b", int, 5),
-        Flag("n_u", int, 5),
+        Flag("n_b", count, 5),
+        Flag("n_u", count, 5),
         Flag("x", default=2.0),
         Flag("t", default=1e5),
         OUT)),
@@ -547,7 +521,7 @@ def main(argv=None) -> int:
             ns = _build_parser().parse_args(_spec_argv(spec))
         if not ns.command:
             raise ValueError("give a subcommand or --spec")
-        summary, payload = ns.handler(ns)
+        summary, payload = run(ns)
     except (ValueError, KeyError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}))
         return 2

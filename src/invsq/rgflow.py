@@ -75,9 +75,7 @@ def flow(params: ModelParams, gamma0: float, b0: float, b1: float) -> FlowState:
         raise ValueError("cutoff factors must be positive")
     nm, np_ = params.nu_minus, params.nu_plus
     if gamma0 == nm or gamma0 == np_:
-        g0 = invert_gamma(gamma0)
-        u = 0.0
-        return FlowState(gamma0, g0, u, False)
+        return FlowState(gamma0, invert_gamma(gamma0), gamma0 - nm, False)
     r0 = (gamma0 - nm) / (gamma0 - np_)
     r1 = r0 * (b1 / b0) ** (2.0 * params.omega)
     if r1 == 1.0:

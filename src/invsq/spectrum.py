@@ -68,12 +68,14 @@ class BoundState:
 
 @dataclass(frozen=True)
 class CriticalFit:
-    """Fit of log eps against log (g - g_*); eps holds the fitted binding energies -E."""
+    """Fit of log eps against log (g - g_*): g holds the fitted depths, eps their binding
+    energies -E."""
 
     exponent: float
     amplitude: float
     g_star: float
     residual: float
+    g: tuple
     eps: tuple
 
 
@@ -378,14 +380,15 @@ def generic_bound_threshold(params: ModelParams, reg: Regulator,
         raise ValueError(f"the fit window of g - g_* needs both ends > 0, got {tuple(window)}")
     du = np.geomspace(window[0], window[1], n_points)
     g_star = threshold(params, reg, params.nu_minus)
-    states = [bound_state(params, replace(reg, g=g_star + d)) for d in du]
+    gs = g_star + du
+    states = [bound_state(params, replace(reg, g=g)) for g in gs]
     if None in states:
         raise ValueError(f"no bound state at g - g_* = {du[states.index(None)]:.3g}: the fit "
                          "window must lie above g_* by more than its rounding")
     eps = np.array([-st.energy for st in states])
     slope, amplitude, resid = fit_loglog(du, eps)
     return CriticalFit(exponent=slope, amplitude=amplitude, g_star=g_star, residual=resid,
-                       eps=tuple(eps.tolist()))
+                       g=tuple(gs.tolist()), eps=tuple(eps.tolist()))
 
 
 def existence_bounds(params: ModelParams, reg: Regulator) -> float:

@@ -73,6 +73,54 @@ def test_bound_state_of_a_linear_well_has_no_amplitudes(capsys):
                                 "A": None, "C": None, "norm": None}
 
 
+def test_bound_state_sweep_csv(tmp_path, capsys):
+    from invsq import spectrum
+    from invsq.core import ModelParams, square_well
+    p = ModelParams(-0.1875)
+    code, _, payload = run_cli(["bound-state", "--alpha", "-0.1875", "--g-list",
+                                "1.0,2.5,4.0", "--out", str(tmp_path)], capsys)
+    assert code == 0 and payload["rows"] == 3
+    rows = [l.split(",") for l in (tmp_path / "bound_state_sweep.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert rows[0][-1] == "mean_x (length)" and len(rows) == 4
+    assert rows[1][3:] == ["1", "nan", "nan", "nan"]  # 1.0 is below g_- = 1.9411
+    for row, g in zip(rows[2:], (2.5, 4.0)):
+        assert float(row[4]) == spectrum.bound_state(p, square_well(g)).energy
+        assert float(row[6]) == spectrum.mean_position(p, square_well(g))
+
+
+def test_phase_curve_csv(tmp_path, capsys):
+    from invsq import scattering
+    from invsq.core import ModelParams
+    code, _, payload = run_cli(["phase-curve", "--alpha", "-0.1875", "--mu0", "0.5",
+                                "--g0", "1.2", "--mu1", "1e-6", "--out", str(tmp_path)], capsys)
+    curve = scattering.constant_phase_curve(ModelParams(-0.1875), 0.5, 1.2, 1e-6)
+    assert code == 0 and payload["rows"] == len(curve) == 128
+    assert payload["g_end"] == curve[-1][1]
+    rows = [l for l in (tmp_path / "phase_curve.csv").read_text().splitlines()
+            if not l.startswith("#")]
+    assert len(rows) == 129
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("exponent --alpha -0.1875 --n-points 3", "exponent_squarewell.csv"),
+    ("propagator --alpha -0.1875 --g 1.0 --x 1.2 --y 1.5 --t 1", "propagator.csv"),
+    ("contours --alpha -0.1875 --n-xi 2", "contours.csv")])
+def test_every_csv_is_named_in_the_summary_and_the_payload(argv, name, tmp_path, capsys):
+    code, lines, payload = run_cli(argv.split() + ["--out", str(tmp_path)], capsys)
+    assert code == 0 and payload["path"] == str(tmp_path / name)
+    assert lines[0].endswith(f" -> {tmp_path / name}")
+    assert (tmp_path / name).read_text().startswith("# tool = invsq ")
+
+
+def test_an_out_that_is_a_file_exits_4(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    code, lines, payload = run_cli(["contours", "--alpha", "-0.1875", "--n-xi", "2",
+                                    "--out", str(tmp_path / "taken")], capsys)
+    assert code == 4 and len(lines) == 1 and payload["error"] == "io"
+    assert (tmp_path / "taken").read_text() == ""
+
+
 def test_contours_csv(tmp_path, capsys):
     code, _, payload = run_cli(["contours", "--alpha", "-0.1875", "--ratios", "1,2",
                                 "--n-xi", "8", "--out", str(tmp_path)], capsys)
@@ -401,17 +449,18 @@ def test_limit_cycle(tmp_path, capsys):
 @pytest.mark.parametrize("args, detail", [
     (["limit-cycle", "--alpha", "-0.3", "--eps", "1e-6", "--n-periods", "0"], "n-periods"),
     (["limit-cycle", "--alpha", "-0.3", "--eps", "1e-6", "--n-periods", "-2"], "n-periods"),
-    (["exponent", "--alpha", "-0.1875", "--n-points", "0"], "2 points"),
+    (["exponent", "--alpha", "-0.1875", "--b", "0.5", "--n-points", "1"], "2 points"),
     (["exponent", "--alpha", "-0.1875", "--n-points", "1"], "2 points"),
-    (["collapse", "--alpha", "-0.1875", "--n-b", "0"], "4 points"),
-    (["collapse", "--alpha", "-0.1875", "--n-u", "0"], "4 points"),
+    (["collapse", "--alpha", "-0.1875", "--n-b", "1", "--n-u", "3"], "4 points"),
+    (["collapse", "--alpha", "-0.1875", "--n-b", "3", "--n-u", "1"], "4 points"),
     (["collapse", "--alpha", "-0.1875", "--n-b", "1", "--n-u", "1"], "4 points"),
     (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--b1", "0.5", "--steps", "0"], "--steps"),
     (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--b1", "0.5", "--steps", "-3"], "--steps"),
     (["phase-shift", "--alpha", "-0.1875", "--g", "1.0", "--n-k", "0"], "--n-k")])
 def test_too_few_points_or_periods_exit_2(args, detail, tmp_path, capsys):
     # one exponent point fits no line, and the collapse fits 4 parameters; a count
-    # flag below 1 used to write one flow row or an empty CSV
+    # flag below 1 used to write one flow row or an empty CSV (zero exponent points
+    # or collapse depths are refused by name, below)
     assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
     assert not any(tmp_path.iterdir())
 
@@ -425,11 +474,14 @@ def test_too_few_points_or_periods_exit_2(args, detail, tmp_path, capsys):
      "--b0", "-1"),
     (["flow", "--alpha", "-0.1875", "--gamma0", "0.1", "--steps", "2"], "--b1", "0"),
     (FK_ARGS + ["--g", "1.0"], "--n-samples", "0"),
-    (FK_ARGS + ["--g", "1.0"], "--n-steps", "0")])
+    (FK_ARGS + ["--g", "1.0"], "--n-steps", "0"),
+    (["exponent", "--alpha", "-0.1875"], "--n-points", "0"),
+    (["collapse", "--alpha", "-0.1875"], "--n-b", "0"),
+    (["collapse", "--alpha", "-0.1875"], "--n-u", "0")])
 def test_grid_ends_and_ensemble_counts_are_refused_by_name(args, flag, value, tmp_path,
                                                           capsys):
-    # these went on to np.geomspace or the ensemble builder, whose words name no
-    # flag, sometimes after a RuntimeWarning (raised here as an error)
+    # these went on to np.geomspace, the ensemble builder or a fit, whose words name
+    # no flag, sometimes after a RuntimeWarning (raised here as an error)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = run_cli(args + [flag, value, "--out", str(tmp_path)], capsys)
@@ -475,9 +527,11 @@ def test_scaling_check_refuses_lam_at_or_below_zero(law, args, lam, capsys):
     (["collapse", "--alpha", "-0.1875", "--u0=-1e-3"], "u0 must be > 0"),
     (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.1,0.1"], "eps_list"),
     (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.1,0.05,0.05"], "eps_list"),
-    (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0"], "eps_list")])
+    (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0"], "eps_list"),
+    (["chain", "--alpha", "-0.1875", "--g", "2.5", "--eps-list", "0.05"], "eps_list")])
 def test_degenerate_collapse_or_chain_steps_exit_2(args, detail, tmp_path, capsys):
-    # u0 divides every coupling of the collapse; equal steps leave Richardson nothing to extrapolate
+    # u0 divides every coupling of the collapse; one step, or equal steps, leave
+    # Richardson nothing to extrapolate
     assert_refused(run_cli(args + ["--out", str(tmp_path)], capsys), detail)
     assert not any(tmp_path.iterdir())
 
@@ -565,7 +619,8 @@ def test_a_spec_built_from_the_flags_parses_as_the_flags(command, tmp_path, caps
                                                           monkeypatch):
     seen = []
     flags = COMMANDS[command][1]
-    monkeypatch.setitem(COMMANDS, command, (lambda ns: seen.append(vars(ns)) or ("", {}), flags))
+    monkeypatch.setitem(COMMANDS, command, (lambda ns: seen.append(vars(ns)) or ("", {}, None),
+                                                 flags))
     assert run_cli([command] + VALID_ARGV[command].split(), capsys)[0] == 0
     spec = {f.name: seen[0][f.name] for f in flags if seen[0][f.name] is not None}
     assert run_spec({"command": command, **spec}, tmp_path / "spec.json", capsys)[0] == 0

@@ -55,6 +55,16 @@ def test_flow_fixed_point_constant(params316):
         assert stt.u == 0.0
 
 
+@pytest.mark.parametrize("b1", [0.5, 2.0])
+def test_flow_u_is_continuous_across_a_start_at_nu_plus(params316, b1):
+    # u = gamma - nu_- everywhere, so 2 omega at the UV fixed point
+    p = params316
+    at = rg.flow(p, p.nu_plus, 1.0, b1)
+    assert at.gamma == p.nu_plus and at.u == p.nu_plus - p.nu_minus == 2.0 * p.omega
+    for gamma0 in (p.nu_plus - 1e-12, p.nu_plus + 1e-12):
+        assert rg.flow(p, gamma0, 1.0, b1).u == pytest.approx(at.u, abs=1e-10)
+
+
 def test_flow_infinitesimal_step_matches_scaling_variable(params316):
     p = params316
     eps = 1e-5
